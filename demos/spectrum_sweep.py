@@ -10,8 +10,8 @@ import pathlib
 import numpy as np
 
 from ohcross import (FieldConfiguration, MoleculeParameters, b1_exact,
-                     analytic_eigenvalues, b_field_from_tilde,
-                     render_line_plot, scale_parameters)
+                     analytic_spectrum, b_field_from_tilde,
+                     b_tilde_from_field, render_line_plot, scale_parameters)
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -20,11 +20,10 @@ mol = MoleculeParameters()
 theta = math.radians(60.0)
 b_grid = np.linspace(0.0, 0.2, 401)
 
-rows = []
-for b in b_grid:
-    p = scale_parameters(mol, FieldConfiguration(b_field=float(b),
-                                                 theta=theta))
-    rows.append(analytic_eigenvalues(p).lambdas)
+p0 = scale_parameters(mol, FieldConfiguration(theta=theta))
+# one closed-form call for the whole grid: rows are points, columns levels
+rows = analytic_spectrum(b_tilde_from_field(b_grid), p0.e_tilde,
+                         p0.delta_tilde, theta)
 
 csv_path = OUT / "spectrum_theta60.csv"
 with open(csv_path, "w") as fh:
@@ -33,14 +32,13 @@ with open(csv_path, "w") as fh:
     for b, lams in zip(b_grid, rows):
         fh.write(f"{b:.6g}," + ",".join(f"{v:.9g}" for v in lams) + "\n")
 
-series = [[row[k] for row in rows] for k in range(8)]
+series = list(rows.T)
 svg = render_line_plot(b_grid, series,
                        [f"level {k}" for k in range(1, 9)],
                        title="Stark-Zeeman levels, theta = 60 deg",
                        x_label="B (tesla)", y_label="energy (GHz)")
 (OUT / "spectrum_theta60.svg").write_text(svg)
 
-p0 = scale_parameters(mol, FieldConfiguration(theta=theta))
 print(f"wrote {csv_path}")
 print("levels 4 and 5 first touch at "
       f"B = {b_field_from_tilde(b1_exact(p0)):.6f} T")

@@ -7,7 +7,7 @@ Every closed form is paired with an independent numerical route so the two
 can be audited against each other.
 """
 
-from .algebra import (AlgebraError, ComplexRootSet, Polynomial, det_gauss,
+from .algebra import (AlgebraError, ComplexRootSet, Polynomial,
                       numeric_roots, solve_cubic, solve_quartic,
                       symmetric_eigenvalues)
 from .crossings import (CrossingRecord, CrossingError, NoCriticalFieldError,
@@ -25,14 +25,14 @@ from .hamiltonian import (angular_coupling, assemble, build_blocks,
                           build_hamiltonian, format_matrix)
 from .model import (DEFAULT_CONSTANTS, ConfigError, EnergyUnit,
                     FieldConfiguration, MoleculeParameters, PhysicalConstants,
-                    ScaledParameters, b_field_from_tilde, convert_energy,
-                    e_field_from_tilde, molecule_from_config,
+                    ScaledParameters, b_field_from_tilde, b_tilde_from_field,
+                    convert_energy, e_field_from_tilde, molecule_from_config,
                     scale_parameters)
 from .plotting import PlotError, render_line_plot
 from .spectrum import (CharPoly, Spectrum, SpectrumError,
-                       analytic_eigenvalues, characteristic_polynomial,
-                       eigenvalue_at, eigenvalues_from_charpoly,
-                       numeric_eigenvalues)
+                       analytic_eigenvalues, analytic_spectrum,
+                       characteristic_polynomial, eigenvalue_at,
+                       eigenvalues_from_charpoly, numeric_eigenvalues)
 
 __version__ = "1.0.0"
 
@@ -42,11 +42,11 @@ __all__ = [
     "DiscriminantFactors", "EnergyUnit", "FieldConfiguration", "FitError",
     "FitResult", "MoleculeParameters", "NoCriticalFieldError",
     "PhysicalConstants", "PlotError", "Polynomial", "ScaledParameters",
-    "Spectrum", "SpectrumError", "analytic_eigenvalues", "angular_coupling",
-    "assemble", "audit_triple", "b1_approx_tilde", "b1_exact",
-    "b1_exact_tilde", "b_field_from_tilde", "best_shape_exponent",
-    "build_blocks", "build_hamiltonian", "characteristic_polynomial",
-    "convert_energy", "critical_field_tilde", "crossing_catalog", "det_gauss",
+    "Spectrum", "SpectrumError", "analytic_eigenvalues", "analytic_spectrum",
+    "angular_coupling", "assemble", "audit_triple", "b1_approx_tilde",
+    "b1_exact", "b1_exact_tilde", "b_field_from_tilde", "b_tilde_from_field",
+    "best_shape_exponent", "build_blocks", "build_hamiltonian", "characteristic_polynomial",
+    "convert_energy", "critical_field_tilde", "crossing_catalog",
     "determinant_identity_check", "e_field_from_tilde", "eigenvalue_at",
     "eigenvalues_from_charpoly", "eval_f0_tilde", "eval_f1_tilde",
     "eval_f2_tilde", "evaluate_factors", "f1_crossings",

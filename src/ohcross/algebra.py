@@ -1,10 +1,10 @@
 """Shared exact and numeric algebra kernels.
 
 Closed-form cubic and quartic solvers (depression plus resolvent cubic),
-a companion-matrix numeric root finder, a cyclic Jacobi eigensolver and a
-pivoted-elimination determinant. The numeric routines are deliberately
-independent of the closed forms so each side can serve as an oracle for
-the other.
+the quartic one row-wise over arrays of quartics, a companion-matrix
+numeric root finder and a cyclic Jacobi eigensolver. The numeric routines
+are deliberately independent of the closed forms so each side can serve
+as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ SYMMETRY_TOL = 1e-12
 JACOBI_OFFDIAG_REL = 1e-13
 
 _CUBE_ROOT_OF_UNITY = complex(-0.5, math.sqrt(3.0) / 2.0)
+_CUBE_ROOT_POWERS = np.array([1.0, _CUBE_ROOT_OF_UNITY, _CUBE_ROOT_OF_UNITY ** 2])
 
 
 class AlgebraError(ValueError):
@@ -36,10 +37,6 @@ class DegreeError(AlgebraError):
 
 class ZeroPolynomialError(AlgebraError):
     """All coefficients vanish, so roots are undefined."""
-
-
-class NonMonicError(AlgebraError):
-    """The operation requires a monic polynomial; the caller must normalize."""
 
 
 class ResidualError(AlgebraError):
@@ -229,76 +226,107 @@ def solve_cubic(poly: Polynomial) -> ComplexRootSet:
     return merge_roots(roots)
 
 
-@dataclass(frozen=True)
-class DepressedQuartic:
-    """Result of the substitution u = x + shift applied to a monic quartic.
+def _monic_quartic_rows(a, z):
+    """Each row of monic quartic coefficients a (N, 4) at z (N, k)."""
+    return (((z + a[:, 3:]) * z + a[:, 2:3]) * z + a[:, 1:2]) * z + a[:, :1]
 
-    Reconstruction u^4 + q u^2 + r u + s with u = x + shift reproduces the
-    original coefficients; shift is a quarter of the cubic coefficient.
+
+def polish_quartic_roots(a, z, steps: int):
+    """Guarded Newton steps on rows of monic quartics, real or complex.
+
+    Row i of `a` holds (a0, a1, a2, a3); z holds that row's root estimates.
+    A root keeps a step only if it lowers |p|, and stops at its first
+    rejected step. Returns the polished roots and p at them.
     """
+    value = _monic_quartic_rows(a, z)
+    live = np.ones(z.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            slope = ((4.0 * z + 3.0 * a[:, 3:]) * z + 2.0 * a[:, 2:3]) * z + a[:, 1:2]
+            step = z - value / slope
+            step_value = _monic_quartic_rows(a, step)
+            live &= np.abs(step_value) < np.abs(value)
+            z = np.where(live, step, z)
+            value = np.where(live, step_value, value)
+    return z, value
 
-    q: float
-    r: float
-    s: float
-    shift: float
+
+def _cubic_monic_roots_rows(a2, a1, a0):
+    """Row-wise _cubic_monic_roots: the three roots of each row, (N, 3)."""
+    p = a1 - a2 * a2 / 3.0
+    q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
+    shift = (-a2 / 3.0)[:, None]
+    sq = np.sqrt((q * q / 4.0 + p ** 3 / 27.0).astype(complex))
+    u3_plus = -q / 2.0 + sq
+    u3_minus = -q / 2.0 - sq
+    u3 = np.where(np.abs(u3_plus) >= np.abs(u3_minus), u3_plus, u3_minus)
+    # u3 vanishes exactly when p = q = 0: a triple root at the shift
+    triple = (u3 == 0)[:, None]
+    uk = (np.where(u3 == 0, 1.0, u3) ** (1.0 / 3.0))[:, None] * _CUBE_ROOT_POWERS
+    return np.where(triple, shift, uk - p[:, None] / (3.0 * uk) + shift)
 
 
-def depress_quartic(poly: Polynomial) -> DepressedQuartic:
-    """Depress a monic quartic, removing its cubic term."""
-    if poly.degree != 4:
-        raise DegreeError(f"depress_quartic needs degree 4, got {poly.degree}")
-    if abs(poly.coeffs[4] - 1.0) > 1e-12:
-        raise NonMonicError("depress_quartic requires a monic quartic")
-    a0, a1, a2, a3 = poly.coeffs[0], poly.coeffs[1], poly.coeffs[2], poly.coeffs[3]
+def solve_monic_quartics(a):
+    """Closed-form roots of many monic quartics at once.
+
+    Row i of `a` holds (a0, a1, a2, a3) of z^4 + a3 z^3 + a2 z^2 + a1 z + a0.
+    Each row is depressed and solved through all three resolvent branches,
+    keeping the least-residual one (the biquadratic split stands in for a
+    degenerate branch), then gets two guarded complex Newton steps.
+    Near-identical roots are not merged. Returns the roots, shape (N, 4),
+    and per row the worst |p(root)| over its coefficient magnitude scale;
+    rows above 1e-8 fail the residual bound, which the caller enforces.
+    Non-finite rows report NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    a0, a1, a2, a3 = a.T
     q = a2 - 3.0 * a3 * a3 / 8.0
     r = a1 - a2 * a3 / 2.0 + a3 ** 3 / 8.0
     s = a0 - a1 * a3 / 4.0 + a2 * a3 * a3 / 16.0 - 3.0 * a3 ** 4 / 256.0
-    return DepressedQuartic(q=q, r=r, s=s, shift=a3 / 4.0)
-
-
-def _depressed_quartic_roots(q: float, r: float, s: float) -> list:
-    """Roots of u^4 + q u^2 + r u + s by resolvent cubic, best branch."""
-    zs = _cubic_monic_roots(2.0 * q, q * q - 4.0 * s, -r * r)
-    qscale = math.sqrt(max(abs(q), math.sqrt(abs(s)), 1e-300))
-    best = None
-    for z in zs:
-        proot = cmath.sqrt(z)
-        if abs(proot) < 1e-9 * qscale:
-            # degenerate resolvent root: fall back to the biquadratic split
-            disc = cmath.sqrt(complex(q * q - 4.0 * s))
-            u2a = (-q + disc) / 2.0
-            u2b = (-q - disc) / 2.0
-            ra, rb = cmath.sqrt(u2a), cmath.sqrt(u2b)
-            cand = [ra, -ra, rb, -rb]
-        else:
-            b1 = (q + z - r / proot) / 2.0
-            b2 = (q + z + r / proot) / 2.0
-            d1 = cmath.sqrt(proot * proot - 4.0 * b1)
-            d2 = cmath.sqrt(proot * proot - 4.0 * b2)
-            cand = [(-proot + d1) / 2.0, (-proot - d1) / 2.0,
-                    (proot + d2) / 2.0, (proot - d2) / 2.0]
-        res = sum(abs(((u * u + q) * u + r) * u + s) for u in cand)
-        if best is None or res < best[0]:
-            best = (res, cand)
-    return best[1]
+    with np.errstate(all="ignore"):
+        zs = _cubic_monic_roots_rows(2.0 * q, q * q - 4.0 * s, -r * r)
+        qscale = np.sqrt(np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))), 1e-300))
+        proot = np.sqrt(zs)
+        disc = np.sqrt((q * q - 4.0 * s).astype(complex))
+        ra = np.sqrt((-q + disc) / 2.0)
+        rb = np.sqrt((-q - disc) / 2.0)
+        split = np.stack([ra, -ra, rb, -rb], axis=1)[:, None, :]
+        q3, r3, s3 = q[:, None, None], r[:, None, None], s[:, None, None]
+        b1 = (q[:, None] + zs - r[:, None] / proot) / 2.0
+        b2 = (q[:, None] + zs + r[:, None] / proot) / 2.0
+        d1 = np.sqrt(proot * proot - 4.0 * b1)
+        d2 = np.sqrt(proot * proot - 4.0 * b2)
+        ferrari = np.stack([(-proot + d1) / 2.0, (-proot - d1) / 2.0,
+                            (proot + d2) / 2.0, (proot - d2) / 2.0], axis=2)
+        degenerate = (np.abs(proot) < 1e-9 * qscale[:, None])[:, :, None]
+        cand = np.where(degenerate, split, ferrari)
+        res = np.abs(((cand * cand + q3) * cand + r3) * cand + s3).sum(axis=2)
+        best = np.argmin(np.where(np.isnan(res), np.inf, res), axis=1)
+        us = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0, :]
+        roots, value = polish_quartic_roots(a, us - (a3 / 4.0)[:, None], 2)
+        mag = np.abs(roots)
+        coeff_scale = np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]
+        term_scale = _monic_quartic_rows(np.abs(a), mag)
+        resid = (np.abs(value) / np.maximum(coeff_scale, term_scale)).max(axis=1)
+    return roots, resid
 
 
 def solve_quartic(poly: Polynomial) -> ComplexRootSet:
     """Closed-form roots of a degree-4 polynomial.
 
-    Depression plus resolvent cubic; every resolvent branch is tried and the
-    branch with the smallest residual wins. Each root satisfies
-    |p(root)| <= 1e-8 times the coefficient magnitude scale at that root.
+    One row through solve_monic_quartics after scaling to monic. Each root
+    satisfies |p(root)| <= 1e-8 times the coefficient magnitude scale at
+    that root.
     """
     if poly.degree != 4:
         raise DegreeError(f"solve_quartic needs degree 4, got {poly.degree}")
     lead = poly.coeffs[4]
-    monic = tuple(c / lead for c in poly.coeffs[:4]) + (1.0,)
-    dq = depress_quartic(Polynomial(monic))
-    us = _depressed_quartic_roots(dq.q, dq.r, dq.s)
-    roots = [_polish(monic, u - dq.shift) for u in us]
-    _check_residuals(poly, roots, QUARTIC_RESIDUAL_REL)
-    return merge_roots(roots)
+    roots, resid = solve_monic_quartics([[c / lead for c in poly.coeffs[:4]]])
+    if not resid[0] <= QUARTIC_RESIDUAL_REL:
+        raise ResidualError(
+            f"quartic root residual {resid[0]:.3e} is above "
+            f"{QUARTIC_RESIDUAL_REL:.1e} of its scale")
+    return merge_roots(roots[0])
 
 
 def numeric_roots(poly: Polynomial) -> ComplexRootSet:
@@ -367,22 +395,3 @@ def symmetric_eigenvalues(m) -> list:
     else:
         raise ResidualError("Jacobi sweep limit reached without convergence")
     return sorted((float(v) for v in np.diag(a)), reverse=True)
-
-
-def det_gauss(m) -> float:
-    """Determinant by Gaussian elimination with partial pivoting."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise AlgebraError("determinant needs a square matrix")
-    n = a.shape[0]
-    det = 1.0
-    for i in range(n):
-        piv = i + int(np.argmax(np.abs(a[i:, i])))
-        if piv != i:
-            a[[i, piv]] = a[[piv, i]]
-            det = -det
-        if a[i, i] == 0.0:
-            return 0.0
-        det *= a[i, i]
-        a[i + 1:, i:] -= np.outer(a[i + 1:, i] / a[i, i], a[i, i:])
-    return det

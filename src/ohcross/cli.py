@@ -32,9 +32,10 @@ from .fitting import FIT_MODELS, FitError, fit_power_law
 from .hamiltonian import build_hamiltonian, format_matrix
 from .model import (DEFAULT_CONSTANTS, ConfigError, EnergyUnit,
                     FieldConfiguration, MoleculeParameters, b_field_from_tilde,
-                    convert_energy, molecule_from_config, scale_parameters)
+                    b_tilde_from_field, convert_energy, molecule_from_config,
+                    scale_parameters)
 from .plotting import PlotError, render_line_plot
-from .spectrum import SpectrumError, analytic_eigenvalues
+from .spectrum import SpectrumError, analytic_spectrum
 
 _UNIT_BY_FLAG = {"percm": EnergyUnit.INVERSE_CM, "ghz": EnergyUnit.GHZ}
 
@@ -146,13 +147,13 @@ def _cmd_spectrum(args) -> int:
     theta = _theta(args)
     _check_sweep(args.b_min, args.b_max, args.points)
     unit = _UNIT_BY_FLAG[args.unit]
-    rows = []
-    for b in np.linspace(args.b_min, args.b_max, args.points):
-        p = scale_parameters(mol, FieldConfiguration(
-            e_field=args.e_vcm * 100.0, b_field=float(b), theta=theta))
-        lams = analytic_eigenvalues(p).lambdas
-        rows.append([float(b)] + [convert_energy(v, EnergyUnit.GHZ, unit)
-                                  for v in lams])
+    b = np.linspace(args.b_min, args.b_max, args.points)
+    p = scale_parameters(mol, FieldConfiguration(
+        e_field=args.e_vcm * 100.0, theta=theta))
+    lams = analytic_spectrum(b_tilde_from_field(b), p.e_tilde,
+                             p.delta_tilde, theta)
+    rows = np.column_stack(
+        [b, convert_energy(lams, EnergyUnit.GHZ, unit)]).tolist()
     provenance = {
         "b_min_tesla": float(args.b_min), "b_max_tesla": float(args.b_max),
         "points": args.points, "e_vcm": float(args.e_vcm),

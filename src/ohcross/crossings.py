@@ -363,11 +363,13 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
                         pair_policy: str) -> list:
     """Shared candidate pipeline from x-roots to validated records.
 
-    Roots with negative imaginary part are conjugate partners and skipped;
-    tiny magnitudes snap to x = 0 and tiny imaginary parts snap to the real
-    axis. Negative real x has no field location and is dropped. The seed is
-    Re[sqrt(x)]; the measured gap at the seed decides real vs avoided, and
-    avoided candidates must survive interior-minimum refinement.
+    Tiny magnitudes snap to x = 0 and tiny imaginary parts snap to the real
+    axis, whatever the sign of that rounding noise. Roots still carrying a
+    negative imaginary part are conjugate partners and skipped, as are
+    repeats of a root already seen. Negative real x has no field location
+    and is dropped. The seed is Re[sqrt(x)]; the measured gap at the seed
+    decides real vs avoided, and avoided candidates must survive
+    interior-minimum refinement.
     """
     tesla_per_tilde = b_field_from_tilde(1.0)
     roots = list(xs)
@@ -375,16 +377,16 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
         return []
     top = max(abs(x) for x in roots)
     records = []
+    seen = set()
     for x in roots:
         x = complex(x)
-        if x.imag < 0.0:
-            continue
         if abs(x) < ROOT_SNAP_REL * top:
             x = complex(0.0)
         elif abs(x.imag) < IMAG_SNAP_REL * abs(x):
             x = complex(x.real)
-        if x.imag == 0.0 and x.real < 0.0:
+        if x.imag < 0.0 or x in seen or (x.imag == 0.0 and x.real < 0.0):
             continue
+        seen.add(x)
         seed_tilde = cmath.sqrt(x).real
         p_seed = p.with_b_tilde(seed_tilde)
         if pair_policy == "opposite":

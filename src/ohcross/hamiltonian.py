@@ -20,6 +20,11 @@ _SQRT3 = math.sqrt(3.0)
 # Zeeman diagonal pattern: magnetic quantum numbers scaled to integers.
 _M_PATTERN = (-3.0, -1.0, 1.0, 3.0)
 
+# Diagonal of dH/d(b_tilde/10): the pattern on both parity blocks, so that
+# H(b_tilde) = H(0) + (b_tilde/10) diag(ZEEMAN_DIAGONAL) entry for entry.
+ZEEMAN_DIAGONAL = np.array(_M_PATTERN + _M_PATTERN)
+ZEEMAN_DIAGONAL.setflags(write=False)
+
 
 def angular_coupling(theta: float) -> np.ndarray:
     """Symmetric 4x4 angle structure of the electric coupling block.

@@ -136,10 +136,15 @@ def scale_parameters(mol: MoleculeParameters, cfg: FieldConfiguration,
     Linear in B and in E separately; theta passes through.
     """
     h = constants.planck
-    b_tilde = 4.0 * constants.bohr_magneton * cfg.b_field / h / 1e9
+    b_tilde = b_tilde_from_field(cfg.b_field, constants)
     e_tilde = 2.0 * mol.electric_dipole * cfg.e_field / h / 1e9
     delta_tilde = 5.0 * constants.reduced_planck * mol.lambda_doubling / h / 1e9
     return ScaledParameters(b_tilde, e_tilde, delta_tilde, cfg.theta)
+
+
+def b_tilde_from_field(b_field, constants: PhysicalConstants = DEFAULT_CONSTANTS):
+    """The magnetic-field scaling alone, tesla to GHz; takes arrays too."""
+    return 4.0 * constants.bohr_magneton * b_field / constants.planck / 1e9
 
 
 def b_field_from_tilde(b_tilde: float,

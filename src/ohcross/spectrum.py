@@ -5,17 +5,23 @@ powers because the spectrum is symmetric about zero. That reduces the
 degree-8 problem to a quartic in m = lambda^2, which the closed-form
 quartic solver handles; the cyclic Jacobi route provides the independent
 numeric check.
+
+The closed form runs on whole arrays of field points. Along B the matrix
+is H = H0 + (b_tilde/10) Z, with H0 built once per distinct (E, delta,
+theta) and Z the fixed Zeeman diagonal, so a sweep is one pass of stacked
+matrix products, one row-wise quartic solve and one batched determinant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, det_gauss, solve_quartic, symmetric_eigenvalues
-from .hamiltonian import build_hamiltonian
+from .algebra import (QUARTIC_RESIDUAL_REL, Polynomial, ResidualError,
+                      polish_quartic_roots, solve_monic_quartics,
+                      symmetric_eigenvalues)
+from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
 from .model import ScaledParameters
 
 ODD_COEFF_REL = 1e-9
@@ -27,6 +33,8 @@ CONSTANT_TERM_REL = 1e-10
 IMAG_ROOT_REL = 1e-6
 NEGATIVE_ROOT_REL = 1e-6
 DET_REFINE_RATIO = 1e-6
+
+_DIAG = np.arange(8)
 
 
 class SpectrumError(ValueError):
@@ -40,6 +48,36 @@ class HermiticityViolationError(SpectrumError):
     and nonnegative, so a violation indicates corrupted input or a solver
     fault rather than physics.
     """
+
+
+def _raise_first(failures) -> None:
+    """Raise for the lowest failing row, as a point-by-point pass would.
+
+    `failures` lists (bad rows mask, error for row i) pairs in the order
+    the checks run; at the lowest failing row the earliest check wins.
+    """
+    first = None
+    for bad, error in failures:
+        rows = np.flatnonzero(bad)
+        if rows.size and (first is None or rows[0] < first[0]):
+            first = (rows[0], error)
+    if first is not None:
+        raise first[1](first[0])
+
+
+def _coefficient_failures(c) -> list:
+    """Monic and odd-coefficient checks on rows of 9 ascending coefficients."""
+    top = np.abs(c).max(axis=1, keepdims=True)
+    odd = ~(np.abs(c[:, 1::2]) <= ODD_COEFF_REL * top)
+
+    def odd_error(i):
+        k = 2 * int(np.argmax(odd[i])) + 1
+        return SpectrumError(f"odd coefficient at degree {k} is {c[i, k]:.3e}, "
+                             "spectrum symmetry violated")
+
+    return [(~(np.abs(c[:, 8] - 1.0) <= 1e-12),
+             lambda i: SpectrumError("characteristic polynomial must be monic")),
+            (odd.any(axis=1), odd_error)]
 
 
 @dataclass(frozen=True)
@@ -56,43 +94,52 @@ class CharPoly:
     def __post_init__(self) -> None:
         if len(self.coeffs) != 9:
             raise SpectrumError("characteristic polynomial must have 9 coefficients")
-        if abs(self.coeffs[8] - 1.0) > 1e-12:
-            raise SpectrumError("characteristic polynomial must be monic")
-        top = max(abs(c) for c in self.coeffs)
-        for k in range(1, 9, 2):
-            if abs(self.coeffs[k]) > ODD_COEFF_REL * top:
-                raise SpectrumError(
-                    f"odd coefficient at degree {k} is {self.coeffs[k]:.3e}, "
-                    "spectrum symmetry violated")
+        _raise_first(_coefficient_failures(np.array([self.coeffs], dtype=float)))
 
     def even_part(self) -> Polynomial:
         """Quartic in m = lambda^2 carrying the full spectral content."""
         return Polynomial(self.coeffs[0::2])
 
 
+def _charpoly_rows(h, failures) -> np.ndarray:
+    """Faddeev-LeVerrier on a stack of 8x8 matrices, one matmul per degree.
+
+    Returns (N, 9) ascending coefficients and appends the checks to
+    `failures`: the constant term against LAPACK's determinant to 1e-10
+    relative, then the monic and odd-coefficient checks.
+    """
+    c = np.zeros((len(h), 9))
+    c[:, 8] = 1.0
+    m = h
+    for k in range(1, 9):
+        c[:, 8 - k] = -np.trace(m, axis1=1, axis2=2) / k
+        if k < 8:
+            acc = m.copy()
+            acc[:, _DIAG, _DIAG] += c[:, 8 - k, None]
+            m = h @ acc
+    det = np.linalg.det(h)
+    scale = np.maximum(np.maximum(np.abs(c[:, 0]), np.abs(det)), 1.0)
+    failures.append((
+        ~(np.abs(c[:, 0] - det) <= CONSTANT_TERM_REL * scale),
+        lambda i: SpectrumError(f"constant term {c[i, 0]:.6e} disagrees with "
+                                f"determinant {det[i]:.6e}")))
+    failures.extend(_coefficient_failures(c))
+    return c
+
+
 def characteristic_polynomial(h) -> CharPoly:
     """Coefficients of det(lambda I - H) by the Faddeev-LeVerrier recurrence.
 
-    The constant term is cross-checked against an independent pivoted
-    elimination determinant to 1e-10 relative before the result is returned.
+    The constant term is cross-checked against LAPACK's determinant to
+    1e-10 relative before the result is returned.
     """
     mat = np.asarray(h, dtype=float)
     if mat.shape != (8, 8):
         raise SpectrumError("expected an 8x8 matrix")
-    n = 8
-    p = np.zeros(n + 1)
-    p[n] = 1.0
-    acc = np.zeros_like(mat)
-    eye = np.eye(n)
-    for k in range(1, n + 1):
-        acc = mat @ acc + p[n - k + 1] * eye
-        p[n - k] = -float(np.trace(mat @ acc)) / k
-    det = det_gauss(mat)
-    scale = max(1.0, abs(p[0]), abs(det))
-    if abs(p[0] - det) > CONSTANT_TERM_REL * scale:
-        raise SpectrumError(
-            f"constant term {p[0]:.6e} disagrees with determinant {det:.6e}")
-    return CharPoly(coeffs=tuple(float(c) for c in p))
+    failures = []
+    c = _charpoly_rows(mat[None], failures)
+    _raise_first(failures)
+    return CharPoly(coeffs=tuple(c[0].tolist()))
 
 
 @dataclass(frozen=True)
@@ -116,61 +163,94 @@ class Spectrum:
         return self.lambdas[label - 1]
 
 
+def _lambda_squared_rows(c, failures) -> np.ndarray:
+    """The four m = lambda^2 values of each row of coefficients, ascending.
+
+    Roots come from the closed-form quartic, must be real and nonnegative
+    to 1e-6 of the largest root, get up to three Newton steps on the
+    quartic (each kept only if it lowers |f|), are clamped at zero, and
+    the smallest is refined through the determinant product identity when
+    it is more than six orders below the largest (the quartic solve loses
+    relative accuracy exactly there).
+    """
+    quart = c[:, 0:8:2]
+    roots, resid = solve_monic_quartics(quart)
+    failures.append((
+        ~(resid <= QUARTIC_RESIDUAL_REL),
+        lambda i: ResidualError(f"lambda^2 root residual {resid[i]:.3e} is above "
+                                f"{QUARTIC_RESIDUAL_REL:.1e} of its scale")))
+    scale = np.abs(roots).max(axis=1, keepdims=True)
+    live = scale > 0.0
+    imag = live & ~(np.abs(roots.imag) <= IMAG_ROOT_REL * scale)
+    negative = live & (roots.real < -NEGATIVE_ROOT_REL * scale)
+
+    def root_error(i):
+        j = int(np.argmax(imag[i] | negative[i]))
+        what = "has a non-real part" if imag[i, j] else "is negative"
+        return HermiticityViolationError(
+            f"lambda^2 root {complex(roots[i, j])} {what} beyond tolerance")
+
+    failures.append(((imag | negative).any(axis=1), root_error))
+    m, _ = polish_quartic_roots(quart, roots.real, 3)
+    m = np.sort(np.maximum(m, 0.0), axis=1)
+    others = m[:, 1] * m[:, 2] * m[:, 3]
+    # det(H) equals the product of the four lambda^2 values
+    refine = (m[:, 3] > 0.0) & (m[:, 0] < DET_REFINE_RATIO * m[:, 3]) & (others > 0.0)
+    m[refine, 0] = np.maximum(c[refine, 0] / others[refine], 0.0)
+    return m
+
+
 def eigenvalues_from_charpoly(cp: CharPoly) -> list:
     """The four m = lambda^2 values, ascending, via the closed-form quartic.
 
-    Roots are validated as real and nonnegative relative to the largest
-    root, polished with Newton steps on the quartic, clamped at zero, and
-    the smallest root is refined through the determinant product identity
-    when it is more than six orders below the largest (the quartic solve
-    loses relative accuracy exactly there).
+    The same route and checks as every row of analytic_spectrum.
     """
-    quart = cp.even_part()
-    roots = solve_quartic(quart).expanded()
-    scale = max(abs(z) for z in roots)
-    ms = []
-    for z in roots:
-        if scale > 0.0:
-            if abs(z.imag) > IMAG_ROOT_REL * scale:
-                raise HermiticityViolationError(
-                    f"lambda^2 root {z} has a non-real part beyond tolerance")
-            if z.real < -NEGATIVE_ROOT_REL * scale:
-                raise HermiticityViolationError(
-                    f"lambda^2 root {z} is negative beyond tolerance")
-        ms.append(z.real)
-    a0, a1, a2, a3 = quart.coeffs[0], quart.coeffs[1], quart.coeffs[2], quart.coeffs[3]
-    polished = []
-    for m in ms:
-        for _ in range(3):
-            f = (((m + a3) * m + a2) * m + a1) * m + a0
-            fp = ((4.0 * m + 3.0 * a3) * m + 2.0 * a2) * m + a1
-            if fp == 0.0:
-                break
-            m -= f / fp
-        polished.append(max(m, 0.0))
-    polished.sort()
-    if polished[3] > 0.0 and polished[0] < DET_REFINE_RATIO * polished[3]:
-        others = polished[1] * polished[2] * polished[3]
-        if others > 0.0:
-            # det(H) equals the product of the four lambda^2 values
-            polished[0] = max(cp.coeffs[0] / others, 0.0)
-    return polished
+    failures = []
+    m = _lambda_squared_rows(np.array([cp.coeffs], dtype=float), failures)
+    _raise_first(failures)
+    return m[0].tolist()
+
+
+def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
+    """Closed-form levels at many field points, shape (N, 8), descending.
+
+    The scaled inputs (see ScaledParameters) broadcast against each other
+    and are flattened to N points. Every point passes the checks of the
+    closed-form route; if any fails, the error of the first failing point
+    is raised. At b_tilde = 0 the spectrum is exact for any E and theta:
+    lambda^2 takes the values (delta/10)^2 + (e/10)^2 and
+    (delta/10)^2 + 9 (e/10)^2, each twice, which the quartic route could
+    only approach through sqrt(eps)-split double roots.
+    """
+    b, e, d, th = (x.ravel() for x in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (b_tilde, e_tilde, delta_tilde, theta))))
+    if not np.all(d > 0.0):
+        raise ValueError("delta_tilde must be strictly positive")
+    half = np.empty((b.size, 4))
+    zero = b == 0.0
+    inner = np.hypot(d[zero] / 10.0, e[zero] / 10.0)
+    outer = np.hypot(d[zero] / 10.0, 3.0 * e[zero] / 10.0)
+    half[zero] = np.stack([inner, inner, outer, outer], axis=1)
+    field = ~zero
+    if field.any():
+        keys, which = np.unique(np.stack([e[field], d[field], th[field]], axis=1),
+                                axis=0, return_inverse=True)
+        h0 = np.stack([build_hamiltonian(ScaledParameters(0.0, *k))
+                       for k in keys.tolist()])
+        h = h0[which.reshape(-1)]
+        h[:, _DIAG, _DIAG] += (b[field] / 10.0)[:, None] * ZEEMAN_DIAGONAL
+        failures = []
+        m = _lambda_squared_rows(_charpoly_rows(h, failures), failures)
+        _raise_first(failures)
+        half[field] = np.sqrt(m)
+    return np.concatenate([half[:, ::-1], -half], axis=1)
 
 
 def analytic_eigenvalues(params: ScaledParameters) -> Spectrum:
     """Closed-form spectrum at the given scaled field configuration."""
-    if params.b_tilde == 0.0 and params.e_tilde == 0.0:
-        # Fully degenerate point: the quartic in m collapses to a quadruple
-        # root, which any root finder scatters by eps**(1/4) in relative
-        # terms, far beyond the reality tolerance. The spectrum there is
-        # just the doubling splitting, so return it directly.
-        half = params.delta_tilde / 10.0
-        return Spectrum(lambdas=(half,) * 4 + (-half,) * 4, params=params)
-    cp = characteristic_polynomial(build_hamiltonian(params))
-    ms = eigenvalues_from_charpoly(cp)
-    half = [math.sqrt(m) for m in ms]
-    lams = sorted(half + [-v for v in half], reverse=True)
-    return Spectrum(lambdas=tuple(lams), params=params)
+    lams = analytic_spectrum(params.b_tilde, params.e_tilde,
+                             params.delta_tilde, params.theta)[0]
+    return Spectrum(lambdas=tuple(lams.tolist()), params=params)
 
 
 def numeric_eigenvalues(params: ScaledParameters) -> Spectrum:

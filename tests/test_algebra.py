@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ohcross.algebra import (AsymmetricMatrixError, ComplexRootSet,
-                             DegreeError, NonMonicError, Polynomial,
-                             ZeroPolynomialError, det_gauss, merge_roots,
-                             numeric_roots, solve_cubic, solve_quartic,
-                             symmetric_eigenvalues)
+                             DegreeError, Polynomial,
+                             ZeroPolynomialError, merge_roots,
+                             numeric_roots, solve_cubic, solve_monic_quartics,
+                             solve_quartic, symmetric_eigenvalues)
 
 
 def sorted_roots(values):
@@ -137,6 +137,47 @@ class TestQuartic:
             solve_quartic(Polynomial((1.0, 2.0, 1.0)))
 
 
+class TestQuarticRows:
+    def test_rows_match_companion_roots(self):
+        rng = np.random.default_rng(203)
+        rows = rng.uniform(-4, 4, size=(200, 4))
+        roots, resid = solve_monic_quartics(rows)
+        assert roots.shape == (200, 4)
+        assert np.all(resid <= 1e-8)
+        for row, mine in zip(rows, roots):
+            ref = np.roots([1.0, row[3], row[2], row[1], row[0]]).astype(complex)
+            scale = max(1.0, float(np.abs(ref).max()))
+            for a, b in zip(sorted_roots(mine.tolist()), sorted_roots(ref.tolist())):
+                assert abs(a - b) <= 1e-6 * scale
+
+    def test_rows_with_repeated_roots(self):
+        rows = np.array([(25.0, -20.0, 14.0, -4.0),   # (1 +- 2i) twice
+                         (6.0, -17.0, 17.0, -7.0),    # 1 twice, 2, 3
+                         (4.0, 0.0, -5.0, 0.0),       # +-1, +-2
+                         (0.0, 0.0, 0.0, 0.0)])       # 0 four times
+        want = [(1 - 2j, 1 - 2j, 1 + 2j, 1 + 2j), (1, 1, 2, 3),
+                (-2, -1, 1, 2), (0, 0, 0, 0)]
+        roots, resid = solve_monic_quartics(rows)
+        assert np.all(resid <= 1e-8)
+        for mine, ref in zip(roots, want):
+            for a, b in zip(sorted_roots(mine.tolist()), ref):
+                assert abs(a - b) <= 1e-6
+
+    def test_batch_rows_equal_one_row_calls(self):
+        rows = np.random.default_rng(204).uniform(-4, 4, size=(50, 4))
+        roots, resid = solve_monic_quartics(rows)
+        for i in range(len(rows)):
+            one_root, one_resid = solve_monic_quartics(rows[i:i + 1])
+            assert np.array_equal(one_root[0], roots[i])
+            assert one_resid[0] == resid[i]
+
+    def test_non_finite_row_fails_residual(self):
+        _, resid = solve_monic_quartics(np.array([[4.0, 0.0, -5.0, 0.0],
+                                                  [np.nan, 0.0, 1.0, 0.0]]))
+        assert resid[0] <= 1e-8
+        assert not resid[1] <= 1e-8
+
+
 class TestNumericRoots:
     def test_matches_known_factorization(self):
         p = Polynomial((-120.0, 274.0, -225.0, 85.0, -15.0, 1.0))
@@ -173,21 +214,6 @@ class TestSymmetricEigenvalues:
         a = np.array([[1.0, 2.0], [0.5, 1.0]])
         with pytest.raises(AsymmetricMatrixError):
             symmetric_eigenvalues(a)
-
-
-class TestDetGauss:
-    def test_matches_numpy_det(self):
-        rng = np.random.default_rng(99)
-        for n in (1, 3, 8):
-            for _ in range(40):
-                a = rng.standard_normal((n, n))
-                ref = float(np.linalg.det(a))
-                scale = max(1.0, abs(ref))
-                assert det_gauss(a) == pytest.approx(ref, abs=1e-10 * scale)
-
-    def test_singular_matrix(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        assert det_gauss(a) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_root_set_expanded_respects_multiplicity():

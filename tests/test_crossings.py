@@ -7,6 +7,7 @@ import pytest
 
 from ohcross.algebra import Polynomial, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
+                               _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
                                f1_crossings, f1_quartic_tilde, f2_crossings,
@@ -238,10 +239,12 @@ class TestSpecialAngleRoutes:
         special = sorted(r.b_location for r in f2_crossings(p))
         gs = g_coefficients(p.e_tilde, D, 0.0)
         octic = Polynomial(tuple(gs))
-        xs = [z.real for z in numeric_roots(octic).roots
-              if abs(z.imag) <= 1e-7 * max(1.0, abs(z)) and z.real >= 0.0]
         # at parallel fields the octic is the reduced quartic squared, so
-        # every numeric root shows up twice; collapse the duplicates
+        # every numeric root shows up twice, split by about sqrt(eps): a
+        # real double root can come back as a pair 1e-7 off the real axis.
+        # Keep those, and collapse the duplicates.
+        xs = [z.real for z in numeric_roots(octic).roots
+              if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real >= 0.0]
         general = []
         for b in sorted(b_field_from_tilde(math.sqrt(x)) for x in xs):
             if not general or b - general[-1] > 1e-6:
@@ -261,6 +264,23 @@ class TestSpecialAngleRoutes:
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x == pytest.approx(y, abs=1e-9)
+
+    def test_real_root_kept_whatever_the_sign_of_its_rounding_noise(self):
+        # x = 1.0299 is a real root of the parallel-field quartic at
+        # 2 kV/cm; a solver may leave +-1e-44j on it
+        p = from_fields(2000.0, 0.0)
+        x = 1.029896602916097
+        up = _records_from_roots([complex(x, 1e-44)], p, "f2-parallel", "adjacent")
+        down = _records_from_roots([complex(x, -1e-44)], p, "f2-parallel", "adjacent")
+        assert up == down
+        assert len(up) == 1 and up[0].kind == "real"
+        assert pair_gap(p.with_b_tilde(math.sqrt(x)), up[0].pair) < 1e-7
+
+    def test_conjugate_pair_gives_one_record(self):
+        p = from_fields(2000.0, 0.0)
+        x = 1.029896602916097
+        pair = [complex(x, 1e-9), complex(x, -1e-9)]
+        assert len(_records_from_roots(pair, p, "f2-parallel", "adjacent")) == 1
 
     def test_perpendicular_route_structure(self):
         p = from_fields(2000.0, math.pi / 2.0)

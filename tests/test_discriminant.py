@@ -13,10 +13,10 @@ from ohcross.discriminant import (F0_CONSTANT, AuditReport, G_NAMES,
                                   evaluate_factors, f1_quartic_coefficients,
                                   f2_magnitude_tilde, f2_parallel_tilde,
                                   f2_perpendicular_tilde, f2_zero_field_tilde,
-                                  g_coefficients)
+                                  g_coefficients, relative_spread)
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, scale_parameters)
-from ohcross.spectrum import numeric_eigenvalues
+from ohcross.spectrum import analytic_eigenvalues, numeric_eigenvalues
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -86,11 +86,13 @@ class TestF1:
     def test_determinant_identity_on_random_configs(self):
         rng = np.random.default_rng(32)
         for _ in range(120):
-            rep = determinant_identity_check(random_params(rng))
+            p = random_params(rng)
+            rep = determinant_identity_check(p, analytic_eigenvalues(p).lambdas)
             assert rep.max_rel_error <= 1e-8
 
     def test_identity_report_routes_agree(self):
-        rep = determinant_identity_check(params(b_tilde=4.0, e_tilde=2.0))
+        p = params(b_tilde=4.0, e_tilde=2.0)
+        rep = determinant_identity_check(p, analytic_eigenvalues(p).lambdas)
         assert rep.f1_value == pytest.approx(rep.det_value, rel=1e-10)
         assert rep.f1_value == pytest.approx(rep.pair_product, rel=1e-10)
 
@@ -196,6 +198,34 @@ class TestAudit:
         for sec in report.sections:
             assert sec.passed
             assert sec.max_rel_error <= sec.tolerance
+
+    def test_batched_spectrum_keeps_sample_counts(self):
+        # The main sample is drawn in the same order as point by point and
+        # solved in one closed-form call that agrees with per-point calls.
+        report = audit_triple(n_samples=20, seed=11)
+        assert report.passed
+        assert [s.samples for s in report.sections] == [20, 20, 4, 4]
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(20):
+            p = scale_parameters(MOL, FieldConfiguration(
+                e_field=float(rng.uniform(0.0, 5e5)),
+                b_field=float(rng.uniform(0.0, 0.3)),
+                theta=float(rng.uniform(0.0, math.pi))))
+            worst = max(worst, relative_spread([
+                discriminant_from_eigenvalues(analytic_eigenvalues(p).lambdas),
+                discriminant_from_eigenvalues(numeric_eigenvalues(p).lambdas),
+                evaluate_factors(p).product]))
+        assert report.section("triple-agreement").max_rel_error == worst
+
+    def test_identity_check_uses_given_spectrum(self):
+        p = params(b_tilde=4.0, e_tilde=2.0)
+        lam = analytic_eigenvalues(p).lambdas
+        rep = determinant_identity_check(p, lam)
+        assert rep.max_rel_error <= 1e-10
+        bad = determinant_identity_check(p, (1.01 * lam[0],) + tuple(lam[1:]))
+        assert (bad.f1_value, bad.det_value) == (rep.f1_value, rep.det_value)
+        assert bad.max_rel_error > 1e-3
 
     def test_section_lookup(self):
         report = audit_triple(n_samples=60, seed=7)

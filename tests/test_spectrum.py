@@ -7,11 +7,13 @@ import pytest
 
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
-                           ScaledParameters, scale_parameters)
+                           ScaledParameters, b_tilde_from_field,
+                           scale_parameters)
 from ohcross.spectrum import (CharPoly, HermiticityViolationError,
                               SpectrumError, analytic_eigenvalues,
-                              characteristic_polynomial, eigenvalue_at,
-                              eigenvalues_from_charpoly, numeric_eigenvalues)
+                              analytic_spectrum, characteristic_polynomial,
+                              eigenvalue_at, eigenvalues_from_charpoly,
+                              numeric_eigenvalues)
 
 MOL = MoleculeParameters()
 
@@ -190,3 +192,93 @@ class TestAnalyticSpectrum:
             assert got == pytest.approx(expect, abs=2e-7)
         for got, expect in zip(numeric_eigenvalues(p).lambdas, want):
             assert got == pytest.approx(expect, abs=1e-12)
+
+
+def lapack_levels(p):
+    return np.sort(np.linalg.eigvalsh(build_hamiltonian(p)))[::-1]
+
+
+class TestBatchedSpectrum:
+    def sweep(self, e_vcm, theta, b_max=0.3, points=201):
+        base = scale_parameters(MOL, FieldConfiguration(e_field=e_vcm * 100.0,
+                                                        theta=theta))
+        bts = b_tilde_from_field(np.linspace(0.0, b_max, points))
+        return base, bts, analytic_spectrum(bts, base.e_tilde,
+                                            base.delta_tilde, theta)
+
+    def test_sweeps_match_lapack(self):
+        rng = np.random.default_rng(21)
+        fields = [0.0, 5000.0] + [float(v) for v in rng.uniform(0.0, 5000.0, 4)]
+        angles = [0.0, math.pi / 2.0, math.pi, float(rng.uniform(0.0, math.pi))]
+        for e_vcm in fields:
+            for theta in angles:
+                base, bts, levels = self.sweep(e_vcm, theta)
+                assert levels.shape == (201, 8)
+                for bt, row in zip(bts, levels):
+                    want = lapack_levels(base.with_b_tilde(float(bt)))
+                    assert np.abs(row - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_zero_field_rows_are_exact(self):
+        # At B = 0 the quartic in lambda^2 has two double roots, which the
+        # quartic route only resolves to sqrt(eps); the closed form at
+        # B = 0 matches LAPACK to rounding for every E and theta.
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            p = random_params(rng).with_b_tilde(0.0)
+            row = analytic_spectrum(0.0, p.e_tilde, p.delta_tilde, p.theta)[0]
+            assert np.abs(row - lapack_levels(p)).max() <= 1e-12
+
+    def test_double_root_polish_keeps_its_root(self):
+        # B = 0, E = 4458.01 V/cm, theta = 175.581 deg: the even quartic has
+        # the double roots 1.24987 and 5.69101. An unguarded Newton step
+        # from noise-level f and f' used to land on the other root.
+        p = scale_parameters(MOL, FieldConfiguration(
+            e_field=445801.0, theta=math.radians(175.581)))
+        h = build_hamiltonian(p)
+        ms = eigenvalues_from_charpoly(characteristic_polynomial(h))
+        want = np.sort(np.linalg.eigvalsh(h))[4:] ** 2
+        assert np.abs(np.array(ms) - want).max() <= 1e-6 * want.max()
+
+    def test_single_point_equals_batched_row(self):
+        rng = np.random.default_rng(23)
+        points = [random_params(rng) for _ in range(30)]
+        levels = analytic_spectrum([p.b_tilde for p in points],
+                                   [p.e_tilde for p in points],
+                                   points[0].delta_tilde,
+                                   [p.theta for p in points])
+        for p, row in zip(points, levels):
+            assert analytic_eigenvalues(p).lambdas == tuple(row.tolist())
+
+    def test_inputs_broadcast(self):
+        assert analytic_spectrum(1.0, 2.0, 8.335, 0.5).shape == (1, 8)
+        grid = analytic_spectrum(np.linspace(0.0, 5.0, 6)[:, None],
+                                 np.array([0.0, 2.0]), 8.335, 0.5)
+        assert grid.shape == (12, 8)
+        assert np.array_equal(grid[1::2], analytic_spectrum(
+            np.linspace(0.0, 5.0, 6), 2.0, 8.335, 0.5))
+        with pytest.raises(ValueError):
+            analytic_spectrum(1.0, 2.0, 0.0, 0.5)
+
+    def test_first_failing_point_raises(self):
+        # Weak fields put a near-quadruple root in the quartic, which the
+        # reality check rejects (an open validity-domain defect). A batch
+        # raises the error that point raises alone.
+        weak = scale_parameters(MOL, FieldConfiguration(
+            e_field=1000.0, b_field=1e-7, theta=math.pi / 3.0))
+        good = scale_parameters(MOL, FieldConfiguration(
+            e_field=1000.0, b_field=0.05, theta=math.pi / 3.0))
+        with pytest.raises(HermiticityViolationError) as alone:
+            analytic_eigenvalues(weak)
+        with pytest.raises(HermiticityViolationError) as batched:
+            analytic_spectrum([good.b_tilde, weak.b_tilde, good.b_tilde],
+                              weak.e_tilde, weak.delta_tilde, weak.theta)
+        assert str(batched.value) == str(alone.value)
+
+    def test_strong_fields_match_lapack(self):
+        # Up to 30 T the quartic's constant term reaches 1e20; the degree
+        # stays 4 because the monic quartic is solved without trimming.
+        for e_vcm, theta in ((0.0, 0.0), (5000.0, 1.0), (1000.0, math.pi / 2.0)):
+            base, bts, levels = self.sweep(e_vcm, theta, b_max=30.0, points=31)
+            for bt, row in zip(bts, levels):
+                want = lapack_levels(base.with_b_tilde(float(bt)))
+                assert np.abs(row - want).max() <= 1e-9 * np.abs(want).max()
