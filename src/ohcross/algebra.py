@@ -1,10 +1,9 @@
 """Shared exact and numeric algebra kernels.
 
 Closed-form cubic and quartic solvers (depression plus resolvent cubic),
-the quartic one row-wise over arrays of quartics, a companion-matrix
-numeric root finder and a cyclic Jacobi eigensolver. The numeric routines
-are deliberately independent of the closed forms so each side can serve
-as an oracle for the other.
+the quartic one row-wise over arrays of quartics, and a companion-matrix
+numeric root finder. The numeric root finder is deliberately independent
+of the closed forms so each side can serve as an oracle for the other.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ ROOT_MERGE_REL = 1e-8
 CUBIC_RESIDUAL_REL = 1e-9
 QUARTIC_RESIDUAL_REL = 1e-8
 NUMERIC_RESIDUAL_REL = 1e-8
-SYMMETRY_TOL = 1e-12
-JACOBI_OFFDIAG_REL = 1e-13
 
 _CUBE_ROOT_OF_UNITY = complex(-0.5, math.sqrt(3.0) / 2.0)
 _CUBE_ROOT_POWERS = np.array([1.0, _CUBE_ROOT_OF_UNITY, _CUBE_ROOT_OF_UNITY ** 2])
@@ -41,10 +38,6 @@ class ZeroPolynomialError(AlgebraError):
 
 class ResidualError(AlgebraError):
     """A computed root or decomposition failed its residual bound."""
-
-
-class AsymmetricMatrixError(AlgebraError):
-    """Matrix input to the symmetric eigensolver is not symmetric."""
 
 
 @dataclass(frozen=True)
@@ -344,54 +337,3 @@ def numeric_roots(poly: Polynomial) -> ComplexRootSet:
     roots = sorted((complex(z) for z in raw), key=lambda z: (z.real, z.imag))
     _check_residuals(poly, roots, NUMERIC_RESIDUAL_REL)
     return merge_roots(roots)
-
-
-def symmetric_eigenvalues(m) -> list:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Returns all eigenvalues sorted descending. The sweep loop runs until the
-    off-diagonal Frobenius norm falls below 1e-13 times the matrix norm.
-    Raises AsymmetricMatrixError when the input is not symmetric to 1e-12.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise AsymmetricMatrixError("input must be a square matrix")
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * scale:
-        raise AsymmetricMatrixError("matrix is not symmetric within 1e-12")
-    a = (a + a.T) / 2.0
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return [0.0] * n
-    for _ in range(100):
-        off = math.sqrt(2.0) * float(np.linalg.norm(np.triu(a, 1)))
-        if off <= JACOBI_OFFDIAG_REL * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(diff) > 1e150:
-                    t = 1.0 / (2.0 * diff)
-                else:
-                    sign = 1.0 if diff >= 0.0 else -1.0
-                    t = sign / (abs(diff) + math.sqrt(1.0 + diff * diff))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # rotation annihilates the target entry analytically
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise ResidualError("Jacobi sweep limit reached without convergence")
-    return sorted((float(v) for v in np.diag(a)), reverse=True)

@@ -20,12 +20,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import Polynomial, numeric_roots, solve_cubic, solve_quartic
 from .discriminant import REL_FLOOR, f1_quartic_coefficients, g_coefficients
-from .hamiltonian import build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
+from .spectrum import numeric_levels
 
 # Measured pair gap below this (internal GHz) classifies a crossing as exact.
 GAP_CLASSIFICATION_THRESHOLD = 1e-7
@@ -72,25 +70,6 @@ class ResolventMismatchError(CrossingError):
 
 
 @dataclass(frozen=True)
-class F1Quartic:
-    """Monic quartic factor f1/81 in x = b_tilde^2, named coefficients."""
-
-    c0: float
-    c2: float
-    c4: float
-    c6: float
-
-    def monic_ascending(self) -> tuple:
-        return (self.c0, self.c2, self.c4, self.c6, 1.0)
-
-
-def f1_quartic_tilde(e_tilde: float, delta_tilde: float, theta: float) -> F1Quartic:
-    """The quartic factor at the given electric configuration."""
-    c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
-    return F1Quartic(c0=c0, c2=c2, c4=c4, c6=c6)
-
-
-@dataclass(frozen=True)
 class ResolventData:
     """Depressed-quartic data and the resolvent-cubic root for the f1 factor.
 
@@ -125,8 +104,7 @@ def resolvent_analysis(e_tilde: float, delta_tilde: float,
     largest real root of z^3 + 2q z^2 + (q^2-4s) z - r^2 computed by the
     independent cubic solver, and BranchError reports any disagreement.
     """
-    quart = f1_quartic_tilde(e_tilde, delta_tilde, theta)
-    c0, c2, c4, c6 = quart.c0, quart.c2, quart.c4, quart.c6
+    c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
     q = c4 - 3.0 * c6 * c6 / 8.0
     r = (8.0 * c2 - 4.0 * c4 * c6 + c6 ** 3) / 8.0
     s = c0 - c6 * (64.0 * c2 - 16.0 * c4 * c6 + 3.0 * c6 ** 3) / 256.0
@@ -215,7 +193,7 @@ def b1_exact_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
     coefficients; the branch pair switches at the critical field. Reduces
     to delta_tilde / 3 exactly when the electric field vanishes.
     """
-    quart = f1_quartic_tilde(e_tilde, delta_tilde, theta)
+    c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)[3]
     data = resolvent_analysis(e_tilde, delta_tilde, theta)
     q, r, s = data.q, data.r, data.s
     cr = max(data.c_r, 0.0)
@@ -226,13 +204,13 @@ def b1_exact_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
     # r / (4 sqrt(C_r)) tends to -sqrt(q^2 - 4 s) / 2 from both sides; at
     # the switch itself (sqrt(C_r) = 0) that shared limit is used directly.
     if e_tilde < ecrit:
-        re = -sq - quart.c6 / 4.0
+        re = -sq - c6 / 4.0
         if sq > 0.0:
             im2 = q / 2.0 + cr - r / (4.0 * sq)
         else:
             im2 = q / 2.0 + cr - math.sqrt(max(q * q - 4.0 * s, 0.0)) / 2.0
     else:
-        re = sq - quart.c6 / 4.0
+        re = sq - c6 / 4.0
         if sq > 0.0:
             im2 = q / 2.0 + cr + r / (4.0 * sq)
         else:
@@ -255,10 +233,6 @@ def b1_approx_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
             / (8.0 * delta_tilde))
 
 
-def _levels_descending(p: ScaledParameters) -> np.ndarray:
-    return np.linalg.eigvalsh(build_hamiltonian(p))[::-1]
-
-
 def pair_gap(p: ScaledParameters, pair) -> float:
     """Measured energy gap (internal GHz) between two labeled levels.
 
@@ -270,7 +244,7 @@ def pair_gap(p: ScaledParameters, pair) -> float:
     solver noise and are reported as zero.
     """
     i, j = pair
-    levels = _levels_descending(p)
+    levels = numeric_levels(p)
     gap = float(levels[i - 1] - levels[j - 1])
     return gap if gap > GAP_MEASUREMENT_FLOOR else 0.0
 
@@ -323,7 +297,7 @@ def _minimal_adjacent_pair(p: ScaledParameters) -> tuple:
     Mirror-image pairs have gaps equal to rounding, so a candidate must
     beat the incumbent by more than the measurement floor to displace it.
     """
-    levels = _levels_descending(p)
+    levels = numeric_levels(p)
     best = None
     for i, j in _ADJACENT_PAIRS:
         gap = float(levels[i - 1] - levels[j - 1])
@@ -416,8 +390,8 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
 
 def f1_crossings(p: ScaledParameters) -> list:
     """Crossing records of the zero-energy pair from the quartic factor."""
-    quart = f1_quartic_tilde(p.e_tilde, p.delta_tilde, p.theta)
-    roots = solve_quartic(Polynomial(quart.monic_ascending()))
+    c0, c2, c4, c6 = f1_quartic_coefficients(p.e_tilde, p.delta_tilde, p.theta)
+    roots = solve_quartic(Polynomial((c0, c2, c4, c6, 1.0)))
     return _records_from_roots(roots.roots, p, "f1-analytic", "opposite")
 
 

@@ -235,19 +235,6 @@ def discriminant_from_eigenvalues(lambdas) -> float:
     return acc
 
 
-def discriminant_log10(lambdas) -> float:
-    """Base-10 log of |discriminant|; -inf when two levels coincide exactly."""
-    vals = list(lambdas)
-    acc = 0.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            diff = abs(vals[i] - vals[j])
-            if diff == 0.0:
-                return -math.inf
-            acc += 2.0 * math.log10(diff)
-    return acc
-
-
 @dataclass(frozen=True)
 class DiscriminantFactors:
     """The three closed-form factors and their product f0 * f1 * f2^2."""

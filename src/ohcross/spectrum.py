@@ -3,8 +3,9 @@
 The characteristic polynomial of the field Hamiltonian contains only even
 powers because the spectrum is symmetric about zero. That reduces the
 degree-8 problem to a quartic in m = lambda^2, which the closed-form
-quartic solver handles; the cyclic Jacobi route provides the independent
-numeric check.
+quartic solver handles. LAPACK's symmetric eigensolver on the same matrix
+is the one independent numeric route, used both as the oracle for the
+closed form and to measure gaps near crossings.
 
 The closed form runs on whole arrays of field points. Along B the matrix
 is H = H0 + (b_tilde/10) Z, with H0 built once per distinct (E, delta,
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (QUARTIC_RESIDUAL_REL, Polynomial, ResidualError,
-                      polish_quartic_roots, solve_monic_quartics,
-                      symmetric_eigenvalues)
+                      polish_quartic_roots, solve_monic_quartics)
 from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
 from .model import ScaledParameters
 
@@ -253,10 +253,16 @@ def analytic_eigenvalues(params: ScaledParameters) -> Spectrum:
     return Spectrum(lambdas=tuple(lams.tolist()), params=params)
 
 
+def numeric_levels(params: ScaledParameters) -> np.ndarray:
+    """The eight levels by LAPACK eigvalsh, descending, independent of the
+    closed form. Returns a bare array: gap measurements call this hundreds
+    of times per crossing catalog."""
+    return np.linalg.eigvalsh(build_hamiltonian(params))[::-1]
+
+
 def numeric_eigenvalues(params: ScaledParameters) -> Spectrum:
-    """Spectrum by Jacobi diagonalization, independent of the closed form."""
-    lams = symmetric_eigenvalues(build_hamiltonian(params))
-    return Spectrum(lambdas=tuple(lams), params=params)
+    """numeric_levels as a Spectrum, the oracle for analytic_eigenvalues."""
+    return Spectrum(lambdas=tuple(numeric_levels(params).tolist()), params=params)
 
 
 def eigenvalue_at(params: ScaledParameters, label: int) -> float:

@@ -1,13 +1,12 @@
-"""Polynomial solvers and matrix kernels against independent oracles."""
+"""Polynomial solvers against independent oracles."""
 
 import numpy as np
 import pytest
 
-from ohcross.algebra import (AsymmetricMatrixError, ComplexRootSet,
-                             DegreeError, Polynomial,
+from ohcross.algebra import (ComplexRootSet, DegreeError, Polynomial,
                              ZeroPolynomialError, merge_roots,
                              numeric_roots, solve_cubic, solve_monic_quartics,
-                             solve_quartic, symmetric_eigenvalues)
+                             solve_quartic)
 
 
 def sorted_roots(values):
@@ -192,28 +191,6 @@ class TestNumericRoots:
     def test_constant_rejected(self):
         with pytest.raises(DegreeError):
             numeric_roots(Polynomial((3.0,)))
-
-
-class TestSymmetricEigenvalues:
-    def test_matches_lapack_on_random_symmetric(self):
-        rng = np.random.default_rng(7)
-        for n in (2, 4, 8):
-            for _ in range(40):
-                a = rng.standard_normal((n, n))
-                a = (a + a.T) / 2.0
-                mine = symmetric_eigenvalues(a)
-                ref = np.linalg.eigvalsh(a)[::-1]
-                scale = max(1.0, float(np.abs(ref).max()))
-                assert np.allclose(mine, ref, rtol=0, atol=1e-11 * scale)
-
-    def test_descending_order(self):
-        a = np.diag([1.0, 3.0, 2.0])
-        assert symmetric_eigenvalues(a) == [3.0, 2.0, 1.0]
-
-    def test_rejects_asymmetric(self):
-        a = np.array([[1.0, 2.0], [0.5, 1.0]])
-        with pytest.raises(AsymmetricMatrixError):
-            symmetric_eigenvalues(a)
 
 
 def test_root_set_expanded_respects_multiplicity():

@@ -10,10 +10,10 @@ from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
-                               f1_crossings, f1_quartic_tilde, f2_crossings,
+                               f1_crossings, f2_crossings,
                                gap_lowest_pair, golden_min, pair_gap,
                                resolvent_analysis)
-from ohcross.discriminant import g_coefficients
+from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
                            scale_parameters)
@@ -35,9 +35,8 @@ def from_fields(e_vcm, theta):
 
 class TestResolvent:
     def test_depression_matches_quartic(self):
-        quart = f1_quartic_tilde(2.0, D, 1.1)
+        c0, c2, c4, c6 = f1_quartic_coefficients(2.0, D, 1.1)
         data = resolvent_analysis(2.0, D, 1.1)
-        c0, c2, c4, c6 = quart.c0, quart.c2, quart.c4, quart.c6
         assert data.q == pytest.approx(c4 - 3.0 * c6 * c6 / 8.0, rel=1e-14)
         assert data.r == pytest.approx(
             (8.0 * c2 - 4.0 * c4 * c6 + c6 ** 3) / 8.0, rel=1e-14)

@@ -7,8 +7,7 @@ import pytest
 
 from ohcross.discriminant import (F0_CONSTANT, AuditReport, G_NAMES,
                                   audit_triple, determinant_identity_check,
-                                  discriminant_from_eigenvalues,
-                                  discriminant_log10, eval_f0_tilde,
+                                  discriminant_from_eigenvalues, eval_f0_tilde,
                                   eval_f1_tilde, eval_f2_tilde,
                                   evaluate_factors, f1_quartic_coefficients,
                                   f2_magnitude_tilde, f2_parallel_tilde,
@@ -178,12 +177,6 @@ class TestTripleAgreement:
         fac = evaluate_factors(p)
         assert fac.product == pytest.approx(fac.f0 * fac.f1 * fac.f2 ** 2,
                                             rel=1e-14)
-
-    def test_log10_handles_exact_tie(self):
-        assert discriminant_log10([1.0, 1.0, 0.5]) == -math.inf
-        v = discriminant_log10([3.0, 2.0, 1.0])
-        assert v == pytest.approx(math.log10(
-            discriminant_from_eigenvalues([3.0, 2.0, 1.0])), rel=1e-12)
 
 
 class TestAudit:

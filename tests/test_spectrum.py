@@ -1,4 +1,4 @@
-"""Closed-form spectrum against the iterative eigensolver and exact cases."""
+"""Closed-form spectrum against LAPACK eigvalsh and exact cases."""
 
 import math
 
@@ -183,7 +183,7 @@ class TestAnalyticSpectrum:
         # b equal to the full splitting gives levels 2delta/5, delta/5,
         # delta/5, 0, 0, -delta/5, -delta/5, -2delta/5. The m = lambda^2
         # quartic has a double root and an exact zero root here, so the
-        # closed-form route carries sqrt(eps)-level noise; the iterative
+        # closed-form route carries sqrt(eps)-level noise; the LAPACK
         # route keeps full absolute accuracy.
         d = 8.335
         p = params(b_tilde=d, theta=0.3)
@@ -282,3 +282,33 @@ class TestBatchedSpectrum:
             for bt, row in zip(bts, levels):
                 want = lapack_levels(base.with_b_tilde(float(bt)))
                 assert np.abs(row - want).max() <= 1e-9 * np.abs(want).max()
+
+
+class TestNumericOracle:
+    # (E in V/cm, B in tesla, theta in degrees): weak field, the 2.879 kV/cm
+    # confluence, and 10 MV/m with 30 T at parallel fields.
+    HARD_POINTS = ((10.0, 1e-6, 60.0), (2879.3, 0.05, 60.0), (1e5, 30.0, 0.0))
+
+    @staticmethod
+    def mp_levels(p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            values = mpmath.eigsy(mpmath.matrix(build_hamiltonian(p).tolist()),
+                                  eigvals_only=True)
+            return np.array(sorted((float(v) for v in values), reverse=True))
+
+    def check(self, p):
+        want = self.mp_levels(p)
+        got = np.array(numeric_eigenvalues(p).lambdas)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("e_vcm, b_tesla, theta_deg", HARD_POINTS)
+    def test_hard_points_match_mpmath(self, e_vcm, b_tesla, theta_deg):
+        self.check(scale_parameters(MOL, FieldConfiguration(
+            e_field=e_vcm * 100.0, b_field=b_tesla,
+            theta=math.radians(theta_deg))))
+
+    def test_exact_crossing_matches_mpmath(self):
+        # Levels 2 and 3 cross exactly here, the point where the closed
+        # form's double root splits worst.
+        self.check(params(b_tilde=0.00287993541763346, e_tilde=0.155))
