@@ -19,6 +19,7 @@ a header row naming columns with units, and 12-significant-digit values.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -344,7 +345,9 @@ def _add_sweep_flags(sp) -> None:
     sp.add_argument("--points", type=int, default=51)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """Built once per process; parse_args keeps no state between calls."""
     parser = _Parser(prog="ohcross",
                      description="Level-crossing analysis of the eight-state "
                                  "Stark-Zeeman model")

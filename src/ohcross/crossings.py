@@ -20,10 +20,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import Polynomial, numeric_roots, solve_cubic, solve_quartic
 from .discriminant import REL_FLOOR, f1_quartic_coefficients, g_coefficients
+from .hamiltonian import build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
-from .spectrum import numeric_levels
+from .spectrum import numeric_levels, numeric_levels_along_b
 
 # Measured pair gap below this (internal GHz) classifies a crossing as exact.
 GAP_CLASSIFICATION_THRESHOLD = 1e-7
@@ -243,10 +246,14 @@ def pair_gap(p: ScaledParameters, pair) -> float:
     there. Gaps below GAP_MEASUREMENT_FLOOR are indistinguishable from
     solver noise and are reported as zero.
     """
+    return float(_floored_gap(numeric_levels(p), pair))
+
+
+def _floored_gap(levels, pair):
+    """Pair gap along the last axis of levels, zeroed below the floor."""
     i, j = pair
-    levels = numeric_levels(p)
-    gap = float(levels[i - 1] - levels[j - 1])
-    return gap if gap > GAP_MEASUREMENT_FLOOR else 0.0
+    gap = levels[..., i - 1] - levels[..., j - 1]
+    return np.where(gap > GAP_MEASUREMENT_FLOOR, gap, 0.0)
 
 
 def gap_lowest_pair(p: ScaledParameters) -> float:
@@ -291,13 +298,13 @@ class CrossingRecord:
     source: str
 
 
-def _minimal_adjacent_pair(p: ScaledParameters) -> tuple:
-    """Adjacent same-sign pair with the smallest gap; ties take smallest i.
+def _minimal_adjacent_pair(levels) -> tuple:
+    """Adjacent same-sign pair with the smallest gap in one set of
+    descending levels; ties take smallest i.
 
     Mirror-image pairs have gaps equal to rounding, so a candidate must
     beat the incumbent by more than the measurement floor to displace it.
     """
-    levels = numeric_levels(p)
     best = None
     for i, j in _ADJACENT_PAIRS:
         gap = float(levels[i - 1] - levels[j - 1])
@@ -306,31 +313,33 @@ def _minimal_adjacent_pair(p: ScaledParameters) -> tuple:
     return best[1]
 
 
-def _refine_gap_minimum(p: ScaledParameters, pair, b_seed_tilde: float):
+def _refine_gap_minimum(h0, pair, b_seed_tilde: float):
     """Locate the interior minimum of the pair gap near an algebraic seed.
 
-    Coarse scan of the bracket, then golden-section refinement in tesla.
-    Returns (b_tesla, gap) or None when the minimum sits on the bracket
-    edge, which marks the seed as spurious.
+    One stacked eigvalsh scan of the bracket from h0, the zero-field
+    matrix, then golden-section refinement in tesla, each step on a copy
+    of h0 (gaps bit for bit pair_gap's). Returns (b_tesla, gap) or None
+    when the minimum sits on the bracket edge, which marks the seed as
+    spurious.
     """
     tesla_per_tilde = b_field_from_tilde(1.0)
 
-    def gap_at_tesla(b_tesla: float) -> float:
-        return pair_gap(p.with_b_tilde(b_tesla / tesla_per_tilde), pair)
+    def gap_at_tesla(b_tesla):
+        levels = numeric_levels_along_b(h0, b_tesla / tesla_per_tilde)
+        return _floored_gap(levels, pair)
 
     lo_tilde = max(b_seed_tilde - SEARCH_HALF_WIDTH_TILDE, 0.0)
     hi_tilde = b_seed_tilde + SEARCH_HALF_WIDTH_TILDE
     lo = lo_tilde * tesla_per_tilde
     hi = hi_tilde * tesla_per_tilde
     step = (hi - lo) / (_COARSE_POINTS - 1)
-    values = [gap_at_tesla(lo + k * step) for k in range(_COARSE_POINTS)]
-    k_min = min(range(_COARSE_POINTS), key=values.__getitem__)
+    k_min = int(np.argmin(gap_at_tesla(lo + np.arange(_COARSE_POINTS) * step)))
     if k_min == 0 or k_min == _COARSE_POINTS - 1:
         return None
     a = lo + (k_min - 1) * step
     b = lo + (k_min + 1) * step
     b_min = golden_min(gap_at_tesla, a, b, tol=_GOLDEN_TOL_TESLA)
-    return b_min, gap_at_tesla(b_min)
+    return b_min, float(gap_at_tesla(b_min))
 
 
 def _records_from_roots(xs, p: ScaledParameters, source: str,
@@ -343,13 +352,14 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
     repeats of a root already seen. Negative real x has no field location
     and is dropped. The seed is Re[sqrt(x)]; the measured gap at the seed
     decides real vs avoided, and avoided candidates must survive
-    interior-minimum refinement.
+    interior-minimum refinement. All gaps share one zero-field matrix.
     """
     tesla_per_tilde = b_field_from_tilde(1.0)
     roots = list(xs)
     if not roots:
         return []
     top = max(abs(x) for x in roots)
+    h0 = build_hamiltonian(p.with_b_tilde(0.0))
     records = []
     seen = set()
     for x in roots:
@@ -362,18 +372,18 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
             continue
         seen.add(x)
         seed_tilde = cmath.sqrt(x).real
-        p_seed = p.with_b_tilde(seed_tilde)
+        levels = numeric_levels_along_b(h0, seed_tilde)
         if pair_policy == "opposite":
             pair = (4, 5)
         else:
-            pair = _minimal_adjacent_pair(p_seed)
-        gap_seed = pair_gap(p_seed, pair)
+            pair = _minimal_adjacent_pair(levels)
+        gap_seed = _floored_gap(levels, pair)
         if gap_seed < GAP_CLASSIFICATION_THRESHOLD:
             records.append(CrossingRecord(
                 b_location=seed_tilde * tesla_per_tilde, kind="real",
                 pair=pair, gap=0.0, source=source))
             continue
-        refined = _refine_gap_minimum(p, pair, seed_tilde)
+        refined = _refine_gap_minimum(h0, pair, seed_tilde)
         if refined is None:
             continue
         b_min, gap_min = refined

@@ -21,7 +21,9 @@ _SQRT3 = math.sqrt(3.0)
 _M_PATTERN = (-3.0, -1.0, 1.0, 3.0)
 
 # Diagonal of dH/d(b_tilde/10): the pattern on both parity blocks, so that
-# H(b_tilde) = H(0) + (b_tilde/10) diag(ZEEMAN_DIAGONAL) entry for entry.
+# H(b_tilde) = H(0) + (b_tilde/10) diag(ZEEMAN_DIAGONAL), bit for bit when
+# b_tilde >= 0 (below zero build_hamiltonian's off-diagonal zeros in the
+# Zeeman blocks are -0.0).
 ZEEMAN_DIAGONAL = np.array(_M_PATTERN + _M_PATTERN)
 ZEEMAN_DIAGONAL.setflags(write=False)
 

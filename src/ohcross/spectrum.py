@@ -7,10 +7,11 @@ quartic solver handles. LAPACK's symmetric eigensolver on the same matrix
 is the one independent numeric route, used both as the oracle for the
 closed form and to measure gaps near crossings.
 
-The closed form runs on whole arrays of field points. Along B the matrix
-is H = H0 + (b_tilde/10) Z, with H0 built once per distinct (E, delta,
-theta) and Z the fixed Zeeman diagonal, so a sweep is one pass of stacked
-matrix products, one row-wise quartic solve and one batched determinant.
+Both routes run on whole arrays of field points. Along B the matrix is
+H = H0 + (b_tilde/10) Z, with H0 built once per distinct (E, delta, theta),
+Z the fixed Zeeman diagonal, and H bit for bit build_hamiltonian's for
+b_tilde >= 0. A numeric sweep is one stacked eigvalsh call; a closed-form
+one is stacked matrix products, a row-wise quartic solve and a determinant.
 """
 
 from __future__ import annotations
@@ -211,6 +212,16 @@ def eigenvalues_from_charpoly(cp: CharPoly) -> list:
     return m[0].tolist()
 
 
+def _along_b(h0, b_tilde) -> np.ndarray:
+    """H0 + (b_tilde/10) Z stacked over b_tilde; h0 is one matrix or one per
+    b_tilde. Below b_tilde = 0 it writes +0.0 where build_hamiltonian has -0.0."""
+    b = np.asarray(b_tilde, dtype=float)
+    h = np.empty(b.shape + (8, 8))
+    h[...] = h0
+    h[..., _DIAG, _DIAG] += (b / 10.0)[..., None] * ZEEMAN_DIAGONAL
+    return h
+
+
 def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
     """Closed-form levels at many field points, shape (N, 8), descending.
 
@@ -237,8 +248,7 @@ def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
                                 axis=0, return_inverse=True)
         h0 = np.stack([build_hamiltonian(ScaledParameters(0.0, *k))
                        for k in keys.tolist()])
-        h = h0[which.reshape(-1)]
-        h[:, _DIAG, _DIAG] += (b[field] / 10.0)[:, None] * ZEEMAN_DIAGONAL
+        h = _along_b(h0[which.reshape(-1)], b[field])
         failures = []
         m = _lambda_squared_rows(_charpoly_rows(h, failures), failures)
         _raise_first(failures)
@@ -255,9 +265,14 @@ def analytic_eigenvalues(params: ScaledParameters) -> Spectrum:
 
 def numeric_levels(params: ScaledParameters) -> np.ndarray:
     """The eight levels by LAPACK eigvalsh, descending, independent of the
-    closed form. Returns a bare array: gap measurements call this hundreds
-    of times per crossing catalog."""
+    closed form, as a bare array."""
     return np.linalg.eigvalsh(build_hamiltonian(params))[::-1]
+
+
+def numeric_levels_along_b(h0, b_tilde) -> np.ndarray:
+    """numeric_levels, bit for bit, at an array of b_tilde >= 0 from h0 (the
+    matrix at b_tilde = 0) in one stacked eigvalsh call; shape (..., 8)."""
+    return np.linalg.eigvalsh(_along_b(h0, b_tilde))[..., ::-1]
 
 
 def numeric_eigenvalues(params: ScaledParameters) -> Spectrum:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.cli import run
+from ohcross.cli import build_parser, run
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            scale_parameters)
@@ -354,3 +354,17 @@ class TestConfigAndErrors:
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
         assert "spectrum" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_runs_share_one_parser(self, capsys):
+        assert build_parser() is build_parser()
+        argv = ["crossings", "--theta-deg", "60", "--e-vcm", "1000"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
+        assert run(["crossings", "--theta-deg", "60", "--e-vcm"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first

@@ -1,10 +1,12 @@
 """Crossing location, classification, and the resolvent machinery."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from ohcross import crossings, spectrum
 from ohcross.algebra import Polynomial, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                _records_from_roots,
@@ -14,6 +16,7 @@ from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                gap_lowest_pair, golden_min, pair_gap,
                                resolvent_analysis)
 from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
+from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
                            scale_parameters)
@@ -317,3 +320,97 @@ def test_f1_crossings_source_and_pair():
     for rec in f1_crossings(from_fields(600.0, 1.1)):
         assert rec.source == "f1-analytic"
         assert rec.pair == (4, 5)
+
+
+def per_point_records(xs, p, source, pair_policy):
+    """The catalog's candidate pipeline as it measured gaps before the
+    zero-field matrix was shared: one matrix build and eigensolve per
+    field point, through pair_gap."""
+    tesla_per_tilde = b_field_from_tilde(1.0)
+
+    def adjacent_pair(q):
+        levels = np.linalg.eigvalsh(crossings.build_hamiltonian(q))[::-1]
+        best = None
+        for i, j in crossings._ADJACENT_PAIRS:
+            gap = float(levels[i - 1] - levels[j - 1])
+            if best is None or gap < best[0] - crossings.GAP_MEASUREMENT_FLOOR:
+                best = (gap, (i, j))
+        return best[1]
+
+    def refine(pair, seed):
+        def gap_at_tesla(b_tesla):
+            return pair_gap(p.with_b_tilde(b_tesla / tesla_per_tilde), pair)
+
+        lo = max(seed - crossings.SEARCH_HALF_WIDTH_TILDE, 0.0) * tesla_per_tilde
+        hi = (seed + crossings.SEARCH_HALF_WIDTH_TILDE) * tesla_per_tilde
+        n = crossings._COARSE_POINTS
+        step = (hi - lo) / (n - 1)
+        values = [gap_at_tesla(lo + k * step) for k in range(n)]
+        k_min = min(range(n), key=values.__getitem__)
+        if k_min in (0, n - 1):
+            return None
+        b_min = golden_min(gap_at_tesla, lo + (k_min - 1) * step,
+                           lo + (k_min + 1) * step,
+                           tol=crossings._GOLDEN_TOL_TESLA)
+        return b_min, gap_at_tesla(b_min)
+
+    roots = list(xs)
+    if not roots:
+        return []
+    top = max(abs(x) for x in roots)
+    records, seen = [], set()
+    for x in roots:
+        x = complex(x)
+        if abs(x) < crossings.ROOT_SNAP_REL * top:
+            x = complex(0.0)
+        elif abs(x.imag) < crossings.IMAG_SNAP_REL * abs(x):
+            x = complex(x.real)
+        if x.imag < 0.0 or x in seen or (x.imag == 0.0 and x.real < 0.0):
+            continue
+        seen.add(x)
+        seed = cmath.sqrt(x).real
+        p_seed = p.with_b_tilde(seed)
+        pair = (4, 5) if pair_policy == "opposite" else adjacent_pair(p_seed)
+        if pair_gap(p_seed, pair) < crossings.GAP_CLASSIFICATION_THRESHOLD:
+            records.append(CrossingRecord(seed * tesla_per_tilde, "real",
+                                          pair, 0.0, source))
+            continue
+        refined = refine(pair, seed)
+        if refined is None:
+            continue
+        b_min, gap_min = refined
+        if gap_min < crossings.GAP_CLASSIFICATION_THRESHOLD:
+            records.append(CrossingRecord(b_min, "real", pair, 0.0, source))
+        else:
+            records.append(CrossingRecord(b_min, "avoided", pair, gap_min,
+                                          source))
+    return records
+
+
+class TestSharedZeroFieldMatrix:
+    E_VCM = (100.0, 450.0, 1000.0, 2879.3, 5000.0)
+    THETAS = (0.0, math.pi / 2.0, math.pi) + tuple(
+        np.random.default_rng(45).uniform(0.0, math.pi, 3).tolist())
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_catalog_equals_per_point_route(self, theta, monkeypatch):
+        configs = [(from_fields(e, theta), mirror)
+                   for e in self.E_VCM for mirror in (False, True)]
+        got = [crossing_catalog(p, include_mirror=m) for p, m in configs]
+        monkeypatch.setattr(crossings, "_records_from_roots", per_point_records)
+        want = [crossing_catalog(p, include_mirror=m) for p, m in configs]
+        assert got == want
+        assert all(want)
+
+    def test_catalog_builds_the_matrix_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return build_hamiltonian(p)
+
+        for module in (crossings, spectrum):
+            monkeypatch.setattr(module, "build_hamiltonian", counted)
+        cat = crossing_catalog(from_fields(1000.0, math.pi / 3.0))
+        assert len(cat) == 5
+        assert 1 <= len(calls) <= 2

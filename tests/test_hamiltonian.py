@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.hamiltonian import (angular_coupling, assemble, build_blocks,
-                                 build_hamiltonian, format_matrix)
+from ohcross.hamiltonian import (ZEEMAN_DIAGONAL, angular_coupling, assemble,
+                                 build_blocks, build_hamiltonian,
+                                 format_matrix)
 from ohcross.model import ScaledParameters
 
 
@@ -87,3 +88,52 @@ def test_format_matrix_layout():
     assert "-0 " not in text and not text.endswith("-0\n")
     first = [float(v) for v in lines[0].split()]
     assert first[0] == pytest.approx(-0.3 - 0.8335, rel=1e-12)
+
+
+def with_zeeman(p, b):
+    """build_hamiltonian at b_tilde = 0 plus the (b/10) Z diagonal."""
+    h = np.array(build_hamiltonian(p.with_b_tilde(0.0)))
+    h[np.arange(8), np.arange(8)] += (b / 10.0) * ZEEMAN_DIAGONAL
+    return h
+
+
+class TestZeroFieldSplit:
+    """H(b) = H(0) + (b/10) Z holds bit for bit for b >= 0, which lets a
+    crossing catalog build H(0) once and reuse it at every field."""
+
+    def test_zero_field(self):
+        p = params(b=0.0, e=2.3, theta=0.8)
+        assert with_zeeman(p, 0.0).tobytes() == build_hamiltonian(p).tobytes()
+
+    def test_random_nonnegative_fields(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            p = params(b=float(rng.uniform(0, 20)), e=float(rng.uniform(0, 10)),
+                       theta=float(rng.uniform(0, math.pi)))
+            assert (with_zeeman(p, p.b_tilde).tobytes()
+                    == build_hamiltonian(p).tobytes())
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 2.0, math.pi])
+    def test_special_angles(self, theta):
+        rng = np.random.default_rng(8)
+        for b in [0.0, 1e-9, 0.5, 3.0] + rng.uniform(0, 20, 20).tolist():
+            p = params(b=b, e=float(rng.uniform(0, 10)), theta=theta)
+            assert (with_zeeman(p, b).tobytes()
+                    == build_hamiltonian(p).tobytes())
+
+    def test_negative_fields_differ_only_in_signed_zeros(self):
+        # build_hamiltonian writes -0.0 off the diagonal of the Zeeman
+        # blocks when b < 0, where the split writes +0.0
+        p = params(b=-0.4, e=1.0, theta=0.7)
+        split, direct = with_zeeman(p, p.b_tilde), build_hamiltonian(p)
+        assert np.array_equal(split, direct)
+        assert split.tobytes() != direct.tobytes()
+
+    def test_stacked_eigvalsh_rows_equal_single_calls(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([build_hamiltonian(params(
+            b=float(rng.uniform(0, 20)), e=float(rng.uniform(0, 10)),
+            theta=float(rng.uniform(0, math.pi)))) for _ in range(200)])
+        rows = np.linalg.eigvalsh(stack)
+        for h, row in zip(stack, rows):
+            assert np.linalg.eigvalsh(h).tobytes() == row.tobytes()

@@ -13,7 +13,8 @@ from ohcross.spectrum import (CharPoly, HermiticityViolationError,
                               SpectrumError, analytic_eigenvalues,
                               analytic_spectrum, characteristic_polynomial,
                               eigenvalue_at, eigenvalues_from_charpoly,
-                              numeric_eigenvalues)
+                              numeric_eigenvalues, numeric_levels,
+                              numeric_levels_along_b)
 
 MOL = MoleculeParameters()
 
@@ -312,3 +313,24 @@ class TestNumericOracle:
         # Levels 2 and 3 cross exactly here, the point where the closed
         # form's double root splits worst.
         self.check(params(b_tilde=0.00287993541763346, e_tilde=0.155))
+
+
+class TestLevelsAlongB:
+    def test_rows_equal_numeric_levels_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            p = random_params(rng)
+            h0 = build_hamiltonian(p.with_b_tilde(0.0))
+            bs = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 40)])
+            rows = numeric_levels_along_b(h0, bs)
+            assert rows.shape == (41, 8)
+            for b, row in zip(bs, rows):
+                want = numeric_levels(p.with_b_tilde(float(b)))
+                assert row.tobytes() == want.tobytes()
+
+    def test_scalar_field_gives_one_row(self):
+        p = params(b_tilde=1.3, e_tilde=0.4, theta=1.0)
+        h0 = build_hamiltonian(p.with_b_tilde(0.0))
+        got = numeric_levels_along_b(h0, 1.3)
+        assert got.shape == (8,)
+        assert got.tobytes() == numeric_levels(p).tobytes()
