@@ -224,8 +224,8 @@ def _monic_quartic_rows(a, z):
     return (((z + a[:, 3:]) * z + a[:, 2:3]) * z + a[:, 1:2]) * z + a[:, :1]
 
 
-def polish_quartic_roots(a, z, steps: int):
-    """Guarded Newton steps on rows of monic quartics, real or complex.
+def _polish_quartic_roots(a, z):
+    """Two guarded complex Newton steps on rows of monic quartics.
 
     Row i of `a` holds (a0, a1, a2, a3); z holds that row's root estimates.
     A root keeps a step only if it lowers |p|, and stops at its first
@@ -234,7 +234,7 @@ def polish_quartic_roots(a, z, steps: int):
     value = _monic_quartic_rows(a, z)
     live = np.ones(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(2):
             slope = ((4.0 * z + 3.0 * a[:, 3:]) * z + 2.0 * a[:, 2:3]) * z + a[:, 1:2]
             step = z - value / slope
             step_value = _monic_quartic_rows(a, step)
@@ -296,7 +296,7 @@ def solve_monic_quartics(a):
         res = np.abs(((cand * cand + q3) * cand + r3) * cand + s3).sum(axis=2)
         best = np.argmin(np.where(np.isnan(res), np.inf, res), axis=1)
         us = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0, :]
-        roots, value = polish_quartic_roots(a, us - (a3 / 4.0)[:, None], 2)
+        roots, value = _polish_quartic_roots(a, us - (a3 / 4.0)[:, None])
         mag = np.abs(roots)
         coeff_scale = np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]
         term_scale = _monic_quartic_rows(np.abs(a), mag)

@@ -100,16 +100,24 @@ class TestSpectrum:
         for got, expect in zip(first[1:], want):
             assert got == pytest.approx(expect, rel=1e-11, abs=1e-12)
 
-    def test_weak_field_sweep_exits_2(self, capsys):
-        # Pins today's rejection of a near-quadruple lambda^2 root at weak
-        # field, a known defect: other weak-field points print wrong
-        # numbers with exit 0 (ROADMAP item 3). Replace this with an
-        # accuracy check against eigvalsh once weak fields are fixed.
-        assert run(["spectrum", "--e-vcm", "10", "--theta-deg", "60",
-                    "--b-min", "1e-7", "--b-max", "1e-4", "--points", "11"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: lambda^2 root")
+    @pytest.mark.parametrize("e_vcm, theta_deg, args", [
+        (0.0, 60.0, ["--theta-deg", "60", "--b-max", "0.2", "--points", "2001"]),
+        (10.0, 60.0, ["--e-vcm", "10", "--theta-deg", "60", "--b-min", "1e-7",
+                      "--b-max", "1e-4", "--points", "11"]),
+        (1e5, 0.0, ["--e-vcm", "100000", "--theta-deg", "0", "--b-min", "1",
+                    "--b-max", "30", "--points", "59"]),
+    ], ids=["readme", "weak-field", "strong-parallel"])
+    def test_sweep_matches_lapack(self, capsys, e_vcm, theta_deg, args):
+        # the README sweep, weak fields near the quartic's quadruple root,
+        # and 10 MV/m to 30 T, where det H is far below max|lambda|^8
+        assert run(["spectrum"] + args) == 0
+        for row in float_rows(parse_csv(capsys.readouterr().out)[2]):
+            p = scale_parameters(MoleculeParameters(), FieldConfiguration(
+                e_field=e_vcm * 100.0, b_field=row[0],
+                theta=math.radians(theta_deg)))
+            want = np.sort(np.linalg.eigvalsh(build_hamiltonian(p)))[::-1]
+            got = np.array(row[1:]) * GHZ_PER_PERCM
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_provenance_keys(self, capsys):
         assert run(["spectrum", "--b-max", "0.1", "--points", "2"]) == 0

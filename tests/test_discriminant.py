@@ -211,6 +211,12 @@ class TestAudit:
                 evaluate_factors(p).product]))
         assert report.section("triple-agreement").max_rel_error == worst
 
+    @pytest.mark.parametrize("seed", [475, 1506, 1608, 2100])
+    def test_closed_form_spectrum_passes_audit(self, seed):
+        # seeds whose samples once breached the triple-agreement or
+        # determinant-identity tolerance through the closed-form spectrum
+        assert audit_triple(n_samples=20, seed=seed).passed
+
     def test_identity_check_uses_given_spectrum(self):
         p = params(b_tilde=4.0, e_tilde=2.0)
         lam = analytic_eigenvalues(p).lambdas

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from ohcross.algebra import ResidualError
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_tilde_from_field,
                            scale_parameters)
-from ohcross.spectrum import (CharPoly, HermiticityViolationError,
-                              SpectrumError, analytic_eigenvalues,
-                              analytic_spectrum, characteristic_polynomial,
-                              eigenvalue_at, eigenvalues_from_charpoly,
-                              numeric_eigenvalues, numeric_levels,
-                              numeric_levels_along_b)
+from ohcross.spectrum import (HermiticityViolationError, analytic_eigenvalues,
+                              analytic_spectrum, eigenvalue_at,
+                              lambda_squared_rows, numeric_eigenvalues,
+                              numeric_levels, numeric_levels_along_b,
+                              shifted_quartic_coefficients)
 
 MOL = MoleculeParameters()
 
@@ -31,62 +31,106 @@ def random_params(rng):
     return scale_parameters(MOL, cfg)
 
 
+def faddeev_leverrier(h):
+    """Ascending coefficients of det(lambda I - H) by the Faddeev-LeVerrier
+    recurrence, the reference for the frozen shifted quartic."""
+    c = np.zeros(9)
+    c[8] = 1.0
+    m = h
+    for k in range(1, 9):
+        c[8 - k] = -np.trace(m) / k
+        m = h @ (m + c[8 - k] * np.eye(8))
+    return c
+
+
+def even_part_from_shifted(a, delta_tilde):
+    """Ascending coefficients in m = lambda^2 of the monic quartic
+    u^4 + a3 u^3 + a2 u^2 + a1 u + a0 with u = m - (delta_tilde/10)^2."""
+    shift = np.polynomial.Polynomial([-(delta_tilde / 10.0) ** 2, 1.0])
+    quartic = np.polynomial.Polynomial(list(a) + [1.0])
+    return quartic(shift).coef
+
+
 class TestCharPoly:
     def test_odd_coefficients_vanish(self):
+        # Faddeev-LeVerrier on the matrix: the odd terms vanish and the even
+        # ones are the frozen quartic shifted back to m = lambda^2.
         rng = np.random.default_rng(12)
         for _ in range(50):
             p = random_params(rng)
-            cp = characteristic_polynomial(build_hamiltonian(p))
-            top = max(abs(c) for c in cp.coeffs)
-            for k in (1, 3, 5, 7):
-                assert abs(cp.coeffs[k]) <= 1e-9 * top
-            assert cp.coeffs[8] == pytest.approx(1.0, abs=1e-12)
+            c = faddeev_leverrier(build_hamiltonian(p))
+            top = np.abs(c).max()
+            assert np.abs(c[1::2]).max() <= 1e-9 * top
+            a = shifted_quartic_coefficients(p.b_tilde, p.e_tilde,
+                                             p.delta_tilde, p.theta)
+            even = even_part_from_shifted(a, p.delta_tilde)
+            assert np.abs(even - c[0::2]).max() <= 1e-9 * top
 
     def test_constant_term_is_determinant(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             p = random_params(rng)
-            h = build_hamiltonian(p)
-            cp = characteristic_polynomial(h)
-            det = float(np.linalg.det(np.asarray(h)))
-            assert cp.coeffs[0] == pytest.approx(det, abs=1e-10 * max(1.0, abs(det)))
+            det = float(np.linalg.det(build_hamiltonian(p)))
+            a = shifted_quartic_coefficients(p.b_tilde, p.e_tilde,
+                                             p.delta_tilde, p.theta)
+            const = even_part_from_shifted(a, p.delta_tilde)[0]
+            assert const == pytest.approx(det, abs=1e-10 * max(1.0, abs(det)))
 
     def test_zero_field_quadruple_root(self):
-        cp = characteristic_polynomial(build_hamiltonian(params()))
-        even = cp.even_part()
-        # (m - (delta/10)^2)^4 expanded
+        # (m - (delta/10)^2)^4 is u^4: every lower coefficient is exactly 0
+        a = shifted_quartic_coefficients(0.0, 0.0, 8.335, 0.7)
+        assert a.tolist() == [0.0, 0.0, 0.0, 0.0]
         r = (8.335 / 10.0) ** 2
-        binom = (r ** 4, -4.0 * r ** 3, 6.0 * r ** 2, -4.0 * r, 1.0)
-        for got, want in zip(even.coeffs, binom):
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+        for got in lambda_squared_rows(a[None], r)[0]:
+            assert got == pytest.approx(r, rel=1e-12)
 
-    def test_rejects_odd_contamination(self):
-        with pytest.raises(SpectrumError):
-            CharPoly(coeffs=(1.0, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0))
-
-    def test_rejects_non_monic(self):
-        with pytest.raises(SpectrumError):
-            CharPoly(coeffs=(1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0))
+    def test_sympy_rederivation(self):
+        sp = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        # r stands for sqrt(3) and s for sin(theta), reduced once expanded
+        b, e, d, c, s, r, lam, u = sp.symbols("b e d c s r lam u")
+        ang = sp.Matrix([[-3 * c, r * s, 0, 0], [r * s, -c, 2 * s, 0],
+                         [0, 2 * s, c, r * s], [0, 0, r * s, 3 * c]])
+        h = sp.zeros(8, 8)
+        h[:4, :4] = sp.diag(-3, -1, 1, 3) * b / 10 - sp.eye(4) * d / 10
+        h[4:, 4:] = sp.diag(-3, -1, 1, 3) * b / 10 + sp.eye(4) * d / 10
+        h[:4, 4:] = -ang * e / 10
+        h[4:, :4] = -ang * e / 10
+        dm = DomainMatrix.from_Matrix(h)
+        charpoly = sum(dm.domain.to_sympy(k) * lam ** (8 - i)
+                       for i, k in enumerate(dm.charpoly()))
+        charpoly = sp.rem(sp.rem(charpoly, r ** 2 - 3, r), s ** 2 + c ** 2 - 1, s)
+        poly = sp.Poly(charpoly, lam)
+        assert all(poly.coeff_monomial(lam ** k) == 0 for k in (1, 3, 5, 7))
+        shifted = sp.Poly(sp.expand(sum(
+            poly.coeff_monomial(lam ** (2 * k)) * (u + d ** 2 / 100) ** k
+            for k in range(5))), u)
+        assert shifted.degree() == 4 and shifted.LC() == 1
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            bt, et, dt, th = (rng.uniform(0, 17), rng.uniform(0, 8.4),
+                              rng.uniform(1, 10), rng.uniform(0, np.pi))
+            at = {b: bt, e: et, d: dt, c: np.cos(th)}
+            want = [float(shifted.coeff_monomial(u ** k).subs(at)) for k in range(4)]
+            got = shifted_quartic_coefficients(bt, et, dt, th)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestClosedFormRoots:
+    # lambda_squared_rows with a zero shift: the quartics are in lambda^2
     def test_complex_root_raises(self):
-        # even part (m^2 + 1)(m^2 - 3m + 2) has a conjugate pair
-        cp = CharPoly(coeffs=(2.0, 0.0, -3.0, 0.0, 3.0, 0.0, -3.0, 0.0, 1.0))
+        # (m^2 + 1)(m^2 - 3m + 2) has a conjugate pair
         with pytest.raises(HermiticityViolationError):
-            eigenvalues_from_charpoly(cp)
+            lambda_squared_rows([[2.0, -3.0, 3.0, -3.0]], 0.0)
 
     def test_negative_root_raises(self):
-        # even part (m+1)(m-1)(m-2)(m-3) has root -1
-        cp = CharPoly(coeffs=(-6.0, 0.0, 5.0, 0.0, 5.0, 0.0, -5.0, 0.0, 1.0))
+        # (m+1)(m-1)(m-2)(m-3) has root -1
         with pytest.raises(HermiticityViolationError):
-            eigenvalues_from_charpoly(cp)
+            lambda_squared_rows([[-6.0, 5.0, 5.0, -5.0]], 0.0)
 
     def test_exact_biquadratic_case(self):
-        # even part (m-1)(m-4)(m-9)(m-16)
-        cp = CharPoly(coeffs=(576.0, 0.0, -820.0, 0.0, 273.0, 0.0,
-                              -30.0, 0.0, 1.0))
-        ms = eigenvalues_from_charpoly(cp)
+        # (m-1)(m-4)(m-9)(m-16)
+        ms = lambda_squared_rows([[576.0, -820.0, 273.0, -30.0]], 0.0)[0]
         for got, want in zip(ms, (1.0, 4.0, 9.0, 16.0)):
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -153,8 +197,8 @@ class TestAnalyticSpectrum:
 
     def test_tiny_smallest_level_is_refined(self):
         # just off the first zero-field crossing the smallest level is
-        # four orders below the largest; the product identity restores
-        # its relative accuracy
+        # three orders below the largest; lambda^2 = u + (delta/10)^2
+        # cancels there, which costs it eps (delta/10)^2 / lambda^2
         b = 8.335 / 3.0 * 1.001
         p = params(b_tilde=b, e_tilde=0.0, theta=0.9)
         lam4 = analytic_eigenvalues(p).level(4)
@@ -230,15 +274,15 @@ class TestBatchedSpectrum:
             assert np.abs(row - lapack_levels(p)).max() <= 1e-12
 
     def test_double_root_polish_keeps_its_root(self):
-        # B = 0, E = 4458.01 V/cm, theta = 175.581 deg: the even quartic has
-        # the double roots 1.24987 and 5.69101. An unguarded Newton step
-        # from noise-level f and f' used to land on the other root.
+        # B = 0, E = 4458.01 V/cm, theta = 175.581 deg: the quartic in
+        # lambda^2 has the double roots 1.24987 and 5.69101, and the row
+        # kernel must keep both rather than land twice on one.
         p = scale_parameters(MOL, FieldConfiguration(
             e_field=445801.0, theta=math.radians(175.581)))
-        h = build_hamiltonian(p)
-        ms = eigenvalues_from_charpoly(characteristic_polynomial(h))
-        want = np.sort(np.linalg.eigvalsh(h))[4:] ** 2
-        assert np.abs(np.array(ms) - want).max() <= 1e-6 * want.max()
+        a = shifted_quartic_coefficients(0.0, p.e_tilde, p.delta_tilde, p.theta)
+        ms = lambda_squared_rows(a[None], (p.delta_tilde / 10.0) ** 2)[0]
+        want = np.sort(np.linalg.eigvalsh(build_hamiltonian(p)))[4:] ** 2
+        assert np.abs(ms - want).max() <= 1e-6 * want.max()
 
     def test_single_point_equals_batched_row(self):
         rng = np.random.default_rng(23)
@@ -261,19 +305,41 @@ class TestBatchedSpectrum:
             analytic_spectrum(1.0, 2.0, 0.0, 0.5)
 
     def test_first_failing_point_raises(self):
-        # Weak fields put a near-quadruple root in the quartic, which the
-        # reality check rejects (an open validity-domain defect). A batch
-        # raises the error that point raises alone.
-        weak = scale_parameters(MOL, FieldConfiguration(
-            e_field=1000.0, b_field=1e-7, theta=math.pi / 3.0))
+        # A NaN field fails the residual bound; a batch raises the error
+        # that point raises alone.
         good = scale_parameters(MOL, FieldConfiguration(
             e_field=1000.0, b_field=0.05, theta=math.pi / 3.0))
-        with pytest.raises(HermiticityViolationError) as alone:
-            analytic_eigenvalues(weak)
-        with pytest.raises(HermiticityViolationError) as batched:
-            analytic_spectrum([good.b_tilde, weak.b_tilde, good.b_tilde],
-                              weak.e_tilde, weak.delta_tilde, weak.theta)
+        bad = good.with_b_tilde(math.nan)
+        with pytest.raises(ResidualError) as alone:
+            analytic_eigenvalues(bad)
+        with pytest.raises(ResidualError) as batched:
+            analytic_spectrum([good.b_tilde, bad.b_tilde, good.b_tilde],
+                              good.e_tilde, good.delta_tilde, good.theta)
         assert str(batched.value) == str(alone.value)
+        # among rows failing different checks the lowest row wins
+        nan_row, complex_row = [math.nan] * 4, [2.0, -3.0, 3.0, -3.0]
+        exact_row = [576.0, -820.0, 273.0, -30.0]
+        with pytest.raises(HermiticityViolationError):
+            lambda_squared_rows([exact_row, complex_row, nan_row], 0.0)
+        with pytest.raises(ResidualError):
+            lambda_squared_rows([exact_row, nan_row, complex_row], 0.0)
+
+    def test_weak_fields_match_lapack(self):
+        # 800 log-uniform weak-field points, B 1e-8 to 1e-4 T and E 1 to
+        # 1000 V/cm, where the quartic in lambda^2 is near a quadruple root
+        rng = np.random.default_rng(3)
+        b_tesla = 10.0 ** rng.uniform(-8.0, -4.0, 800)
+        e_vcm = 10.0 ** rng.uniform(0.0, 3.0, 800)
+        theta = rng.uniform(0.0, math.pi, 800)
+        points = [scale_parameters(MOL, FieldConfiguration(
+            e_field=float(e) * 100.0, b_field=float(b), theta=float(th)))
+            for b, e, th in zip(b_tesla, e_vcm, theta)]
+        got = analytic_spectrum([p.b_tilde for p in points],
+                                [p.e_tilde for p in points],
+                                points[0].delta_tilde, theta)
+        for p, row in zip(points, got):
+            want = lapack_levels(p)
+            assert np.abs(row - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_strong_fields_match_lapack(self):
         # Up to 30 T the quartic's constant term reaches 1e20; the degree
