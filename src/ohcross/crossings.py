@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial, numeric_roots, solve_cubic, solve_quartic
+from .algebra import numeric_roots, solve_cubic, solve_quartic
 from .discriminant import REL_FLOOR, f1_quartic_coefficients, g_coefficients
 from .hamiltonian import build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
@@ -40,6 +40,9 @@ ROOT_SNAP_REL = 1e-9
 
 # Imaginary parts below this fraction of |x| are treated as rounding noise.
 IMAG_SNAP_REL = 1e-7
+
+# Roots closer than this fraction of their magnitude are one repeated root.
+ROOT_MERGE_REL = 1e-8
 
 # Half width, in the internal field variable, of the gap-minimum search.
 SEARCH_HALF_WIDTH_TILDE = 0.15
@@ -150,10 +153,9 @@ def resolvent_analysis(e_tilde: float, delta_tilde: float,
     # like the eighth power of the field) would swamp the leading 1.
     alpha = max(abs(2.0 * q), abs(q * q - 4.0 * s) ** 0.5,
                 (r * r) ** (1.0 / 3.0), REL_FLOOR)
-    cubic = Polynomial((-r * r / alpha ** 3, (q * q - 4.0 * s) / (alpha * alpha),
-                        2.0 * q / alpha, 1.0))
-    zs = solve_cubic(cubic)
-    reals = [alpha * z.real for z in zs.roots
+    zs = solve_cubic((-r * r / alpha ** 3, (q * q - 4.0 * s) / (alpha * alpha),
+                      2.0 * q / alpha, 1.0))
+    reals = [alpha * z.real for z in zs.tolist()
              if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
     if not reals:
         raise BranchError("resolvent cubic has no real root")
@@ -342,12 +344,36 @@ def _refine_gap_minimum(h0, pair, b_seed_tilde: float):
     return b_min, float(gap_at_tesla(b_min))
 
 
+def _cluster_roots(xs) -> list:
+    """One root per cluster of roots within 1e-8 relative, ordered by
+    (real, imaginary part).
+
+    A repeated root comes back from the solvers split by rounding. Taken
+    in that order, a root joins the first cluster whose running mean lies
+    within ROOT_MERGE_REL of it, and each cluster is represented by its
+    mean.
+    """
+    clusters = []  # [root sum, count]
+    for z in sorted(map(complex, xs), key=lambda z: (z.real, z.imag)):
+        for cl in clusters:
+            mean = cl[0] / cl[1]
+            if abs(z - mean) <= ROOT_MERGE_REL * max(abs(z), abs(mean)):
+                cl[0] += z
+                cl[1] += 1
+                break
+        else:
+            clusters.append([z, 1])
+    return sorted((total / n for total, n in clusters),
+                  key=lambda z: (z.real, z.imag))
+
+
 def _records_from_roots(xs, p: ScaledParameters, source: str,
                         pair_policy: str) -> list:
     """Shared candidate pipeline from x-roots to validated records.
 
-    Tiny magnitudes snap to x = 0 and tiny imaginary parts snap to the real
-    axis, whatever the sign of that rounding noise. Roots still carrying a
+    Repeated roots are clustered first (_cluster_roots). Tiny magnitudes
+    then snap to x = 0 and tiny imaginary parts snap to the real axis,
+    whatever the sign of that rounding noise. Roots still carrying a
     negative imaginary part are conjugate partners and skipped, as are
     repeats of a root already seen. Negative real x has no field location
     and is dropped. The seed is Re[sqrt(x)]; the measured gap at the seed
@@ -355,7 +381,7 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
     interior-minimum refinement. All gaps share one zero-field matrix.
     """
     tesla_per_tilde = b_field_from_tilde(1.0)
-    roots = list(xs)
+    roots = _cluster_roots(xs)
     if not roots:
         return []
     top = max(abs(x) for x in roots)
@@ -363,7 +389,6 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
     records = []
     seen = set()
     for x in roots:
-        x = complex(x)
         if abs(x) < ROOT_SNAP_REL * top:
             x = complex(0.0)
         elif abs(x.imag) < IMAG_SNAP_REL * abs(x):
@@ -401,8 +426,8 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
 def f1_crossings(p: ScaledParameters) -> list:
     """Crossing records of the zero-energy pair from the quartic factor."""
     c0, c2, c4, c6 = f1_quartic_coefficients(p.e_tilde, p.delta_tilde, p.theta)
-    roots = solve_quartic(Polynomial((c0, c2, c4, c6, 1.0)))
-    return _records_from_roots(roots.roots, p, "f1-analytic", "opposite")
+    roots = solve_quartic((c0, c2, c4, c6, 1.0))
+    return _records_from_roots(roots, p, "f1-analytic", "opposite")
 
 
 def f2_crossings(p: ScaledParameters) -> list:
@@ -416,25 +441,22 @@ def f2_crossings(p: ScaledParameters) -> list:
     d2 = p.delta_tilde * p.delta_tilde
     if (abs(p.theta) <= _SPECIAL_ANGLE_TOL
             or abs(p.theta - math.pi) <= _SPECIAL_ANGLE_TOL):
-        quart = Polynomial((4.0 * e2 ** 4,
-                            -5.0 * e2 * e2 * (d2 + 5.0 * e2),
-                            d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2,
-                            -5.0 * (d2 + 5.0 * e2),
-                            4.0))
-        roots = solve_quartic(quart).roots
+        roots = solve_quartic((4.0 * e2 ** 4,
+                               -5.0 * e2 * e2 * (d2 + 5.0 * e2),
+                               d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2,
+                               -5.0 * (d2 + 5.0 * e2),
+                               4.0))
         return _records_from_roots(roots, p, "f2-parallel", "adjacent")
     if abs(p.theta - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
-        quart = Polynomial((e2 ** 4,
-                            e2 * e2 * (d2 + 4.0 * e2),
-                            d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2,
-                            -2.0 * (d2 - 2.0 * e2),
-                            1.0))
-        xs = [complex(0.0), complex((d2 + 8.0 * e2) / 4.0)]
-        xs.extend(solve_quartic(quart).roots)
+        roots = solve_quartic((e2 ** 4,
+                               e2 * e2 * (d2 + 4.0 * e2),
+                               d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2,
+                               -2.0 * (d2 - 2.0 * e2),
+                               1.0))
+        xs = [complex(0.0), complex((d2 + 8.0 * e2) / 4.0)] + roots.tolist()
         return _records_from_roots(xs, p, "f2-perpendicular", "adjacent")
-    octic = Polynomial(g_coefficients(p.e_tilde, p.delta_tilde, p.theta))
-    roots = numeric_roots(octic)
-    return _records_from_roots(roots.roots, p, "f2-octic", "adjacent")
+    roots = numeric_roots(g_coefficients(p.e_tilde, p.delta_tilde, p.theta))
+    return _records_from_roots(roots, p, "f2-octic", "adjacent")
 
 
 def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple:

@@ -1,15 +1,15 @@
 """Dense 8x8 Stark-Zeeman matrix built from the scaled field variables.
 
 The matrix acts on the eight-state space spanned by two parity doublets of
-the four magnetic sublevels m = -3/2..3/2. It is assembled from three 4x4
-blocks: a Zeeman diagonal, a doublet-splitting multiple of the identity and
-a symmetric electric-coupling block whose angle structure mixes adjacent m.
+the four magnetic sublevels m = -3/2..3/2. build_hamiltonian writes it in
+one pass from three 4x4 pieces: a Zeeman diagonal, a doublet-splitting
+multiple of the identity and a symmetric electric-coupling block whose
+angle structure (angular_coupling) mixes adjacent m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,48 +46,25 @@ def angular_coupling(theta: float) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class BlockMatrices:
-    """The three 4x4 blocks: Zeeman diagonal a1, doublet identity a2,
-    electric coupling c. All entries in the internal GHz unit."""
+def build_hamiltonian(p: ScaledParameters) -> np.ndarray:
+    """The read-only symmetric matrix [[a1 - a2, -c], [-c, a1 + a2]].
 
-    a1: np.ndarray
-    a2: np.ndarray
-    c: np.ndarray
-
-
-def build_blocks(p: ScaledParameters) -> BlockMatrices:
-    """Blocks from scaled parameters.
-
-    a1 = (b_tilde/10) diag(-3,-1,1,3), a2 = (delta_tilde/10) I,
-    c = (e_tilde/10) times the angular coupling structure.
+    a1 = (b_tilde/10) diag(-3,-1,1,3) is the Zeeman diagonal,
+    a2 = (delta_tilde/10) I the doublet splitting and
+    c = (e_tilde/10) angular_coupling(theta) the electric coupling, all in
+    the internal GHz unit. The result is exactly symmetric because the same
+    -c array fills both off-diagonal blocks and c itself is symmetric by
+    construction.
     """
     a1 = (p.b_tilde / 10.0) * np.diag(_M_PATTERN)
     a2 = (p.delta_tilde / 10.0) * np.eye(4)
     c = (p.e_tilde / 10.0) * angular_coupling(p.theta)
-    for block in (a1, a2, c):
-        block.setflags(write=False)
-    return BlockMatrices(a1=a1, a2=a2, c=c)
-
-
-def assemble(blocks: BlockMatrices) -> np.ndarray:
-    """Assemble the full symmetric matrix [[a1 - a2, -c], [-c, a1 + a2]].
-
-    The result is exactly symmetric because the same -c array fills both
-    off-diagonal blocks and c itself is symmetric by construction.
-    """
-    h = np.zeros((8, 8))
-    h[:4, :4] = blocks.a1 - blocks.a2
-    h[4:, 4:] = blocks.a1 + blocks.a2
-    h[:4, 4:] = -blocks.c
-    h[4:, :4] = -blocks.c
+    h = np.empty((8, 8))
+    h[:4, :4] = a1 - a2
+    h[4:, 4:] = a1 + a2
+    h[:4, 4:] = h[4:, :4] = -c
     h.setflags(write=False)
     return h
-
-
-def build_hamiltonian(p: ScaledParameters) -> np.ndarray:
-    """Convenience wrapper: blocks plus assembly in one call."""
-    return assemble(build_blocks(p))
 
 
 def format_matrix(h: np.ndarray) -> str:

@@ -185,8 +185,3 @@ def numeric_levels_along_b(h0, b_tilde) -> np.ndarray:
 def numeric_eigenvalues(params: ScaledParameters) -> Spectrum:
     """numeric_levels as a Spectrum, the oracle for analytic_eigenvalues."""
     return Spectrum(lambdas=tuple(numeric_levels(params).tolist()), params=params)
-
-
-def eigenvalue_at(params: ScaledParameters, label: int) -> float:
-    """Single level energy, label counted 1..8 from the top level down."""
-    return analytic_eigenvalues(params).level(label)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 
-from ohcross.algebra import Polynomial, solve_quartic
+from ohcross.algebra import solve_quartic
 from ohcross.crossings import (b1_approx_tilde, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
                                f2_crossings, gap_lowest_pair, golden_min,
@@ -67,9 +67,9 @@ def test_criterion_01_zero_field_crossing_location():
     closed = (5.0 * DEFAULT_CONSTANTS.reduced_planck * MOL.lambda_doubling
               / (12.0 * DEFAULT_CONSTANTS.bohr_magneton))
     # route 2: smallest positive root of the quartic factor at E = 0
-    quart = Polynomial(tuple(f1_quartic_coefficients(0.0, D, 0.9)) + (1.0,))
+    quart = tuple(f1_quartic_coefficients(0.0, D, 0.9)) + (1.0,)
     # both roots are double at E = 0, so allow the sqrt(eps) imaginary split
-    xs = [z.real for z in solve_quartic(quart).roots
+    xs = [z.real for z in solve_quartic(quart).tolist()
           if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real > 0.0]
     from_factor = b_field_from_tilde(math.sqrt(min(xs)))
     # route 3: direct gap minimum of the middle pair

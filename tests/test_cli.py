@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,23 @@ from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            scale_parameters)
 
 GHZ_PER_PERCM = 29.9792458
+
+# Stdout of these commands must match the files under tests/data byte for
+# byte: the README crossings and hamiltonian commands, the dump at negative
+# B, and catalogs at 3 kV/cm over the special angles and one generic angle.
+# When an output change is intended, rewrite the file with
+# `ohcross <command> > tests/data/<name>` and say why in CHANGES.md.
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_COMMANDS = {
+    "crossings_readme.csv": "crossings --theta-deg 60 --e-vcm 1000",
+    "hamiltonian_readme.txt": "hamiltonian --b-tesla 0.1 --e-vcm 1000 --theta-deg 60",
+    "hamiltonian_negative_b.txt":
+        "hamiltonian --b-tesla -0.1 --e-vcm 1000 --theta-deg 60",
+    "crossings_3kvcm_theta0.csv": "crossings --theta-deg 0 --e-vcm 3000",
+    "crossings_3kvcm_theta90.csv": "crossings --theta-deg 90 --e-vcm 3000",
+    "crossings_3kvcm_theta180.csv": "crossings --theta-deg 180 --e-vcm 3000",
+    "crossings_3kvcm_theta130.csv": "crossings --theta-deg 130 --e-vcm 3000",
+}
 
 
 def parse_csv(text):
@@ -158,6 +176,14 @@ class TestCrossings:
         first = [r for r in rows if r[2] == "4-5"][0]
         assert first[0] == pytest.approx(0.0546025979, abs=1e-6)
         assert first[3] == pytest.approx(0.0272001, rel=1e-4)
+
+    def test_strong_field_catalog_exits_clean(self, capsys):
+        # the f1 quartic's constant term is about 4e14 times its leading 1
+        # here; the fixed-degree solver keeps that leading term
+        assert run(["crossings", "--theta-deg", "60", "--e-vcm", "40000"]) == 0
+        comments, header, _ = parse_csv(capsys.readouterr().out)
+        assert comments[0] == "# ohcross crossings"
+        assert header == ["b_tesla", "kind", "pair", "gap_percm", "source"]
 
     def test_parallel_sources(self, capsys):
         assert run(["crossings", "--theta-deg", "0", "--e-vcm", "2000"]) == 0
@@ -324,6 +350,12 @@ class TestHamiltonian:
         for i in range(8):
             for j in range(8):
                 assert values[i][j] == values[j][i]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, capsys):
+    assert run(GOLDEN_COMMANDS[name].split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 
 class TestConfigAndErrors:

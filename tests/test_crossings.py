@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ohcross import crossings, spectrum
-from ohcross.algebra import Polynomial, numeric_roots
+from ohcross.algebra import numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
@@ -240,12 +240,11 @@ class TestSpecialAngleRoutes:
         p = from_fields(2000.0, 0.0)
         special = sorted(r.b_location for r in f2_crossings(p))
         gs = g_coefficients(p.e_tilde, D, 0.0)
-        octic = Polynomial(tuple(gs))
         # at parallel fields the octic is the reduced quartic squared, so
         # every numeric root shows up twice, split by about sqrt(eps): a
         # real double root can come back as a pair 1e-7 off the real axis.
         # Keep those, and collapse the duplicates.
-        xs = [z.real for z in numeric_roots(octic).roots
+        xs = [z.real for z in numeric_roots(gs).tolist()
               if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real >= 0.0]
         general = []
         for b in sorted(b_field_from_tilde(math.sqrt(x)) for x in xs):
@@ -316,6 +315,20 @@ class TestMirror:
             assert twins[0].gap == pytest.approx(rec.gap, rel=1e-12)
 
 
+def test_cluster_roots_merges_close_values():
+    roots = crossings._cluster_roots([2.0 + 0j, 1.0 + 1e-12j, 1.0 + 0j])
+    assert roots == [1.0 + 0.5e-12j, 2.0 + 0j]
+    # a real double root split by rounding gives one seed, one record
+    p = from_fields(2000.0, 0.0)
+    x = 1.029896602916097
+    split = [x * (1.0 + 2e-9), x * (1.0 - 2e-9)]
+    assert len(_records_from_roots(split, p, "f2-parallel", "adjacent")) == 1
+
+
+def test_cluster_roots_keeps_distinct_values():
+    assert crossings._cluster_roots([1.5, -2.0 + 0j, 1.0]) == [-2.0, 1.0, 1.5]
+
+
 def test_f1_crossings_source_and_pair():
     for rec in f1_crossings(from_fields(600.0, 1.1)):
         assert rec.source == "f1-analytic"
@@ -354,7 +367,7 @@ def per_point_records(xs, p, source, pair_policy):
                            tol=crossings._GOLDEN_TOL_TESLA)
         return b_min, gap_at_tesla(b_min)
 
-    roots = list(xs)
+    roots = crossings._cluster_roots(xs)
     if not roots:
         return []
     top = max(abs(x) for x in roots)

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.hamiltonian import (ZEEMAN_DIAGONAL, angular_coupling, assemble,
-                                 build_blocks, build_hamiltonian,
-                                 format_matrix)
+from ohcross.hamiltonian import (ZEEMAN_DIAGONAL, angular_coupling,
+                                 build_hamiltonian, format_matrix)
 from ohcross.model import ScaledParameters
 
 
@@ -34,23 +33,18 @@ def test_angular_coupling_is_read_only():
         m[0, 0] = 1.0
 
 
-def test_block_contents():
-    p = params(b=2.0, e=3.0, theta=0.0)
-    blocks = build_blocks(p)
-    assert np.array_equal(blocks.a1, 0.2 * np.diag([-3.0, -1.0, 1.0, 3.0]))
-    assert np.array_equal(blocks.a2, (8.335 / 10.0) * np.eye(4))
-    assert np.array_equal(blocks.c, 0.3 * angular_coupling(0.0))
-
-
 def test_assembled_layout():
-    p = params(b=2.0, e=3.0, theta=1.1)
-    blocks = build_blocks(p)
-    h = assemble(blocks)
-    assert h.shape == (8, 8)
-    assert np.array_equal(h[:4, :4], blocks.a1 - blocks.a2)
-    assert np.array_equal(h[4:, 4:], blocks.a1 + blocks.a2)
-    assert np.array_equal(h[:4, 4:], -blocks.c)
-    assert np.array_equal(h[4:, :4], -blocks.c)
+    # [[a1 - a2, -c], [-c, a1 + a2]] with a1 the Zeeman diagonal, a2 the
+    # doublet splitting and c the electric coupling, signed zeros included
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        p = params(b=float(rng.uniform(-20, 20)), e=float(rng.uniform(0, 10)),
+                   theta=float(rng.uniform(0, math.pi)))
+        a1 = (p.b_tilde / 10.0) * np.diag([-3.0, -1.0, 1.0, 3.0])
+        a2 = (8.335 / 10.0) * np.eye(4)
+        c = (p.e_tilde / 10.0) * angular_coupling(p.theta)
+        expected = np.block([[a1 - a2, -c], [-c, a1 + a2]])
+        assert build_hamiltonian(p).tobytes() == expected.tobytes()
 
 
 def test_hamiltonian_exactly_symmetric():

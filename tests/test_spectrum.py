@@ -11,8 +11,8 @@ from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_tilde_from_field,
                            scale_parameters)
 from ohcross.spectrum import (HermiticityViolationError, analytic_eigenvalues,
-                              analytic_spectrum, eigenvalue_at,
-                              lambda_squared_rows, numeric_eigenvalues,
+                              analytic_spectrum, lambda_squared_rows,
+                              numeric_eigenvalues,
                               numeric_levels, numeric_levels_along_b,
                               shifted_quartic_coefficients)
 
@@ -210,7 +210,6 @@ class TestAnalyticSpectrum:
         levels = analytic_eigenvalues(p)
         for label in range(1, 8):
             assert levels.level(label) >= levels.level(label + 1)
-        assert eigenvalue_at(p, 1) == levels.level(1)
         with pytest.raises(ValueError):
             levels.level(0)
         with pytest.raises(ValueError):
