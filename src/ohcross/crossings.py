@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import numeric_roots, solve_cubic, solve_quartic
-from .discriminant import REL_FLOOR, f1_quartic_coefficients, g_coefficients
+from .discriminant import (REL_FLOOR, _special_angle_quartics,
+                           f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
 from .spectrum import numeric_levels, numeric_levels_along_b
@@ -205,21 +206,16 @@ def b1_exact_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
     sq = math.sqrt(cr)
     denom = 1.0 - 2.0 * math.cos(2.0 * theta)
     ecrit = delta_tilde / math.sqrt(denom) if denom > 0.0 else math.inf
-    # r changes sign exactly where the branch pair switches, so the ratio
-    # r / (4 sqrt(C_r)) tends to -sqrt(q^2 - 4 s) / 2 from both sides; at
-    # the switch itself (sqrt(C_r) = 0) that shared limit is used directly.
-    if e_tilde < ecrit:
-        re = -sq - c6 / 4.0
-        if sq > 0.0:
-            im2 = q / 2.0 + cr - r / (4.0 * sq)
-        else:
-            im2 = q / 2.0 + cr - math.sqrt(max(q * q - 4.0 * s, 0.0)) / 2.0
+    # Below the critical field the branch pair takes -sqrt(C_r), above it
+    # +sqrt(C_r). r changes sign exactly where the pair switches, so the
+    # ratio sign * r / (4 sqrt(C_r)) tends to -sqrt(q^2 - 4 s) / 2 from both
+    # sides; at the switch itself (sqrt(C_r) = 0) that shared limit is used.
+    sign = -1.0 if e_tilde < ecrit else 1.0
+    re = sign * sq - c6 / 4.0
+    if sq > 0.0:
+        im2 = q / 2.0 + cr + sign * r / (4.0 * sq)
     else:
-        re = sq - c6 / 4.0
-        if sq > 0.0:
-            im2 = q / 2.0 + cr + r / (4.0 * sq)
-        else:
-            im2 = q / 2.0 + cr - math.sqrt(max(q * q - 4.0 * s, 0.0)) / 2.0
+        im2 = q / 2.0 + cr - math.sqrt(max(q * q - 4.0 * s, 0.0)) / 2.0
     im = math.sqrt(max(im2, 0.0))
     mod = math.hypot(re, im)
     return math.sqrt(max((re + mod) / 2.0, 0.0))
@@ -248,7 +244,7 @@ def pair_gap(p: ScaledParameters, pair) -> float:
     there. Gaps below GAP_MEASUREMENT_FLOOR are indistinguishable from
     solver noise and are reported as zero.
     """
-    return float(_floored_gap(numeric_levels(p), pair))
+    return float(_floored_gap(numeric_levels(build_hamiltonian(p)), pair))
 
 
 def _floored_gap(levels, pair):
@@ -437,23 +433,15 @@ def f2_crossings(p: ScaledParameters) -> list:
     perpendicular geometries use the collapsed closed forms, whose factors
     are lower degree and carry the root structure exactly.
     """
-    e2 = p.e_tilde * p.e_tilde
-    d2 = p.delta_tilde * p.delta_tilde
     if (abs(p.theta) <= _SPECIAL_ANGLE_TOL
             or abs(p.theta - math.pi) <= _SPECIAL_ANGLE_TOL):
-        roots = solve_quartic((4.0 * e2 ** 4,
-                               -5.0 * e2 * e2 * (d2 + 5.0 * e2),
-                               d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2,
-                               -5.0 * (d2 + 5.0 * e2),
-                               4.0))
+        roots = solve_quartic(_special_angle_quartics(p.e_tilde, p.delta_tilde)[0])
         return _records_from_roots(roots, p, "f2-parallel", "adjacent")
     if abs(p.theta - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
-        roots = solve_quartic((e2 ** 4,
-                               e2 * e2 * (d2 + 4.0 * e2),
-                               d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2,
-                               -2.0 * (d2 - 2.0 * e2),
-                               1.0))
-        xs = [complex(0.0), complex((d2 + 8.0 * e2) / 4.0)] + roots.tolist()
+        roots = solve_quartic(_special_angle_quartics(p.e_tilde, p.delta_tilde)[1])
+        # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
+        x_lin = (p.delta_tilde * p.delta_tilde + 8.0 * (p.e_tilde * p.e_tilde)) / 4.0
+        xs = [complex(0.0), complex(x_lin)] + roots.tolist()
         return _records_from_roots(xs, p, "f2-perpendicular", "adjacent")
     roots = numeric_roots(g_coefficients(p.e_tilde, p.delta_tilde, p.theta))
     return _records_from_roots(roots, p, "f2-octic", "adjacent")

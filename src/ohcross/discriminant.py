@@ -10,9 +10,11 @@ the squared field variable x = b_tilde^2:
   f2  octic in x; real roots mark further exact crossings, complex roots
       govern avoided crossings
 
-Every factor here is cross-checked against eigenvalue products computed by
-two independent spectral routes; audit_triple drives that comparison over
-a randomized sample and can localize a corrupted octic coefficient.
+Every evaluator broadcasts over arrays of field points, and scalar inputs
+stay Python floats. Every factor is cross-checked against eigenvalue
+products computed by two independent spectral routes; audit_triple drives
+that comparison over a randomized sample, one array pass per section, and
+can localize a corrupted octic coefficient.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .hamiltonian import build_hamiltonian
 from .model import (FieldConfiguration, MoleculeParameters, ScaledParameters,
                     scale_parameters)
-from .spectrum import analytic_spectrum, numeric_eigenvalues
+from .spectrum import analytic_spectrum, numeric_levels, numeric_levels_along_b
 
 # Leading constant of the pure-power factor f0 = F0_CONSTANT * b_tilde^8.
 F0_CONSTANT = 81.0 / (2 ** 10 * 5 ** 56)
@@ -45,24 +47,34 @@ LOCALIZE_CONSISTENCY_TOL = 0.05
 G_NAMES = ("g0", "g2", "g4", "g6", "g8", "g10", "g12", "g14", "g16")
 
 
-def relative_spread(values, floor: float = REL_FLOOR) -> float:
-    """Largest pairwise difference over the largest magnitude, floored."""
-    top = max(abs(v) for v in values)
-    if top <= floor:
-        return 0.0
-    return (max(values) - min(values)) / top
+def _horner(coeffs, x):
+    """Ascending coefficients, indexed along the first axis, at x."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
-def eval_f0_tilde(b_tilde: float) -> float:
+def relative_spread(values, floor: float = REL_FLOOR):
+    """Largest pairwise difference over the largest magnitude across the
+    first axis of values; 0 where that magnitude is at most floor."""
+    v = np.asarray(values, dtype=float)
+    top = np.abs(v).max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(top <= floor, 0.0, (v.max(axis=0) - v.min(axis=0)) / top)
+
+
+def eval_f0_tilde(b_tilde):
     """Pure-power discriminant factor, 81/(2^10 5^56) times b_tilde^8."""
     return F0_CONSTANT * b_tilde ** 8
 
 
-def f1_quartic_coefficients(e_tilde: float, delta_tilde: float,
-                            theta: float) -> tuple:
+def f1_quartic_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     """Monic-quartic coefficients (c0, c2, c4, c6) of f1/81 in x = b_tilde^2."""
-    c2t = math.cos(2.0 * theta)
-    c4t = math.cos(4.0 * theta)
+    # math.cos keeps scalar callers on Python floats, which are faster
+    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
+    c2t = cos(2.0 * theta)
+    c4t = cos(4.0 * theta)
     e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
     c6 = -20.0 / 9.0 * d2 - 4.0 * e2 * c2t
@@ -74,32 +86,39 @@ def f1_quartic_coefficients(e_tilde: float, delta_tilde: float,
     return c0, c2, c4, c6
 
 
-def eval_f1_tilde(b_tilde: float, e_tilde: float, delta_tilde: float,
-                  theta: float) -> float:
-    """Quartic discriminant factor f1 at x = b_tilde^2.
-
-    Equal to 10^8 det H; see determinant_identity_check for the live
-    comparison of that identity along two more routes.
-    """
+def eval_f1_tilde(b_tilde, e_tilde, delta_tilde, theta):
+    """Quartic discriminant factor f1 at x = b_tilde^2, equal to 10^8 det H."""
     c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
     x = b_tilde * b_tilde
     return 81.0 * ((((x + c6) * x + c4) * x + c2) * x + c0)
 
 
-def g_coefficients(e_tilde: float, delta_tilde: float, theta: float,
-                   fault=None) -> tuple:
+def _faulted(table: tuple, fault) -> tuple:
+    """The octic table with a (name, factor) fault applied, if any."""
+    if fault is None:
+        return table
+    name, factor = fault
+    if name not in G_NAMES:
+        raise ValueError(f"unknown octic coefficient {name!r}")
+    k = G_NAMES.index(name)
+    return table[:k] + (table[k] * float(factor),) + table[k + 1:]
+
+
+def g_coefficients(e_tilde, delta_tilde, theta, fault=None) -> tuple:
     """Coefficients (g0, g2, ..., g16) of the octic factor f2 in x = b_tilde^2.
 
     The name gk carries the degree in b_tilde, so gk multiplies x^(k/2).
-    `fault` is an audit hook: a (name, factor) pair multiplies the named
-    coefficient, letting the self-test machinery inject a known corruption.
+    Each entry has the broadcast shape of the inputs. `fault` is an audit
+    hook: a (name, factor) pair multiplies the named coefficient, letting
+    the self-test machinery inject a known corruption.
     """
-    c = math.cos(theta)
-    c2 = math.cos(2.0 * theta)
-    c4 = math.cos(4.0 * theta)
-    c6 = math.cos(6.0 * theta)
-    c8 = math.cos(8.0 * theta)
-    c10 = math.cos(10.0 * theta)
+    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
+    c = cos(theta)
+    c2 = cos(2.0 * theta)
+    c4 = cos(4.0 * theta)
+    c6 = cos(6.0 * theta)
+    c8 = cos(8.0 * theta)
+    c10 = cos(10.0 * theta)
     E = e_tilde
     D = delta_tilde
     g16 = 8192 * (D**4 + 5 * (1 + c2) * D**2 * E**2 + 9 * c**4 * E**4)
@@ -145,28 +164,16 @@ def g_coefficients(e_tilde: float, delta_tilde: float, theta: float,
                        + 4 * D**2 * E**4 * (-118 - 655 * c2 + 183 * c4)) * E**12
     g0 = 4096 * E**16 * (D**2 + 9 * E**2) * c**2 * (5 * D**2 + E**2
                                                     + (-3 * D**2 + E**2) * c2)
-    table = [g0, g2, g4, g6, g8, g10, g12, g14, g16]
-    if fault is not None:
-        name, factor = fault
-        if name not in G_NAMES:
-            raise ValueError(f"unknown octic coefficient {name!r}")
-        table[G_NAMES.index(name)] *= float(factor)
-    return tuple(float(g) for g in table)
+    return _faulted((g0, g2, g4, g6, g8, g10, g12, g14, g16), fault)
 
 
-def eval_f2_tilde(b_tilde: float, e_tilde: float, delta_tilde: float,
-                  theta: float, fault=None) -> float:
+def eval_f2_tilde(b_tilde, e_tilde, delta_tilde, theta, fault=None):
     """Octic discriminant factor f2 at x = b_tilde^2 (enters squared)."""
-    gs = g_coefficients(e_tilde, delta_tilde, theta, fault=fault)
-    x = b_tilde * b_tilde
-    acc = 0.0
-    for g in reversed(gs):
-        acc = acc * x + g
-    return acc
+    return _horner(g_coefficients(e_tilde, delta_tilde, theta, fault=fault),
+                   b_tilde * b_tilde)
 
 
-def f2_magnitude_tilde(b_tilde: float, e_tilde: float, delta_tilde: float,
-                       theta: float, fault=None) -> float:
+def f2_magnitude_tilde(b_tilde, e_tilde, delta_tilde, theta, fault=None):
     """Sum of absolute octic terms at x = b_tilde^2, the cancellation scale.
 
     Near a root of f2 the signed value cancels to far below its largest
@@ -174,14 +181,19 @@ def f2_magnitude_tilde(b_tilde: float, e_tilde: float, delta_tilde: float,
     rather than against the signed value.
     """
     gs = g_coefficients(e_tilde, delta_tilde, theta, fault=fault)
+    return _horner([abs(g) for g in gs], b_tilde * b_tilde)
+
+
+def _form_error(closed, b_tilde, e_tilde, delta_tilde, theta, fault):
+    """|eval_f2_tilde with the fault - closed| over the clean
+    f2_magnitude_tilde, both from one coefficient table."""
+    clean = g_coefficients(e_tilde, delta_tilde, theta)
     x = b_tilde * b_tilde
-    acc = 0.0
-    for g in reversed(gs):
-        acc = acc * x + abs(g)
-    return acc
+    scale = np.maximum(_horner([abs(g) for g in clean], x), REL_FLOOR)
+    return np.abs(_horner(_faulted(clean, fault), x) - closed) / scale
 
 
-def f2_zero_field_tilde(b_tilde: float, delta_tilde: float) -> float:
+def f2_zero_field_tilde(b_tilde, delta_tilde):
     """Closed form of f2 at zero electric field:
     512 x^4 d^4 (4x^2 - 5x d^2 + d^4)^2 with x = b_tilde^2."""
     x = b_tilde * b_tilde
@@ -190,24 +202,38 @@ def f2_zero_field_tilde(b_tilde: float, delta_tilde: float) -> float:
     return 512.0 * x ** 4 * d2 * d2 * quad * quad
 
 
-def f2_parallel_tilde(b_tilde: float, e_tilde: float, delta_tilde: float) -> float:
+def _special_angle_quartics(e_tilde, delta_tilde) -> tuple:
+    """Ascending coefficients, along the first axis, of the quartics in x
+    behind f2 at the special angles: (parallel, perpendicular).
+
+    At parallel or antiparallel fields f2 is 512 (d^4 + 10 d^2 e^2 + 9 e^4)
+    times the square of the first; at perpendicular fields the second is
+    its one unsquared factor.
+    """
+    e2 = e_tilde * e_tilde
+    d2 = delta_tilde * delta_tilde
+    return tuple(np.stack(np.broadcast_arrays(*coeffs)) for coeffs in (
+        (4.0 * e2 ** 4, -5.0 * e2 * e2 * (d2 + 5.0 * e2),
+         d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2, -5.0 * (d2 + 5.0 * e2), 4.0),
+        (e2 ** 4, e2 * e2 * (d2 + 4.0 * e2),
+         d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2, -2.0 * (d2 - 2.0 * e2), 1.0)))
+
+
+def f2_parallel_tilde(b_tilde, e_tilde, delta_tilde):
     """Closed form of f2 for parallel or antiparallel fields.
 
     The octic collapses to a constant times a perfect square of a quartic
     in x: every crossing at these angles is exact, none is avoided.
     """
-    x = b_tilde * b_tilde
     e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
     front = d2 * d2 + 10.0 * d2 * e2 + 9.0 * e2 * e2
-    quart = (4.0 * x ** 4 - 5.0 * (d2 + 5.0 * e2) * x ** 3
-             + (d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2) * x * x
-             - 5.0 * e2 * e2 * (d2 + 5.0 * e2) * x + 4.0 * e2 ** 4)
+    quart = _horner(_special_angle_quartics(e_tilde, delta_tilde)[0],
+                    b_tilde * b_tilde)
     return 512.0 * front * quart * quart
 
 
-def f2_perpendicular_tilde(b_tilde: float, e_tilde: float,
-                           delta_tilde: float) -> float:
+def f2_perpendicular_tilde(b_tilde, e_tilde, delta_tilde):
     """Closed form of f2 for perpendicular fields.
 
     Two squared factors carry exact crossings; the final quartic factor is
@@ -215,73 +241,19 @@ def f2_perpendicular_tilde(b_tilde: float, e_tilde: float,
     behavior differs from every other special geometry.
     """
     x = b_tilde * b_tilde
-    e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
-    lin = -4.0 * x + d2 + 8.0 * e2
-    quart = (x ** 4 - 2.0 * (d2 - 2.0 * e2) * x ** 3
-             + (d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2) * x * x
-             + e2 * e2 * (d2 + 4.0 * e2) * x + e2 ** 4)
+    lin = -4.0 * x + d2 + 8.0 * (e_tilde * e_tilde)
+    quart = _horner(_special_angle_quartics(e_tilde, delta_tilde)[1], x)
     return 512.0 * x * x * d2 * d2 * lin * lin * quart
 
 
-def discriminant_from_eigenvalues(lambdas) -> float:
-    """Product of squared differences over all level pairs."""
-    vals = list(lambdas)
-    acc = 1.0
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            diff = vals[i] - vals[j]
-            acc *= diff * diff
-    return acc
-
-
-@dataclass(frozen=True)
-class DiscriminantFactors:
-    """The three closed-form factors and their product f0 * f1 * f2^2."""
-
-    f0: float
-    f1: float
-    f2: float
-    product: float
-
-
-def evaluate_factors(p: ScaledParameters, fault=None) -> DiscriminantFactors:
-    """All discriminant factors at one scaled configuration."""
-    f0 = eval_f0_tilde(p.b_tilde)
-    f1 = eval_f1_tilde(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
-    f2 = eval_f2_tilde(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta, fault=fault)
-    return DiscriminantFactors(f0=f0, f1=f1, f2=f2, product=f0 * f1 * f2 * f2)
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Three routes to the same quantity 10^8 det H.
-
-    f1_value      the closed-form quartic factor
-    det_value     10^8 times LAPACK's determinant
-    pair_product  5^8 times the squared product of the four differences
-                  between mirror levels (1,8), (2,7), (3,6), (4,5)
-    """
-
-    f1_value: float
-    det_value: float
-    pair_product: float
-    max_rel_error: float
-
-
-def determinant_identity_check(p: ScaledParameters, lambdas) -> IdentityReport:
-    """Evaluate the determinant identity for f1 along all three routes.
-
-    `lambdas` is the closed-form spectrum at p, descending.
-    """
-    f1_value = eval_f1_tilde(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
-    det_value = 1e8 * float(np.linalg.det(build_hamiltonian(p)))
-    diffs = ((lambdas[0] - lambdas[7]) * (lambdas[1] - lambdas[6])
-             * (lambdas[2] - lambdas[5]) * (lambdas[3] - lambdas[4]))
-    pair_product = 5.0 ** 8 * diffs * diffs
-    spread = relative_spread([f1_value, det_value, pair_product])
-    return IdentityReport(f1_value=f1_value, det_value=det_value,
-                          pair_product=pair_product, max_rel_error=spread)
+def discriminant_from_eigenvalues(lambdas):
+    """Product of squared differences over all level pairs along the last
+    axis, multiplied in the order (0, 1), (0, 2), ..., (6, 7)."""
+    v = np.asarray(lambdas, dtype=float)
+    i, j = np.triu_indices(v.shape[-1], k=1)
+    diff = v[..., i] - v[..., j]
+    return np.multiply.reduce(diff * diff, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -311,10 +283,7 @@ class AuditReport:
     passed: bool
 
     def section(self, name: str) -> AuditSection:
-        for sec in self.sections:
-            if sec.name == name:
-                return sec
-        raise KeyError(name)
+        return {sec.name: sec for sec in self.sections}[name]
 
 
 def _localize_fault(p: ScaledParameters, fault) -> tuple:
@@ -330,30 +299,35 @@ def _localize_fault(p: ScaledParameters, fault) -> tuple:
     """
     e, d, th = p.e_tilde, p.delta_tilde, p.theta
     x_center = max(p.b_tilde * p.b_tilde, 1e-3 * d * d)
-    nodes = [x_center * 2.0 ** ((k - 4) / 4.0) for k in range(9)]
-    resid = []
-    for x in nodes:
-        bt = math.sqrt(x)
-        q = p.with_b_tilde(bt)
-        lam = numeric_eigenvalues(q).lambdas
-        d_total = discriminant_from_eigenvalues(lam)
-        denom = eval_f0_tilde(bt) * eval_f1_tilde(bt, e, d, th)
-        mag = abs(d_total / denom) if denom != 0.0 else 0.0
-        used = eval_f2_tilde(bt, e, d, th, fault=fault)
-        sign = 1.0 if used >= 0.0 else -1.0
-        resid.append(used - sign * math.sqrt(mag))
+    nodes = np.array([x_center * 2.0 ** ((k - 4) / 4.0) for k in range(9)])
+    bt = np.sqrt(nodes)
+    levels = numeric_levels_along_b(build_hamiltonian(p.with_b_tilde(0.0)), bt)
+    d_total = discriminant_from_eigenvalues(levels)
+    denom = eval_f0_tilde(bt) * eval_f1_tilde(bt, e, d, th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = np.where(denom != 0.0, np.abs(d_total / denom), 0.0)
+    used = eval_f2_tilde(bt, e, d, th, fault=fault)
+    resid = used - np.where(used >= 0.0, 1.0, -1.0) * np.sqrt(mag)
     resid_scale = float(np.median(np.abs(resid)))
-    scores = {}
-    for k, name in enumerate(G_NAMES):
-        powers = np.array([x ** k for x in nodes])
-        amps = np.array(resid) / powers
-        a_star = float(np.median(amps))
-        miss = np.abs(np.array(resid) - a_star * powers)
-        scores[name] = float(np.median(miss) / max(resid_scale, REL_FLOOR))
+    powers = nodes ** np.arange(len(G_NAMES))[:, None]  # row k: x^k at each node
+    amps = np.median(resid / powers, axis=1, keepdims=True)
+    miss = np.median(np.abs(resid - amps * powers), axis=1)
+    scores = dict(zip(G_NAMES, (miss / max(resid_scale, REL_FLOOR)).tolist()))
     best = min(scores.values())
     suspects = tuple(sorted(n for n, s in scores.items()
                             if s <= max(LOCALIZE_CONSISTENCY_TOL, best)))
     return suspects, scores
+
+
+def _columns(samples) -> tuple:
+    """The b_tilde, e_tilde and theta of ScaledParameters as arrays."""
+    return tuple(np.array([getattr(p, name) for p in samples])
+                 for name in ("b_tilde", "e_tilde", "theta"))
+
+
+def _section(name: str, rel, tolerance: float) -> AuditSection:
+    worst = float(np.max(rel))
+    return AuditSection(name, len(rel), worst, tolerance, worst <= tolerance)
 
 
 def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
@@ -369,90 +343,63 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
       special-angle-form    octic table vs the parallel and perpendicular
                             closed forms, same scale convention
 
-    On a failing section the fault localizer runs at the worst breaching
+    The first two sections share n_samples draws, the others take
+    max(1, n_samples // 5) each; every section is one array pass. On a
+    failing section the fault localizer runs at the worst breaching
     configuration and fills `suspects`.
     """
+    if n_samples < 1:
+        raise ValueError(f"audit samples must be at least 1, got {n_samples}")
     mol = molecule if molecule is not None else MoleculeParameters()
     rng = np.random.default_rng(seed)
-    sections = []
-    worst_cfg = None
-    worst_rel = -1.0
 
-    n_main = max(1, n_samples)
-    main = []
-    for _ in range(n_main):
-        cfg = FieldConfiguration(e_field=float(rng.uniform(0.0, 5e5)),
-                                 b_field=float(rng.uniform(0.0, 0.3)),
-                                 theta=float(rng.uniform(0.0, math.pi)))
-        main.append(scale_parameters(mol, cfg))
-    levels = analytic_spectrum([p.b_tilde for p in main],
-                               [p.e_tilde for p in main], main[0].delta_tilde,
-                               [p.theta for p in main])
-    triple_max = 0.0
-    det_max = 0.0
-    for p, lam_a in zip(main, levels.tolist()):
-        lam_n = numeric_eigenvalues(p).lambdas
-        d_analytic = discriminant_from_eigenvalues(lam_a)
-        d_numeric = discriminant_from_eigenvalues(lam_n)
-        d_closed = evaluate_factors(p, fault=fault).product
-        rel = relative_spread([d_analytic, d_numeric, d_closed])
-        if rel > triple_max:
-            triple_max = rel
-        if rel > worst_rel:
-            worst_rel = rel
-            worst_cfg = p
-        det_max = max(det_max,
-                      determinant_identity_check(p, lam_a).max_rel_error)
-    sections.append(AuditSection("triple-agreement", n_main, triple_max,
-                                 TRIPLE_TOL, triple_max <= TRIPLE_TOL))
-    sections.append(AuditSection("determinant-identity", n_main, det_max,
-                                 DET_IDENTITY_TOL, det_max <= DET_IDENTITY_TOL))
+    # (E, B, theta) rows, drawn in the order of one call per value
+    fields = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
+    main = [scale_parameters(mol, FieldConfiguration(*row)) for row in fields.tolist()]
+    b, e, th = _columns(main)
+    d = main[0].delta_tilde
+    h = np.stack([build_hamiltonian(p) for p in main])
+    lam = analytic_spectrum(b, e, d, th)
+    f1 = eval_f1_tilde(b, e, d, th)
+    f2 = eval_f2_tilde(b, e, d, th, fault=fault)
+    triple = relative_spread([discriminant_from_eigenvalues(lam),
+                              discriminant_from_eigenvalues(numeric_levels(h)),
+                              eval_f0_tilde(b) * f1 * f2 * f2])
+    # 5^8 times the squared product of the mirror-pair differences
+    # (1,8), (2,7), (3,6), (4,5) is 10^8 det H as well
+    mirror = np.multiply.reduce(lam[:, :4] - lam[:, 7:3:-1], axis=1)
+    identity = relative_spread([f1, 1e8 * np.linalg.det(h),
+                                5.0 ** 8 * mirror * mirror])
+    sections = [_section("triple-agreement", triple, TRIPLE_TOL),
+                _section("determinant-identity", identity, DET_IDENTITY_TOL)]
 
     n_side = max(1, n_samples // 5)
-    zero_max = 0.0
-    for _ in range(n_side):
-        cfg = FieldConfiguration(e_field=0.0,
-                                 b_field=float(rng.uniform(0.0, 0.3)),
-                                 theta=float(rng.uniform(0.0, math.pi)))
-        p = scale_parameters(mol, cfg)
-        table = eval_f2_tilde(p.b_tilde, 0.0, p.delta_tilde, p.theta, fault=fault)
-        closed = f2_zero_field_tilde(p.b_tilde, p.delta_tilde)
-        scale = f2_magnitude_tilde(p.b_tilde, 0.0, p.delta_tilde, p.theta)
-        rel = abs(table - closed) / max(scale, REL_FLOOR)
-        zero_max = max(zero_max, rel)
-    sections.append(AuditSection("zero-field-form", n_side, zero_max,
-                                 ZERO_FIELD_TOL, zero_max <= ZERO_FIELD_TOL))
+    fields = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
+    zero = [scale_parameters(mol, FieldConfiguration(0.0, *row))
+            for row in fields.tolist()]
+    b, _, th = _columns(zero)
+    sections.append(_section("zero-field-form", _form_error(
+        f2_zero_field_tilde(b, d), b, 0.0, d, th, fault), ZERO_FIELD_TOL))
 
-    special_max = 0.0
-    special_worst = None
+    special = []
     for _ in range(n_side):
-        th = float(rng.choice([0.0, math.pi / 2.0, math.pi]))
-        cfg = FieldConfiguration(e_field=float(rng.uniform(0.0, 5e5)),
-                                 b_field=float(rng.uniform(0.0, 0.3)),
-                                 theta=th)
-        p = scale_parameters(mol, cfg)
-        table = eval_f2_tilde(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta,
-                              fault=fault)
-        if th == math.pi / 2.0:
-            closed = f2_perpendicular_tilde(p.b_tilde, p.e_tilde, p.delta_tilde)
-        else:
-            closed = f2_parallel_tilde(p.b_tilde, p.e_tilde, p.delta_tilde)
-        scale = f2_magnitude_tilde(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
-        rel = abs(table - closed) / max(scale, REL_FLOOR)
-        if rel > special_max:
-            special_max = rel
-            special_worst = p
-    sections.append(AuditSection("special-angle-form", n_side, special_max,
-                                 SPECIAL_ANGLE_TOL, special_max <= SPECIAL_ANGLE_TOL))
+        angle = float(rng.choice([0.0, math.pi / 2.0, math.pi]))
+        row = rng.uniform((0.0, 0.0), (5e5, 0.3)).tolist() + [angle]
+        special.append(scale_parameters(mol, FieldConfiguration(*row)))
+    b, e, th = _columns(special)
+    closed = np.where(th == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
+                      f2_parallel_tilde(b, e, d))
+    special_rel = _form_error(closed, b, e, d, th, fault)
+    sections.append(_section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL))
 
     passed = all(sec.passed for sec in sections)
-    suspects: tuple = ()
-    scores: dict = {}
+    suspects, scores = (), {}
     if not passed:
-        target = worst_cfg
-        if sections[0].passed and special_worst is not None:
-            target = special_worst
-        if target is not None:
-            suspects, scores = _localize_fault(target, fault)
+        # the first worst sample; the special-angle one only when the main
+        # section passed and some special sample disagreed at all
+        target = main[int(np.argmax(triple))]
+        if sections[0].passed and special_rel.max() > 0.0:
+            target = special[int(np.argmax(special_rel))]
+        suspects, scores = _localize_fault(target, fault)
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)

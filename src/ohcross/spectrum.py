@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import QUARTIC_RESIDUAL_REL, ResidualError, solve_monic_quartics
-from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
+from .hamiltonian import ZEEMAN_DIAGONAL
 from .model import ScaledParameters
 
 # At a level crossing the quartic has a double root, which backward error
@@ -170,18 +170,16 @@ def analytic_eigenvalues(params: ScaledParameters) -> Spectrum:
     return Spectrum(lambdas=tuple(lams.tolist()), params=params)
 
 
-def numeric_levels(params: ScaledParameters) -> np.ndarray:
-    """The eight levels by LAPACK eigvalsh, descending, independent of the
-    closed form, as a bare array."""
-    return np.linalg.eigvalsh(build_hamiltonian(params))[::-1]
+def numeric_levels(h) -> np.ndarray:
+    """The levels of one matrix or a stack (..., 8, 8) by LAPACK eigvalsh,
+    descending along the last axis: the one numeric route, independent of
+    the closed form. A row of a stack equals the one-matrix call bit for
+    bit."""
+    return np.linalg.eigvalsh(h)[..., ::-1]
 
 
 def numeric_levels_along_b(h0, b_tilde) -> np.ndarray:
-    """numeric_levels, bit for bit, at an array of b_tilde >= 0 from h0 (the
-    matrix at b_tilde = 0) in one stacked eigvalsh call; shape (..., 8)."""
-    return np.linalg.eigvalsh(_along_b(h0, b_tilde))[..., ::-1]
-
-
-def numeric_eigenvalues(params: ScaledParameters) -> Spectrum:
-    """numeric_levels as a Spectrum, the oracle for analytic_eigenvalues."""
-    return Spectrum(lambdas=tuple(numeric_levels(params).tolist()), params=params)
+    """numeric_levels at an array of b_tilde >= 0 from h0 (the matrix at
+    b_tilde = 0), bit for bit as on build_hamiltonian's matrices; shape
+    (..., 8)."""
+    return numeric_levels(_along_b(h0, b_tilde))

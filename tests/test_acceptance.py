@@ -19,19 +19,20 @@ from ohcross.crossings import (b1_approx_tilde, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
                                f2_crossings, gap_lowest_pair, golden_min,
                                pair_gap, resolvent_analysis)
-from ohcross.discriminant import (determinant_identity_check,
-                                  discriminant_from_eigenvalues,
-                                  eval_f2_tilde, evaluate_factors,
+from ohcross.discriminant import (discriminant_from_eigenvalues,
+                                  eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
                                   f2_magnitude_tilde, f2_parallel_tilde,
                                   f2_perpendicular_tilde,
-                                  f2_zero_field_tilde)
+                                  f2_zero_field_tilde, relative_spread)
 from ohcross.fitting import best_shape_exponent, fit_power_law
 from ohcross.model import (DEFAULT_CONSTANTS, FieldConfiguration,
                            MoleculeParameters, ScaledParameters,
                            b_field_from_tilde, e_field_from_tilde,
                            scale_parameters)
-from ohcross.spectrum import analytic_eigenvalues, numeric_eigenvalues
+from ohcross.hamiltonian import build_hamiltonian
+from ohcross.spectrum import (analytic_eigenvalues, analytic_spectrum,
+                              numeric_levels)
 
 MOL = MoleculeParameters()
 D = scale_parameters(MOL, FieldConfiguration()).delta_tilde
@@ -56,7 +57,8 @@ def thousand_spectra():
         p = params_from_fields(float(rng.uniform(0.0, 5000.0)),
                                float(rng.uniform(0.0, 0.3)),
                                float(rng.uniform(0.0, math.pi)))
-        entries.append((p, analytic_eigenvalues(p), numeric_eigenvalues(p)))
+        entries.append((p, analytic_eigenvalues(p),
+                        numeric_levels(build_hamiltonian(p))))
     elapsed = time.monotonic() - start
     return entries, elapsed
 
@@ -94,8 +96,8 @@ def test_criterion_02_analytic_matches_iterative(thousand_spectra):
     entries, elapsed = thousand_spectra
     worst = 0.0
     for p, analytic, numeric in entries:
-        scale = max(1e-30, max(abs(v) for v in numeric.lambdas))
-        for a, n in zip(analytic.lambdas, numeric.lambdas):
+        scale = max(1e-30, max(abs(v) for v in numeric))
+        for a, n in zip(analytic.lambdas, numeric):
             worst = max(worst, abs(a - n) / scale)
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -128,20 +130,25 @@ def test_criterion_03_mirror_pairing_and_field_evenness(thousand_spectra):
 def test_criterion_04_discriminant_triple_agreement():
     rng = np.random.default_rng(4242)
     start = time.monotonic()
-    worst_product = 0.0
-    worst_identity = 0.0
-    for _ in range(1000):
-        p = ScaledParameters(b_tilde=float(rng.uniform(0.05, 15.0)),
-                             e_tilde=float(rng.uniform(0.05, 10.0)),
-                             delta_tilde=D,
-                             theta=float(rng.uniform(0.01, math.pi - 0.01)))
-        fac = evaluate_factors(p)
-        direct = discriminant_from_eigenvalues(numeric_eigenvalues(p).lambdas)
-        scale = max(abs(direct), abs(fac.product), 1e-30)
-        worst_product = max(worst_product, abs(direct - fac.product) / scale)
-        worst_identity = max(worst_identity,
-                             determinant_identity_check(
-                                 p, analytic_eigenvalues(p).lambdas).max_rel_error)
+    ps = [ScaledParameters(b_tilde=float(rng.uniform(0.05, 15.0)),
+                           e_tilde=float(rng.uniform(0.05, 10.0)),
+                           delta_tilde=D,
+                           theta=float(rng.uniform(0.01, math.pi - 0.01)))
+          for _ in range(1000)]
+    b, e, th = (np.array([getattr(p, name) for p in ps])
+                for name in ("b_tilde", "e_tilde", "theta"))
+    h = np.stack([build_hamiltonian(p) for p in ps])
+    f1 = eval_f1_tilde(b, e, D, th)
+    f2 = eval_f2_tilde(b, e, D, th)
+    product = eval_f0_tilde(b) * f1 * f2 * f2
+    direct = discriminant_from_eigenvalues(numeric_levels(h))
+    scale = np.maximum(np.maximum(np.abs(direct), np.abs(product)), 1e-30)
+    worst_product = float((np.abs(direct - product) / scale).max())
+    # f1 = 10^8 det H = 5^8 (product of the mirror-pair differences)^2
+    lam = analytic_spectrum(b, e, D, th)
+    mirror = np.prod(lam[:, :4] - lam[:, 7:3:-1], axis=1)
+    worst_identity = float(relative_spread(
+        [f1, 1e8 * np.linalg.det(h), 5.0 ** 8 * mirror * mirror]).max())
     elapsed = time.monotonic() - start
     assert worst_product <= 1e-6
     assert worst_identity <= 1e-8

@@ -15,8 +15,10 @@ from ohcross.model import (FieldConfiguration, MoleculeParameters,
 GHZ_PER_PERCM = 29.9792458
 
 # Stdout of these commands must match the files under tests/data byte for
-# byte: the README crossings and hamiltonian commands, the dump at negative
-# B, and catalogs at 3 kV/cm over the special angles and one generic angle.
+# byte: the README crossings, b1, gap and hamiltonian commands, the dump at
+# negative B, and catalogs at 3 kV/cm over the special angles and one
+# generic angle. The b1 and gap sweeps evaluate the scalar coefficient
+# functions once per point, so they also pin those paths' rounding.
 # When an output change is intended, rewrite the file with
 # `ohcross <command> > tests/data/<name>` and say why in CHANGES.md.
 GOLDEN = Path(__file__).parent / "data"
@@ -29,6 +31,9 @@ GOLDEN_COMMANDS = {
     "crossings_3kvcm_theta90.csv": "crossings --theta-deg 90 --e-vcm 3000",
     "crossings_3kvcm_theta180.csv": "crossings --theta-deg 180 --e-vcm 3000",
     "crossings_3kvcm_theta130.csv": "crossings --theta-deg 130 --e-vcm 3000",
+    "b1_readme.csv": "b1 --vs e --e-min 0 --e-max 500 --points 51 --theta-deg 60",
+    "gap_readme.csv":
+        "gap --vs theta --theta-min-deg 30 --theta-max-deg 90 --points 25 --e-vcm 1400",
 }
 
 
@@ -301,6 +306,13 @@ class TestAudit:
         assert "[FAIL] triple-agreement" in out
         assert "suspects: g6" in out
         assert out.strip().endswith("audit: FAIL")
+
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_rejects_sample_count_below_one(self, samples, capsys):
+        assert run(["audit", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "samples" in captured.err
 
 
 class TestPlot:

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from ohcross.discriminant import (F0_CONSTANT, AuditReport, G_NAMES,
-                                  audit_triple, determinant_identity_check,
-                                  discriminant_from_eigenvalues, eval_f0_tilde,
-                                  eval_f1_tilde, eval_f2_tilde,
-                                  evaluate_factors, f1_quartic_coefficients,
+                                  audit_triple, discriminant_from_eigenvalues,
+                                  eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
+                                  f1_quartic_coefficients,
                                   f2_magnitude_tilde, f2_parallel_tilde,
                                   f2_perpendicular_tilde, f2_zero_field_tilde,
                                   g_coefficients, relative_spread)
+from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, scale_parameters)
-from ohcross.spectrum import analytic_eigenvalues, numeric_eigenvalues
+from ohcross.spectrum import analytic_spectrum, numeric_levels
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -31,6 +31,29 @@ def random_params(rng):
                              b_field=float(rng.uniform(0.001, 0.3)),
                              theta=float(rng.uniform(0, math.pi)))
     return scale_parameters(MOL, cfg)
+
+
+def columns(ps):
+    """b_tilde, e_tilde, delta_tilde and theta of parameter sets as arrays."""
+    return tuple(np.array([getattr(p, name) for p in ps])
+                 for name in ("b_tilde", "e_tilde", "delta_tilde", "theta"))
+
+
+def identity_routes(ps):
+    """f1, 10^8 det H and 5^8 times the squared mirror-pair product of the
+    closed-form levels, one array entry per parameter set."""
+    b, e, d, th = columns(ps)
+    lam = analytic_spectrum(b, e, d, th)
+    mirror = np.prod(lam[:, :4] - lam[:, 7:3:-1], axis=1)
+    dets = np.linalg.det(np.stack([build_hamiltonian(p) for p in ps]))
+    return eval_f1_tilde(b, e, d, th), 1e8 * dets, 5.0 ** 8 * mirror * mirror
+
+
+def factored_discriminant(ps):
+    """f0 f1 f2^2 at each parameter set."""
+    b, e, d, th = columns(ps)
+    f2 = eval_f2_tilde(b, e, d, th)
+    return eval_f0_tilde(b) * eval_f1_tilde(b, e, d, th) * f2 * f2
 
 
 class TestF0:
@@ -84,16 +107,13 @@ class TestF1:
 
     def test_determinant_identity_on_random_configs(self):
         rng = np.random.default_rng(32)
-        for _ in range(120):
-            p = random_params(rng)
-            rep = determinant_identity_check(p, analytic_eigenvalues(p).lambdas)
-            assert rep.max_rel_error <= 1e-8
+        ps = [random_params(rng) for _ in range(120)]
+        assert relative_spread(identity_routes(ps)).max() <= 1e-8
 
-    def test_identity_report_routes_agree(self):
-        p = params(b_tilde=4.0, e_tilde=2.0)
-        rep = determinant_identity_check(p, analytic_eigenvalues(p).lambdas)
-        assert rep.f1_value == pytest.approx(rep.det_value, rel=1e-10)
-        assert rep.f1_value == pytest.approx(rep.pair_product, rel=1e-10)
+    def test_identity_routes_agree(self):
+        f1, det, pair = identity_routes([params(b_tilde=4.0, e_tilde=2.0)])
+        assert f1[0] == pytest.approx(det[0], rel=1e-10)
+        assert f1[0] == pytest.approx(pair[0], rel=1e-10)
 
 
 class TestGTable:
@@ -121,6 +141,33 @@ class TestGTable:
     def test_unknown_fault_name_rejected(self):
         with pytest.raises(ValueError):
             g_coefficients(1.0, D, 1.0, fault=("g7", 2.0))
+
+
+class TestBroadcasting:
+    def test_scalar_inputs_stay_python_floats(self):
+        # the resolvent and the catalog call these once per point
+        assert {type(c) for c in f1_quartic_coefficients(2.0, D, 1.1)} == {float}
+        assert {type(g) for g in g_coefficients(2.0, D, 1.1)} == {float}
+
+    def test_arrays_match_scalar_calls(self):
+        rng = np.random.default_rng(38)
+        b, e, th = (rng.uniform(0.0, hi, (5, 8)) for hi in (17.0, 8.4, math.pi))
+        f1 = eval_f1_tilde(b, e, D, th)
+        f2 = eval_f2_tilde(b, e, D, th)
+        mag = f2_magnitude_tilde(b, e, D, th)
+        assert f1.shape == f2.shape == mag.shape == (5, 8)
+        for args, got1, got2, scale in zip(
+                zip(b.ravel().tolist(), e.ravel().tolist(), th.ravel().tolist()),
+                f1.ravel(), f2.ravel(), mag.ravel()):
+            bk, ek, tk = args
+            c0, c2, c4, c6 = f1_quartic_coefficients(ek, D, tk)
+            x = bk * bk
+            f1_scale = 81.0 * (x ** 4 + abs(c6) * x ** 3 + abs(c4) * x * x
+                               + abs(c2) * x + abs(c0))
+            assert abs(got1 - eval_f1_tilde(bk, ek, D, tk)) <= 1e-13 * f1_scale
+            assert abs(got2 - eval_f2_tilde(bk, ek, D, tk)) <= 1e-13 * scale
+            assert scale == pytest.approx(f2_magnitude_tilde(bk, ek, D, tk),
+                                          rel=1e-13)
 
 
 class TestReducedForms:
@@ -165,18 +212,25 @@ class TestReducedForms:
 class TestTripleAgreement:
     def test_product_matches_eigenvalue_discriminant(self):
         rng = np.random.default_rng(36)
-        for _ in range(120):
-            p = random_params(rng)
-            fac = evaluate_factors(p)
-            lam = numeric_eigenvalues(p).lambdas
-            direct = discriminant_from_eigenvalues(lam)
-            assert fac.product == pytest.approx(direct, rel=1e-6)
+        ps = [random_params(rng) for _ in range(120)]
+        direct = discriminant_from_eigenvalues(
+            numeric_levels(np.stack([build_hamiltonian(p) for p in ps])))
+        np.testing.assert_allclose(factored_discriminant(ps), direct, rtol=1e-6)
 
-    def test_factor_fields_consistent(self):
-        p = params(b_tilde=3.0, e_tilde=1.5)
-        fac = evaluate_factors(p)
-        assert fac.product == pytest.approx(fac.f0 * fac.f1 * fac.f2 ** 2,
-                                            rel=1e-14)
+    def test_stack_equals_row_calls_bitwise(self):
+        rng = np.random.default_rng(37)
+        lam = np.sort(rng.normal(size=(200, 8)), axis=1)[:, ::-1]
+        stacked = discriminant_from_eigenvalues(lam)
+        assert stacked.shape == (200,)
+        for row, got in zip(lam.tolist(), stacked):
+            # the pairwise product on Python floats, in the documented order
+            want = 1.0
+            for i in range(8):
+                for j in range(i + 1, 8):
+                    diff = row[i] - row[j]
+                    want *= diff * diff
+            one = discriminant_from_eigenvalues(row)
+            assert one.tobytes() == got.tobytes() == np.float64(want).tobytes()
 
 
 class TestAudit:
@@ -193,38 +247,51 @@ class TestAudit:
             assert sec.max_rel_error <= sec.tolerance
 
     def test_batched_spectrum_keeps_sample_counts(self):
-        # The main sample is drawn in the same order as point by point and
-        # solved in one closed-form call that agrees with per-point calls.
+        # Each section's maximum equals an array recomputation from the
+        # public pieces on the same draws, taken in the same order.
         report = audit_triple(n_samples=20, seed=11)
         assert report.passed
         assert [s.samples for s in report.sections] == [20, 20, 4, 4]
         rng = np.random.default_rng(11)
-        worst = 0.0
-        for _ in range(20):
-            p = scale_parameters(MOL, FieldConfiguration(
-                e_field=float(rng.uniform(0.0, 5e5)),
-                b_field=float(rng.uniform(0.0, 0.3)),
-                theta=float(rng.uniform(0.0, math.pi))))
-            worst = max(worst, relative_spread([
-                discriminant_from_eigenvalues(analytic_eigenvalues(p).lambdas),
-                discriminant_from_eigenvalues(numeric_eigenvalues(p).lambdas),
-                evaluate_factors(p).product]))
-        assert report.section("triple-agreement").max_rel_error == worst
+
+        def draw(e_field, theta):
+            return scale_parameters(MOL, FieldConfiguration(
+                e_field=e_field(), b_field=float(rng.uniform(0.0, 0.3)),
+                theta=theta()))
+
+        def uniform(hi):
+            return lambda: float(rng.uniform(0.0, hi))
+
+        main = [draw(uniform(5e5), uniform(math.pi)) for _ in range(20)]
+        zero = [draw(lambda: 0.0, uniform(math.pi)) for _ in range(4)]
+        special = []
+        for _ in range(4):
+            angle = float(rng.choice([0.0, math.pi / 2.0, math.pi]))
+            special.append(draw(uniform(5e5), lambda: angle))
+
+        b, e, d, th = columns(main)
+        triple = relative_spread([
+            discriminant_from_eigenvalues(analytic_spectrum(b, e, d, th)),
+            discriminant_from_eigenvalues(
+                numeric_levels(np.stack([build_hamiltonian(p) for p in main]))),
+            factored_discriminant(main)])
+        b, e, d, th = columns(zero)
+        zero_rel = (np.abs(eval_f2_tilde(b, e, d, th) - f2_zero_field_tilde(b, d))
+                    / f2_magnitude_tilde(b, e, d, th))
+        b, e, d, th = columns(special)
+        closed = np.where(th == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
+                          f2_parallel_tilde(b, e, d))
+        special_rel = (np.abs(eval_f2_tilde(b, e, d, th) - closed)
+                       / f2_magnitude_tilde(b, e, d, th))
+        want = [triple.max(), relative_spread(identity_routes(main)).max(),
+                zero_rel.max(), special_rel.max()]
+        assert [s.max_rel_error for s in report.sections] == want
 
     @pytest.mark.parametrize("seed", [475, 1506, 1608, 2100])
     def test_closed_form_spectrum_passes_audit(self, seed):
         # seeds whose samples once breached the triple-agreement or
         # determinant-identity tolerance through the closed-form spectrum
         assert audit_triple(n_samples=20, seed=seed).passed
-
-    def test_identity_check_uses_given_spectrum(self):
-        p = params(b_tilde=4.0, e_tilde=2.0)
-        lam = analytic_eigenvalues(p).lambdas
-        rep = determinant_identity_check(p, lam)
-        assert rep.max_rel_error <= 1e-10
-        bad = determinant_identity_check(p, (1.01 * lam[0],) + tuple(lam[1:]))
-        assert (bad.f1_value, bad.det_value) == (rep.f1_value, rep.det_value)
-        assert bad.max_rel_error > 1e-3
 
     def test_section_lookup(self):
         report = audit_triple(n_samples=60, seed=7)

@@ -37,3 +37,28 @@ def test_all_is_what_readme_and_demos_import():
 def test_every_exported_name_resolves():
     for name in ohcross.__all__:
         assert getattr(ohcross, name) is not None
+
+
+def linalg_calls(name):
+    """(module, enclosing function) of every `np.linalg.<name>(` call in
+    src/ohcross."""
+    found = []
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func)
+                        == f"np.linalg.{name}"):
+                    found.append((path.stem, func.name))
+    return found
+
+
+def test_one_numeric_route_per_role():
+    # LAPACK eigvalsh is the production numeric spectrum and the oracle for
+    # the closed form, in one place; the determinant is an audit oracle.
+    text = "".join(p.read_text() for p in (ROOT / "src" / "ohcross").glob("*.py"))
+    assert text.count("np.linalg.eigvalsh(") == 1
+    assert linalg_calls("eigvalsh") == [("spectrum", "numeric_levels")]
+    assert {module for module, _ in linalg_calls("det")} == {"discriminant"}

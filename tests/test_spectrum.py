@@ -12,7 +12,6 @@ from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            scale_parameters)
 from ohcross.spectrum import (HermiticityViolationError, analytic_eigenvalues,
                               analytic_spectrum, lambda_squared_rows,
-                              numeric_eigenvalues,
                               numeric_levels, numeric_levels_along_b,
                               shifted_quartic_coefficients)
 
@@ -141,7 +140,7 @@ class TestAnalyticSpectrum:
         for _ in range(150):
             p = random_params(rng)
             a = analytic_eigenvalues(p).lambdas
-            n = numeric_eigenvalues(p).lambdas
+            n = numeric_levels(build_hamiltonian(p))
             scale = max(abs(v) for v in n)
             for x, y in zip(a, n):
                 assert abs(x - y) <= 1e-9 * scale
@@ -234,7 +233,7 @@ class TestAnalyticSpectrum:
         want = [2 * d / 5, d / 5, d / 5, 0.0, 0.0, -d / 5, -d / 5, -2 * d / 5]
         for got, expect in zip(analytic_eigenvalues(p).lambdas, want):
             assert got == pytest.approx(expect, abs=2e-7)
-        for got, expect in zip(numeric_eigenvalues(p).lambdas, want):
+        for got, expect in zip(numeric_levels(build_hamiltonian(p)), want):
             assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -365,7 +364,7 @@ class TestNumericOracle:
 
     def check(self, p):
         want = self.mp_levels(p)
-        got = np.array(numeric_eigenvalues(p).lambdas)
+        got = numeric_levels(build_hamiltonian(p))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("e_vcm, b_tesla, theta_deg", HARD_POINTS)
@@ -390,7 +389,7 @@ class TestLevelsAlongB:
             rows = numeric_levels_along_b(h0, bs)
             assert rows.shape == (41, 8)
             for b, row in zip(bs, rows):
-                want = numeric_levels(p.with_b_tilde(float(b)))
+                want = numeric_levels(build_hamiltonian(p.with_b_tilde(float(b))))
                 assert row.tobytes() == want.tobytes()
 
     def test_scalar_field_gives_one_row(self):
@@ -398,4 +397,12 @@ class TestLevelsAlongB:
         h0 = build_hamiltonian(p.with_b_tilde(0.0))
         got = numeric_levels_along_b(h0, 1.3)
         assert got.shape == (8,)
-        assert got.tobytes() == numeric_levels(p).tobytes()
+        assert got.tobytes() == numeric_levels(build_hamiltonian(p)).tobytes()
+
+    def test_stack_rows_equal_one_matrix_calls_bitwise(self):
+        rng = np.random.default_rng(13)
+        h = np.stack([build_hamiltonian(random_params(rng)) for _ in range(30)])
+        rows = numeric_levels(h.reshape(5, 6, 8, 8))
+        assert rows.shape == (5, 6, 8)
+        for row, one in zip(rows.reshape(30, 8), h):
+            assert row.tobytes() == numeric_levels(one).tobytes()
