@@ -31,14 +31,14 @@ from .crossings import (CrossingError, b1_approx_tilde, b1_exact_tilde,
 from .discriminant import audit_triple
 from .fitting import FIT_MODELS, FitError, fit_power_law
 from .hamiltonian import build_hamiltonian, format_matrix
-from .model import (DEFAULT_CONSTANTS, ConfigError, EnergyUnit,
-                    FieldConfiguration, MoleculeParameters, b_field_from_tilde,
-                    b_tilde_from_field, convert_energy, molecule_from_config,
-                    scale_parameters)
+from .model import (DEBYE, GHZ_PER_INVERSE_CM, ConfigError, FieldConfiguration,
+                    MoleculeParameters, b_field_from_tilde, b_tilde_from_field,
+                    molecule_from_config, scale_parameters)
 from .plotting import PlotError, render_line_plot
 from .spectrum import SpectrumError, analytic_spectrum
 
-_UNIT_BY_FLAG = {"percm": EnergyUnit.INVERSE_CM, "ghz": EnergyUnit.GHZ}
+# GHz per output unit: energies print as internal GHz divided by this.
+_GHZ_PER_UNIT = {"percm": GHZ_PER_INVERSE_CM, "ghz": 1.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +84,7 @@ def _molecule(args) -> MoleculeParameters:
 def _molecule_provenance(mol: MoleculeParameters) -> dict:
     return {
         "delta_ghz": mol.lambda_doubling / (2.0 * math.pi * 1e9),
-        "mu_e_debye": mol.electric_dipole / DEFAULT_CONSTANTS.debye,
+        "mu_e_debye": mol.electric_dipole / DEBYE,
     }
 
 
@@ -110,9 +110,15 @@ def _theta_range(args) -> tuple:
     return float(rad[0]), float(rad[1])
 
 
-def _check_sweep(lo: float, hi: float, points: int) -> None:
+def _check_sweep(lo, hi, points: int, bounds: str) -> None:
+    """Reject a missing, unordered or non-finite sweep range, or too few
+    points; `bounds` names the bound options in the messages."""
+    if lo is None or hi is None:
+        raise ValueError(f"sweep needs both {bounds}")
     if not lo < hi:
         raise ValueError("sweep range must satisfy min < max")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{bounds} must be finite")
     if points < 2:
         raise ValueError("sweep needs at least 2 points")
 
@@ -146,15 +152,14 @@ def _read_data(path) -> tuple:
 def _cmd_spectrum(args) -> int:
     mol = _molecule(args)
     theta = _theta(args)
-    _check_sweep(args.b_min, args.b_max, args.points)
-    unit = _UNIT_BY_FLAG[args.unit]
+    _check_sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
     b = np.linspace(args.b_min, args.b_max, args.points)
     p = scale_parameters(mol, FieldConfiguration(
         e_field=args.e_vcm * 100.0, theta=theta))
     lams = analytic_spectrum(b_tilde_from_field(b), p.e_tilde,
                              p.delta_tilde, theta)
     rows = np.column_stack(
-        [b, convert_energy(lams, EnergyUnit.GHZ, unit)]).tolist()
+        [b, lams / _GHZ_PER_UNIT[args.unit]]).tolist()
     provenance = {
         "b_min_tesla": float(args.b_min), "b_max_tesla": float(args.b_max),
         "points": args.points, "e_vcm": float(args.e_vcm),
@@ -169,12 +174,11 @@ def _cmd_spectrum(args) -> int:
 def _cmd_crossings(args) -> int:
     mol = _molecule(args)
     theta = _theta(args)
-    unit = _UNIT_BY_FLAG[args.unit]
     p = scale_parameters(mol, FieldConfiguration(
         e_field=args.e_vcm * 100.0, b_field=0.0, theta=theta))
     records = crossing_catalog(p, include_mirror=args.include_mirror)
     rows = [[rec.b_location, rec.kind, f"{rec.pair[0]}-{rec.pair[1]}",
-             convert_energy(rec.gap, EnergyUnit.GHZ, unit), rec.source]
+             rec.gap / _GHZ_PER_UNIT[args.unit], rec.source]
             for rec in records]
     provenance = {
         "e_vcm": float(args.e_vcm), "theta_rad": theta,
@@ -189,7 +193,7 @@ def _cmd_crossings(args) -> int:
 def _sweep_rows(args, mol, value_fn):
     """Rows of (sweep value, value_fn outputs) for b1 and gap sweeps."""
     if args.vs == "e":
-        _check_sweep(args.e_min, args.e_max, args.points)
+        _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
         theta = _theta(args)
         rows = []
         for e_vcm in np.linspace(args.e_min, args.e_max, args.points):
@@ -203,7 +207,7 @@ def _sweep_rows(args, mol, value_fn):
         }
         return "e_vcm", rows, provenance
     lo, hi = _theta_range(args)
-    _check_sweep(lo, hi, args.points)
+    _check_sweep(lo, hi, args.points, "the theta bounds")
     rows = []
     for theta in np.linspace(lo, hi, args.points):
         p = scale_parameters(mol, FieldConfiguration(
@@ -233,12 +237,12 @@ def _cmd_b1(args) -> int:
 
 def _cmd_gap(args) -> int:
     mol = _molecule(args)
-    unit = _UNIT_BY_FLAG[args.unit]
+    ghz_per_unit = _GHZ_PER_UNIT[args.unit]
 
     def measure(p) -> list:
         bt1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
         gap = gap_lowest_pair(p.with_b_tilde(bt1))
-        return [convert_energy(gap, EnergyUnit.GHZ, unit)]
+        return [gap / ghz_per_unit]
 
     x_name, rows, provenance = _sweep_rows(args, mol, measure)
     provenance["unit"] = args.unit

@@ -91,33 +91,13 @@ def fit_power_law(x, y, model: str, window=None) -> FitResult:
                      window=(float(xs.min()), float(xs.max())))
 
 
-def shape_rms_relative(y, model_values) -> float:
-    """Relative RMS misfit after least-squares amplitude scaling.
-
-    The model is scaled by the amplitude that minimizes the squared
-    residual, then the residual is measured relative to the data point by
-    point. Overweights regions where y is small.
-    """
-    ys = np.asarray(y, dtype=float)
-    ms = np.asarray(model_values, dtype=float)
-    if ys.shape != ms.shape or ys.ndim != 1:
-        raise FitError("data and model shapes must match")
-    denom = float(np.dot(ms, ms))
-    if denom == 0.0:
-        raise FitError("model values are identically zero")
-    amp = float(np.dot(ys, ms)) / denom
-    if np.any(ys == 0.0):
-        raise NonPositiveDataError("relative RMS undefined at zero data values")
-    return float(np.sqrt(np.mean(((ys - amp * ms) / ys) ** 2)))
-
-
 def shape_rms_scaled(y, model_values) -> float:
     """Absolute RMS misfit after amplitude scaling, normalized by the peak.
 
-    The uniform-weight counterpart of shape_rms_relative: every point
-    counts the same, so the large-gap region near the peak dominates.
-    This is the metric used for shape contests between candidate
-    exponents, where the relative version would overweight the tails.
+    Every point counts the same, so the large-gap region near the peak
+    dominates. This is the metric used for shape contests between
+    candidate exponents; a misfit relative to each data point would
+    overweight the tails, where the gap is small.
     """
     ys = np.asarray(y, dtype=float)
     ms = np.asarray(model_values, dtype=float)

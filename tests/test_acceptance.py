@@ -26,7 +26,7 @@ from ohcross.discriminant import (discriminant_from_eigenvalues,
                                   f2_perpendicular_tilde,
                                   f2_zero_field_tilde, relative_spread)
 from ohcross.fitting import best_shape_exponent, fit_power_law
-from ohcross.model import (DEFAULT_CONSTANTS, FieldConfiguration,
+from ohcross.model import (BOHR_MAGNETON, REDUCED_PLANCK, FieldConfiguration,
                            MoleculeParameters, ScaledParameters,
                            b_field_from_tilde, e_field_from_tilde,
                            scale_parameters)
@@ -66,8 +66,8 @@ def thousand_spectra():
 def test_criterion_01_zero_field_crossing_location():
     start = time.monotonic()
     # route 1: closed form from the raw constants
-    closed = (5.0 * DEFAULT_CONSTANTS.reduced_planck * MOL.lambda_doubling
-              / (12.0 * DEFAULT_CONSTANTS.bohr_magneton))
+    closed = (5.0 * REDUCED_PLANCK * MOL.lambda_doubling
+              / (12.0 * BOHR_MAGNETON))
     # route 2: smallest positive root of the quartic factor at E = 0
     quart = tuple(f1_quartic_coefficients(0.0, D, 0.9)) + (1.0,)
     # both roots are double at E = 0, so allow the sqrt(eps) imaginary split

@@ -18,7 +18,9 @@ GHZ_PER_PERCM = 29.9792458
 # byte: the README crossings, b1, gap and hamiltonian commands, the dump at
 # negative B, and catalogs at 3 kV/cm over the special angles and one
 # generic angle. The b1 and gap sweeps evaluate the scalar coefficient
-# functions once per point, so they also pin those paths' rounding.
+# functions once per point, so they also pin those paths' rounding. The
+# `--unit ghz` variants pin the unit table, and the spectrum sweep pins the
+# `--config` path on tests/data/mol.json (commands run in tests/data).
 # When an output change is intended, rewrite the file with
 # `ohcross <command> > tests/data/<name>` and say why in CHANGES.md.
 GOLDEN = Path(__file__).parent / "data"
@@ -34,6 +36,13 @@ GOLDEN_COMMANDS = {
     "b1_readme.csv": "b1 --vs e --e-min 0 --e-max 500 --points 51 --theta-deg 60",
     "gap_readme.csv":
         "gap --vs theta --theta-min-deg 30 --theta-max-deg 90 --points 25 --e-vcm 1400",
+    "crossings_readme_ghz.csv": "crossings --theta-deg 60 --e-vcm 1000 --unit ghz",
+    "gap_readme_ghz.csv":
+        "gap --vs theta --theta-min-deg 30 --theta-max-deg 90 --points 25 "
+        "--e-vcm 1400 --unit ghz",
+    "spectrum_config.csv":
+        "spectrum --e-vcm 1000 --theta-deg 60 --b-max 0.3 --points 31 "
+        "--config mol.json",
 }
 
 
@@ -248,6 +257,14 @@ class TestB1AndGap:
                     "--points", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["b1", "--vs", "e", "--points", "5", "--theta-deg", "60"],
+        ["gap", "--vs", "e", "--e-max", "500", "--theta-deg", "60"],
+    ])
+    def test_e_sweep_without_bounds_rejected(self, argv, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: sweep needs both --e-min/--e-max\n"
+
 
 class TestFit:
     @pytest.fixture()
@@ -365,7 +382,8 @@ class TestHamiltonian:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_golden_output(name, capsys):
+def test_golden_output(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
     assert run(GOLDEN_COMMANDS[name].split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
@@ -379,6 +397,25 @@ class TestConfigAndErrors:
         comments = parse_csv(capsys.readouterr().out)[0]
         assert "# delta_ghz = 1.6" in comments
         assert "# mu_e_debye = 1.7" in comments
+
+    def test_missing_config_names_the_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert run(["spectrum", "--b-max", "0.1", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2]") and path in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hamiltonian", "--b-tesla", "nan"],
+        ["spectrum", "--e-vcm", "inf", "--b-max", "0.1", "--points", "3"],
+        ["crossings", "--e-vcm", "inf"],
+        ["spectrum", "--b-max", "inf", "--points", "3"],
+        ["b1", "--vs", "e", "--e-min", "0", "--e-max", "inf", "--points", "3"],
+    ])
+    def test_non_finite_input_rejected(self, argv, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+        assert err.count("\n") == 1
 
     def test_bad_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "mol.json"

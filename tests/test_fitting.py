@@ -8,8 +8,7 @@ import pytest
 from ohcross.fitting import (FIT_MODELS, FitError, FitResult,
                              InsufficientDataError, MIN_FIT_POINTS,
                              NonPositiveDataError, best_shape_exponent,
-                             fit_power_law, shape_rms_relative,
-                             shape_rms_scaled)
+                             fit_power_law, shape_rms_scaled)
 
 
 class TestFitPowerLaw:
@@ -108,7 +107,6 @@ class TestShapeMetrics:
         theta = np.linspace(0.3, 1.4, 12)
         y = 4.2 * np.sin(theta) ** 3
         assert shape_rms_scaled(y, np.sin(theta) ** 3) < 1e-14
-        assert shape_rms_relative(y, np.sin(theta) ** 3) < 1e-14
 
     def test_amplitude_is_free(self):
         theta = np.linspace(0.3, 1.4, 12)
@@ -120,10 +118,6 @@ class TestShapeMetrics:
         theta = np.linspace(0.3, 1.4, 12)
         y = np.sin(theta) ** 3
         assert shape_rms_scaled(y, np.sin(theta)) > 0.01
-
-    def test_relative_rejects_zero_data(self):
-        with pytest.raises(NonPositiveDataError):
-            shape_rms_relative([1.0, 0.0, 2.0], [1.0, 1.0, 1.0])
 
     def test_zero_model_rejected(self):
         with pytest.raises(FitError):

@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from ohcross.model import (DEFAULT_CONSTANTS, GHZ_PER_INVERSE_CM, ConfigError,
-                           EnergyUnit, FieldConfiguration, MoleculeParameters,
-                           PhysicalConstants, ScaledParameters,
-                           b_field_from_tilde, convert_energy,
-                           e_field_from_tilde, molecule_from_config,
-                           scale_parameters)
+from ohcross.cli import _GHZ_PER_UNIT
+from ohcross.model import (BOHR_MAGNETON, DEBYE, GHZ_PER_INVERSE_CM, PLANCK,
+                           REDUCED_PLANCK, ConfigError, FieldConfiguration,
+                           MoleculeParameters, ScaledParameters,
+                           b_field_from_tilde, e_field_from_tilde,
+                           molecule_from_config, scale_parameters)
 
 # Frozen against the defining expressions recomputed from raw constants:
 #   field scale   = 4 mu_B / h per tesla, in GHz
@@ -21,18 +21,17 @@ DELTA_TILDE = 8.335
 
 
 def test_constants_match_defining_values():
-    c = DEFAULT_CONSTANTS
-    assert c.planck == 6.62607015e-34
-    assert c.bohr_magneton == 9.2740100783e-24
-    assert c.speed_of_light == 299792458.0
-    assert c.reduced_planck == c.planck / (2.0 * math.pi)
-    assert c.debye == 1e-21 / c.speed_of_light
+    assert PLANCK == 6.62607015e-34
+    assert BOHR_MAGNETON == 9.2740100783e-24
+    assert REDUCED_PLANCK == PLANCK / (2.0 * math.pi)
+    assert DEBYE == 1e-21 / 299792458.0
+    assert GHZ_PER_INVERSE_CM == 29.9792458
 
 
 def test_molecule_defaults():
     mol = MoleculeParameters()
     assert mol.lambda_doubling == pytest.approx(2.0 * math.pi * 1.667e9, rel=1e-15)
-    assert mol.electric_dipole == pytest.approx(1.66 * DEFAULT_CONSTANTS.debye, rel=1e-15)
+    assert mol.electric_dipole == pytest.approx(1.66 * DEBYE, rel=1e-15)
 
 
 def test_field_scale_factor_frozen():
@@ -86,24 +85,11 @@ def test_with_b_tilde_replaces_only_field():
 
 
 def test_energy_conversion_ghz_to_inverse_cm():
-    assert convert_energy(GHZ_PER_INVERSE_CM, EnergyUnit.GHZ,
-                          EnergyUnit.INVERSE_CM) == pytest.approx(1.0, rel=1e-14)
-    assert convert_energy(0.8335, EnergyUnit.GHZ, EnergyUnit.INVERSE_CM) == \
-        pytest.approx(0.027802567334, rel=1e-10)
-
-
-def test_energy_conversion_joule():
-    j = convert_energy(1.0, EnergyUnit.GHZ, EnergyUnit.JOULE)
-    assert j == pytest.approx(6.62607015e-34 * 1e9, rel=1e-14)
-
-
-def test_energy_conversion_roundtrip():
-    units = [EnergyUnit.GHZ, EnergyUnit.INVERSE_CM, EnergyUnit.JOULE]
-    v = 1.7
-    for a in units:
-        for b in units:
-            back = convert_energy(convert_energy(v, a, b), b, a)
-            assert back == pytest.approx(v, rel=1e-13)
+    # the CLI prints energies as internal GHz divided by its unit table
+    assert _GHZ_PER_UNIT == {"percm": GHZ_PER_INVERSE_CM, "ghz": 1.0}
+    percm = _GHZ_PER_UNIT["percm"]
+    assert GHZ_PER_INVERSE_CM / percm == pytest.approx(1.0, rel=1e-14)
+    assert 0.8335 / percm == pytest.approx(0.027802567334, rel=1e-10)
 
 
 def test_field_configuration_rejects_bad_inputs():
@@ -113,6 +99,10 @@ def test_field_configuration_rejects_bad_inputs():
         FieldConfiguration(theta=-0.01)
     with pytest.raises(ValueError):
         FieldConfiguration(theta=math.pi + 0.01)
+    for fields in ({"e_field": math.inf}, {"b_field": math.nan},
+                   {"b_field": math.inf}, {"b_field": -math.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            FieldConfiguration(**fields)
     # negative magnetic field is legitimate
     FieldConfiguration(b_field=-0.2)
 
@@ -124,46 +114,38 @@ def test_scaled_parameters_requires_positive_splitting():
         ScaledParameters(b_tilde=0.0, e_tilde=0.0, delta_tilde=-1.0, theta=0.0)
 
 
+def write_config(tmp_path, text):
+    path = tmp_path / "mol.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def test_molecule_from_config_dict_and_json(tmp_path):
-    mol = molecule_from_config({"delta_ghz": 2.0, "mu_e_debye": 1.0})
+    mol = molecule_from_config(
+        write_config(tmp_path, json.dumps({"delta_ghz": 2.0, "mu_e_debye": 1.0})))
     assert mol.lambda_doubling == pytest.approx(2.0 * math.pi * 2.0e9, rel=1e-14)
-    assert mol.electric_dipole == pytest.approx(DEFAULT_CONSTANTS.debye, rel=1e-14)
+    assert mol.electric_dipole == pytest.approx(DEBYE, rel=1e-14)
 
     text = json.dumps({"delta_ghz": 1.667, "mu_e_debye": 1.66})
-    mol2 = molecule_from_config(text)
+    path = write_config(tmp_path, text)
+    mol2 = molecule_from_config(path)
     default = MoleculeParameters()
     assert mol2.lambda_doubling == pytest.approx(default.lambda_doubling, rel=1e-14)
 
-    path = tmp_path / "mol.json"
-    path.write_text(text, encoding="utf-8")
     mol3 = molecule_from_config(str(path))
     assert mol3.electric_dipole == pytest.approx(default.electric_dipole, rel=1e-14)
 
 
-def test_molecule_from_config_partial_keeps_defaults():
-    mol = molecule_from_config({"delta_ghz": 1.0})
+def test_molecule_from_config_partial_keeps_defaults(tmp_path):
+    mol = molecule_from_config(write_config(tmp_path, '{"delta_ghz": 1.0}'))
     assert mol.lambda_doubling == pytest.approx(2.0 * math.pi * 1e9, rel=1e-14)
     assert mol.electric_dipole == MoleculeParameters().electric_dipole
 
 
-def test_molecule_from_config_rejects_garbage():
-    with pytest.raises(ConfigError):
-        molecule_from_config({"delta_ghz": -1.0, "mu_e_debye": 1.0})
-    with pytest.raises(ConfigError):
-        molecule_from_config({"delta_ghz": 1.0, "mu_e_debye": 1.0, "extra": 2})
-    with pytest.raises(ConfigError):
-        molecule_from_config("{not json")
-    with pytest.raises(ConfigError):
-        molecule_from_config({"delta_ghz": "x", "mu_e_debye": 1.0})
-
-
-def test_custom_constants_flow_through():
-    doubled = PhysicalConstants(
-        planck=DEFAULT_CONSTANTS.planck,
-        reduced_planck=DEFAULT_CONSTANTS.reduced_planck,
-        bohr_magneton=2.0 * DEFAULT_CONSTANTS.bohr_magneton,
-        speed_of_light=DEFAULT_CONSTANTS.speed_of_light,
-        debye=DEFAULT_CONSTANTS.debye)
-    p = scale_parameters(MoleculeParameters(), FieldConfiguration(b_field=1.0),
-                         constants=doubled)
-    assert p.b_tilde == pytest.approx(2.0 * B_TILDE_PER_TESLA, rel=1e-13)
+def test_molecule_from_config_rejects_garbage(tmp_path):
+    for text in ('{"delta_ghz": -1.0, "mu_e_debye": 1.0}',
+                 '{"delta_ghz": 1.0, "mu_e_debye": 1.0, "extra": 2}',
+                 "{not json",
+                 '{"delta_ghz": "x", "mu_e_debye": 1.0}'):
+        with pytest.raises(ConfigError):
+            molecule_from_config(write_config(tmp_path, text))

@@ -62,3 +62,15 @@ def test_one_numeric_route_per_role():
     assert text.count("np.linalg.eigvalsh(") == 1
     assert linalg_calls("eigvalsh") == [("spectrum", "numeric_levels")]
     assert {module for module, _ in linalg_calls("det")} == {"discriminant"}
+
+
+def test_constants_live_in_model_only():
+    # one fixed set of CODATA constants: each defining literal is written
+    # once, in model.py, and everything else imports it from there
+    sources = {path.name: path.read_text()
+               for path in (ROOT / "src" / "ohcross").glob("*.py")}
+    for literal in ("6.62607015e-34", "9.2740100783e-24", "299792458.0",
+                    "29.9792458"):
+        counts = {name: text.count(literal) for name, text in sources.items()
+                  if literal in text}
+        assert counts == {"model.py": 1}, literal
