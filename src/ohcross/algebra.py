@@ -1,13 +1,12 @@
 """Fixed-degree algebra kernels.
 
 Closed-form cubic and quartic solvers (depression plus resolvent cubic)
-that work row-wise over arrays of polynomials, calls into them for one
-polynomial, and a companion-matrix numeric root finder. The numeric root
-finder is deliberately independent of the closed forms so each side can
-serve as an oracle for the other. Every polynomial is an array of
-coefficients in ascending degree order, and every root set is a plain
-complex array: repeated roots are returned as often as they occur, never
-merged.
+that work row-wise over arrays of polynomials, one-row calls into them,
+and a companion-matrix numeric root finder. The numeric root finder is
+deliberately independent of the closed forms so each side can serve as an
+oracle for the other. Every polynomial is an array of coefficients in
+ascending degree order, and every root set is a plain complex array:
+repeated roots are returned as often as they occur, never merged.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ def _residuals(coeffs, roots) -> list:
     """|p(z)| at each root of one polynomial over its coefficient magnitude
     scale there, max(max_k |c_k|, sum_k |c_k| |z|^k).
 
-    coeffs are ascending. A plain loop: at three to eight roots it costs a
-    few microseconds, where numpy evaluation costs tens in per-call
-    overhead, and first-crossing sweeps run it once per field point.
+    coeffs are ascending. A plain loop: at eight roots it costs a few
+    microseconds, where numpy evaluation costs tens in per-call overhead.
     Non-finite input gives NaN.
     """
     scale = max(abs(c) for c in coeffs)
@@ -150,20 +148,39 @@ def solve_monic_quartics(a):
     return roots, resid
 
 
+def solve_monic_cubics(a):
+    """Closed-form roots of many monic cubics at once.
+
+    Row i of `a` holds (a0, a1, a2) of z^3 + a2 z^2 + a1 z + a0. Returns the
+    roots, shape (N, 3), and each root's |p(root)| over its coefficient
+    magnitude scale, max(max_k |c_k|, sum_k |c_k| |root|^k) with the
+    leading 1 included; roots above 1e-9 fail the residual bound, which the
+    caller enforces. Non-finite rows report NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        roots = _cubic_monic_roots_rows(a[:, 2], a[:, 1], a[:, 0])
+        value = ((roots + a[:, 2:]) * roots + a[:, 1:2]) * roots + a[:, :1]
+        mag, size = np.abs(a), np.abs(roots)
+        terms = ((size + mag[:, 2:]) * size + mag[:, 1:2]) * size + mag[:, :1]
+        scale = np.maximum(mag.max(axis=1), 1.0)[:, None]
+        resid = np.abs(value) / np.maximum(scale, terms)
+    return roots, resid
+
+
 def solve_cubic(coeffs) -> np.ndarray:
     """Closed-form roots of c0 + c1 z + c2 z^2 + c3 z^3.
 
-    One cubic through the row cubic after scaling to monic. Each root
+    One row through solve_monic_cubics after scaling to monic. Each root
     satisfies |p(root)| <= 1e-9 times the coefficient magnitude scale at
     that root, or ResidualError is raised; a zero leading coefficient
     fails that bound.
     """
     c = np.asarray(coeffs, dtype=float)
     with np.errstate(all="ignore"):
-        monic = c / c[3]
-        roots = _cubic_monic_roots_rows(monic[2], monic[1], monic[0])
-    _check(_residuals(monic.tolist(), roots.tolist()), CUBIC_RESIDUAL_REL, "cubic")
-    return roots
+        roots, resid = solve_monic_cubics((c[:3] / c[3])[None])
+    _check(resid[0], CUBIC_RESIDUAL_REL, "cubic")
+    return roots[0]
 
 
 def solve_quartic(coeffs) -> np.ndarray:

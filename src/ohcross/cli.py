@@ -32,8 +32,9 @@ from .discriminant import audit_triple
 from .fitting import FIT_MODELS, FitError, fit_power_law
 from .hamiltonian import build_hamiltonian, format_matrix
 from .model import (DEBYE, GHZ_PER_INVERSE_CM, ConfigError, FieldConfiguration,
-                    MoleculeParameters, b_field_from_tilde, b_tilde_from_field,
-                    molecule_from_config, scale_parameters)
+                    MoleculeParameters, ScaledParameters, b_field_from_tilde,
+                    b_tilde_from_field, e_tilde_from_field, molecule_from_config,
+                    scale_parameters)
 from .plotting import PlotError, render_line_plot
 from .spectrum import SpectrumError, analytic_spectrum
 
@@ -190,34 +191,75 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
+def _sweep_parameters(mol, xs, fields) -> tuple:
+    """ScaledParameters, as arrays, over the leading sweep points that
+    FieldConfiguration and the field scaling accept, and the error of the
+    first other point (None if there is none).
+
+    fields(x) gives (e_field in V/m, theta) at sweep values x. Both run
+    monotonically along a sweep and their accepted values form intervals,
+    so when both end points pass every point does.
+    """
+    def error_at(k):
+        e_field, theta = fields(xs[k])
+        try:
+            scale_parameters(mol, FieldConfiguration(e_field=float(e_field),
+                                                     theta=float(theta)))
+        except ValueError as exc:
+            return exc
+        return None
+
+    n, error = xs.size, None
+    if error_at(0) or error_at(-1):
+        for n in range(xs.size):
+            error = error_at(n)
+            if error:
+                break
+    e_field, theta = fields(xs[:n])
+    delta_tilde = scale_parameters(mol, FieldConfiguration()).delta_tilde
+    return ScaledParameters(0.0, e_tilde_from_field(e_field, mol),
+                            delta_tilde, theta), error
+
+
 def _sweep_rows(args, mol, value_fn):
-    """Rows of (sweep value, value_fn outputs) for b1 and gap sweeps."""
+    """Rows of (sweep value, value_fn columns) for b1 and gap sweeps.
+
+    value_fn takes the whole sweep as one ScaledParameters of arrays. A
+    sweep with a rejected point still evaluates the points before it
+    first, so it fails where a point-by-point loop would.
+    """
     if args.vs == "e":
         _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
         theta = _theta(args)
-        rows = []
-        for e_vcm in np.linspace(args.e_min, args.e_max, args.points):
-            p = scale_parameters(mol, FieldConfiguration(
-                e_field=float(e_vcm) * 100.0, b_field=0.0, theta=theta))
-            rows.append([float(e_vcm)] + value_fn(p))
+        xs = np.linspace(args.e_min, args.e_max, args.points)
+
+        def fields(e_vcm):
+            return e_vcm * 100.0, theta
+
+        x_name = "e_vcm"
         provenance = {
             "vs": "e", "e_min_vcm": float(args.e_min),
             "e_max_vcm": float(args.e_max), "points": args.points,
             "theta_rad": theta,
         }
-        return "e_vcm", rows, provenance
-    lo, hi = _theta_range(args)
-    _check_sweep(lo, hi, args.points, "the theta bounds")
-    rows = []
-    for theta in np.linspace(lo, hi, args.points):
-        p = scale_parameters(mol, FieldConfiguration(
-            e_field=args.e_vcm * 100.0, b_field=0.0, theta=float(theta)))
-        rows.append([float(theta)] + value_fn(p))
-    provenance = {
-        "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
-        "points": args.points, "e_vcm": float(args.e_vcm),
-    }
-    return "theta_rad", rows, provenance
+    else:
+        lo, hi = _theta_range(args)
+        _check_sweep(lo, hi, args.points, "the theta bounds")
+        xs = np.linspace(lo, hi, args.points)
+
+        def fields(theta):
+            return args.e_vcm * 100.0, theta
+
+        x_name = "theta_rad"
+        provenance = {
+            "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
+            "points": args.points, "e_vcm": float(args.e_vcm),
+        }
+    p, error = _sweep_parameters(mol, xs, fields)
+    columns = value_fn(p)
+    if error is not None:
+        raise error
+    return x_name, np.column_stack([xs] + columns).tolist(), provenance
 
 
 def _cmd_b1(args) -> int:
@@ -241,8 +283,7 @@ def _cmd_gap(args) -> int:
 
     def measure(p) -> list:
         bt1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
-        gap = gap_lowest_pair(p.with_b_tilde(bt1))
-        return [gap / ghz_per_unit]
+        return [gap_lowest_pair(p.with_b_tilde(bt1)) / ghz_per_unit]
 
     x_name, rows, provenance = _sweep_rows(args, mol, measure)
     provenance["unit"] = args.unit

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import numeric_roots, solve_cubic, solve_quartic
+from .algebra import (CUBIC_RESIDUAL_REL, _check, numeric_roots,
+                      solve_monic_cubics, solve_quartic)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import build_hamiltonian
@@ -80,6 +81,8 @@ class ResolventMismatchError(CrossingError):
 class ResolventData:
     """Depressed-quartic data and the resolvent-cubic root for the f1 factor.
 
+    Each field is a float, or an array of the inputs' broadcast shape.
+
     q, r, s     depressed coefficients after removing the cubic term
     delta_c     quartic discriminant, closed product form
     g_c         the strictly positive polynomial factor inside delta_c
@@ -97,19 +100,14 @@ class ResolventData:
     d_b: float
 
 
-def resolvent_analysis(e_tilde: float, delta_tilde: float,
-                       theta: float) -> ResolventData:
-    """Depression, discriminant and resolvent root of the quartic factor.
+def _resolvent_point(e_tilde: float, delta_tilde: float, theta: float) -> tuple:
+    """resolvent_analysis at one point in Python floats, short of its
+    confirming cubic.
 
-    The discriminant is computed along two routes: the closed product form
-    and 2^24 (C^2 - 4 P^3) with C = 2q^3 - 72qs + 27r^2, P = q^2 + 12s.
-    They must agree to 1e-9 of the cancellation scale or
-    ResolventMismatchError is raised.
-
-    The resolvent value c_r comes from the principal-branch complex cube
-    root composition; its real part is validated against a quarter of the
-    largest real root of z^3 + 2q z^2 + (q^2-4s) z - r^2 computed by the
-    independent cubic solver, and BranchError reports any disagreement.
+    Returns the seven ResolventData fields in order, then c6, the
+    resolvent scale and the confirming cubic in w = z / alpha as
+    (alpha, a0, a1, a2). ResolventMismatchError if the discriminant routes
+    disagree.
     """
     c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
     q = c4 - 3.0 * c6 * c6 / 8.0
@@ -147,33 +145,96 @@ def resolvent_analysis(e_tilde: float, delta_tilde: float,
     else:
         cr_complex = (2.0 ** (1.0 / 3.0) * (2.0 * q * q + 24.0 * s) / (24.0 * d_b)
                       + 2.0 ** (2.0 / 3.0) * d_b / 24.0 - q / 6.0)
-    c_r = cr_complex.real
 
-    # Solve the confirming cubic in a scaled variable z = alpha w so all
+    # The confirming cubic is solved in a scaled variable z = alpha w so all
     # coefficients stay O(1); otherwise a huge constant term (r^2 grows
     # like the eighth power of the field) would swamp the leading 1.
     alpha = max(abs(2.0 * q), abs(q * q - 4.0 * s) ** 0.5,
                 (r * r) ** (1.0 / 3.0), REL_FLOOR)
-    zs = solve_cubic((-r * r / alpha ** 3, (q * q - 4.0 * s) / (alpha * alpha),
-                      2.0 * q / alpha, 1.0))
-    reals = [alpha * z.real for z in zs.tolist()
-             if abs(z.imag) <= 1e-8 * max(1.0, abs(z))]
-    if not reals:
-        raise BranchError("resolvent cubic has no real root")
-    reference = max(reals) / 4.0
-    # Near the critical field both routes cancel down to ~eps * q of
-    # noise while the value itself tends to zero, so the disagreement is
-    # measured against the natural resolvent scale as well as the value.
-    # A wrong branch would err at the full resolvent scale, eight orders
-    # above this tolerance.
-    tol = max(1e-8 * max(abs(c_r), abs(reference)),
-              1e-9 * lim_scale, REL_FLOOR)
-    if abs(c_r - reference) > tol:
+    return (q, r, s, delta_c, g_c, cr_complex.real, d_b.real, c6, lim_scale,
+            alpha, -r * r / alpha ** 3, (q * q - 4.0 * s) / (alpha * alpha),
+            2.0 * q / alpha)
+
+
+def _confirm_resolvents(points) -> None:
+    """Check the resolvent value of each _resolvent_point tuple against its
+    confirming cubic, all cubics in one row solve. The lowest failing
+    point raises its first failing check: the cubic residual bound
+    (ResidualError), a real root, then branch agreement (BranchError).
+    """
+    if not points:
+        return
+    cols = np.array(points)
+    c_r, lim_scale, alpha = cols[:, 5], cols[:, 8], cols[:, 9]
+    zs, resid = solve_monic_cubics(cols[:, 10:])
+    with np.errstate(all="ignore"):
+        real = np.abs(zs.imag) <= 1e-8 * np.maximum(1.0, np.abs(zs))
+        reference = np.where(real, alpha[:, None] * zs.real, -np.inf).max(axis=1) / 4.0
+        # Near the critical field both routes cancel down to ~eps * q of
+        # noise while the value itself tends to zero, so the disagreement
+        # is measured against the natural resolvent scale as well as the
+        # value. A wrong branch would err at the full resolvent scale,
+        # eight orders above this tolerance.
+        tol = np.maximum(np.maximum(1e-8 * np.maximum(np.abs(c_r), np.abs(reference)),
+                                    1e-9 * lim_scale), REL_FLOOR)
+        off_branch = np.abs(c_r - reference) > tol
+    no_real = ~real.any(axis=1)
+    off_residual = ~(resid <= CUBIC_RESIDUAL_REL)
+    failing = np.flatnonzero(off_residual.any(axis=1) | no_real | off_branch)
+    if failing.size:
+        i = failing[0]
+        _check(resid[i], CUBIC_RESIDUAL_REL, "cubic")
+        if no_real[i]:
+            raise BranchError("resolvent cubic has no real root")
         raise BranchError(
-            f"principal-branch resolvent {c_r:.12e} disagrees with "
-            f"largest cubic root {reference:.12e}")
-    return ResolventData(q=q, r=r, s=s, delta_c=delta_c, g_c=g_c,
-                         c_r=c_r, d_b=float(d_b.real))
+            f"principal-branch resolvent {c_r[i]:.12e} disagrees with "
+            f"largest cubic root {reference[i]:.12e}")
+
+
+def _resolvent_points(e_tilde, delta_tilde, theta) -> tuple:
+    """The broadcast shape of the inputs, the (e, d, theta) floats of each
+    point and its confirmed _resolvent_point tuple."""
+    args = np.broadcast_arrays(e_tilde, delta_tilde, theta)
+    inputs = list(zip(*(np.ravel(a).tolist() for a in args)))
+    points = []
+    try:
+        for e, d, th in inputs:
+            points.append(_resolvent_point(e, d, th))
+    finally:
+        # also when a point raised: the checks of the points before it
+        # come first, as they would one point at a time
+        _confirm_resolvents(points)
+    return args[0].shape, inputs, points
+
+
+def _shaped(values, shape: tuple):
+    """A sequence of floats as an array of shape, or its one float for
+    scalar input."""
+    return np.reshape(values, shape) if shape else values[0]
+
+
+def resolvent_analysis(e_tilde, delta_tilde, theta) -> ResolventData:
+    """Depression, discriminant and resolvent root of the quartic factor.
+
+    The discriminant is computed along two routes: the closed product form
+    and 2^24 (C^2 - 4 P^3) with C = 2q^3 - 72qs + 27r^2, P = q^2 + 12s.
+    They must agree to 1e-9 of the cancellation scale or
+    ResolventMismatchError is raised.
+
+    The resolvent value c_r comes from the principal-branch complex cube
+    root composition; its real part is validated against a quarter of the
+    largest real root of z^3 + 2q z^2 + (q^2-4s) z - r^2 computed by the
+    independent cubic solver, and BranchError reports any disagreement.
+
+    The inputs broadcast, and the fields take their shape; scalar input
+    gives floats. Each point's closed form runs in Python floats, and all
+    confirming cubics are solved in one row solve. If any point fails,
+    the lowest failing one raises, with its first failing check in the
+    order above.
+    """
+    shape, _, points = _resolvent_points(e_tilde, delta_tilde, theta)
+    fields = list(zip(*points))[:7] or [()] * 7
+    return ResolventData(*(_shaped(field, shape) for field in fields))
 
 
 def critical_field_tilde(delta_tilde: float, theta: float) -> float:
@@ -191,18 +252,10 @@ def critical_field_tilde(delta_tilde: float, theta: float) -> float:
     return delta_tilde / math.sqrt(denom)
 
 
-def b1_exact_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
-    """Closed-form location (internal units) of the first crossing of the
-    zero-energy level pair.
-
-    Composition of the branch-resolved resolvent value with the depressed
-    coefficients; the branch pair switches at the critical field. Reduces
-    to delta_tilde / 3 exactly when the electric field vanishes.
-    """
-    c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)[3]
-    data = resolvent_analysis(e_tilde, delta_tilde, theta)
-    q, r, s = data.q, data.r, data.s
-    cr = max(data.c_r, 0.0)
+def _b1_point(e_tilde: float, delta_tilde: float, theta: float, point) -> float:
+    """b1_exact_tilde at one point from its _resolvent_point tuple."""
+    q, r, s, _, _, c_r, _, c6 = point[:8]
+    cr = max(c_r, 0.0)
     sq = math.sqrt(cr)
     denom = 1.0 - 2.0 * math.cos(2.0 * theta)
     ecrit = delta_tilde / math.sqrt(denom) if denom > 0.0 else math.inf
@@ -221,20 +274,36 @@ def b1_exact_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
     return math.sqrt(max((re + mod) / 2.0, 0.0))
 
 
+def b1_exact_tilde(e_tilde, delta_tilde, theta):
+    """Closed-form location (internal units) of the first crossing of the
+    zero-energy level pair.
+
+    Composition of the branch-resolved resolvent value with the depressed
+    coefficients; the branch pair switches at the critical field. Reduces
+    to delta_tilde / 3 exactly when the electric field vanishes. Broadcasts
+    like resolvent_analysis, whose errors it raises; the composition runs
+    per point in Python floats, and scalar input gives a float.
+    """
+    shape, inputs, points = _resolvent_points(e_tilde, delta_tilde, theta)
+    return _shaped([_b1_point(e, d, th, point)
+                    for (e, d, th), point in zip(inputs, points)], shape)
+
+
 def b1_exact(p: ScaledParameters) -> float:
     """b1_exact_tilde on a parameter set (its b_tilde plays no role)."""
     return b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
 
 
-def b1_approx_tilde(e_tilde: float, delta_tilde: float, theta: float) -> float:
+def b1_approx_tilde(e_tilde, delta_tilde, theta):
     """Small-field expansion of the first-crossing location:
-    delta/3 + 3 (3 + cos 2 theta) e^2 / (8 delta)."""
+    delta/3 + 3 (3 + cos 2 theta) e^2 / (8 delta). Broadcasts."""
+    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
     return (delta_tilde / 3.0
-            + 3.0 * (3.0 + math.cos(2.0 * theta)) * e_tilde * e_tilde
+            + 3.0 * (3.0 + cos(2.0 * theta)) * e_tilde * e_tilde
             / (8.0 * delta_tilde))
 
 
-def pair_gap(p: ScaledParameters, pair) -> float:
+def pair_gap(p: ScaledParameters, pair):
     """Measured energy gap (internal GHz) between two labeled levels.
 
     Measured with a symmetric eigensolver rather than the quartic closed
@@ -242,9 +311,11 @@ def pair_gap(p: ScaledParameters, pair) -> float:
     times the matrix norm even at a near-degeneracy, while the route
     through m = lambda^2 loses exactly the small splitting of interest
     there. Gaps below GAP_MEASUREMENT_FLOOR are indistinguishable from
-    solver noise and are reported as zero.
+    solver noise and are reported as zero. Array fields of p give one gap
+    per point from one stacked eigvalsh call; scalar fields give a float.
     """
-    return float(_floored_gap(numeric_levels(build_hamiltonian(p)), pair))
+    gap = _floored_gap(numeric_levels(build_hamiltonian(p)), pair)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _floored_gap(levels, pair):
@@ -254,7 +325,7 @@ def _floored_gap(levels, pair):
     return np.where(gap > GAP_MEASUREMENT_FLOOR, gap, 0.0)
 
 
-def gap_lowest_pair(p: ScaledParameters) -> float:
+def gap_lowest_pair(p: ScaledParameters):
     """Gap between the two levels that meet at zero energy (labels 4, 5)."""
     return pair_gap(p, (4, 5))
 

@@ -358,7 +358,7 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     main = [scale_parameters(mol, FieldConfiguration(*row)) for row in fields.tolist()]
     b, e, th = _columns(main)
     d = main[0].delta_tilde
-    h = np.stack([build_hamiltonian(p) for p in main])
+    h = build_hamiltonian(ScaledParameters(b, e, d, th))
     lam = analytic_spectrum(b, e, d, th)
     f1 = eval_f1_tilde(b, e, d, th)
     f2 = eval_f2_tilde(b, e, d, th, fault=fault)

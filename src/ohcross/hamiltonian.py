@@ -28,20 +28,21 @@ ZEEMAN_DIAGONAL = np.array(_M_PATTERN + _M_PATTERN)
 ZEEMAN_DIAGONAL.setflags(write=False)
 
 
-def angular_coupling(theta: float) -> np.ndarray:
+def angular_coupling(theta) -> np.ndarray:
     """Symmetric 4x4 angle structure of the electric coupling block.
 
     Diagonal carries the cos(theta) projection weighted by the m pattern,
     the first off-diagonal carries the sin(theta) mixing of adjacent m.
+    An array of angles gives a stack of shape theta.shape + (4, 4).
     """
-    c = math.cos(theta)
-    s = math.sin(theta)
-    m = np.array([
-        [-3.0 * c, _SQRT3 * s, 0.0, 0.0],
-        [_SQRT3 * s, -c, 2.0 * s, 0.0],
-        [0.0, 2.0 * s, c, _SQRT3 * s],
-        [0.0, 0.0, _SQRT3 * s, 3.0 * c],
-    ])
+    # math keeps one angle on Python floats; np.cos and np.sin round alike
+    trig = (np.cos, np.sin) if isinstance(theta, np.ndarray) else (math.cos, math.sin)
+    c, s = (f(theta) for f in trig)
+    m = np.zeros(np.shape(theta) + (4, 4))
+    for k, weight in enumerate(_M_PATTERN):
+        m[..., k, k] = weight * c
+    for k, weight in enumerate((_SQRT3, 2.0, _SQRT3)):
+        m[..., k, k + 1] = m[..., k + 1, k] = weight * s
     m.setflags(write=False)
     return m
 
@@ -54,15 +55,20 @@ def build_hamiltonian(p: ScaledParameters) -> np.ndarray:
     c = (e_tilde/10) angular_coupling(theta) the electric coupling, all in
     the internal GHz unit. The result is exactly symmetric because the same
     -c array fills both off-diagonal blocks and c itself is symmetric by
-    construction.
+    construction. Fields of p may be arrays; they broadcast, and the result
+    stacks one matrix per point, shape (..., 8, 8), each equal bit for bit
+    to the matrix built from that point alone.
     """
-    a1 = (p.b_tilde / 10.0) * np.diag(_M_PATTERN)
-    a2 = (p.delta_tilde / 10.0) * np.eye(4)
-    c = (p.e_tilde / 10.0) * angular_coupling(p.theta)
-    h = np.empty((8, 8))
-    h[:4, :4] = a1 - a2
-    h[4:, 4:] = a1 + a2
-    h[:4, 4:] = h[4:, :4] = -c
+    b, e, d = (np.asarray(v, dtype=float)[..., None, None] / 10.0
+               for v in (p.b_tilde, p.e_tilde, p.delta_tilde))
+    a1 = b * np.diag(_M_PATTERN)
+    a2 = d * np.eye(4)
+    c = e * angular_coupling(p.theta)
+    lower, upper = a1 - a2, a1 + a2
+    h = np.empty(np.broadcast(lower, c).shape[:-2] + (8, 8))
+    h[..., :4, :4] = lower
+    h[..., 4:, 4:] = upper
+    h[..., :4, 4:] = h[..., 4:, :4] = -c
     h.setflags(write=False)
     return h
 

@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 _TWO_PI = 2.0 * math.pi
 
 # CODATA 2018, SI units. PLANCK is exact by definition; REDUCED_PLANCK is
@@ -91,7 +93,8 @@ class ScaledParameters:
 
     theta is carried through unchanged. Only delta_tilde is constrained here;
     b_tilde inherits the sign of B and theta is unrestricted so that internal
-    symmetry checks may evaluate formulas anywhere on the circle.
+    symmetry checks may evaluate formulas anywhere on the circle. For a
+    sweep, b_tilde, e_tilde and theta may be arrays that broadcast.
     """
 
     b_tilde: float
@@ -112,17 +115,43 @@ def scale_parameters(mol: MoleculeParameters,
                      cfg: FieldConfiguration) -> ScaledParameters:
     """Map physical fields to the scaled GHz variables.
 
-    Linear in B and in E separately; theta passes through.
+    Linear in B and in E separately; theta passes through. ValueError if a
+    field is too large for its scaled variable to be finite.
     """
     b_tilde = b_tilde_from_field(cfg.b_field)
-    e_tilde = 2.0 * mol.electric_dipole * cfg.e_field / PLANCK / 1e9
+    e_tilde = e_tilde_from_field(cfg.e_field, mol)
     delta_tilde = 5.0 * REDUCED_PLANCK * mol.lambda_doubling / PLANCK / 1e9
     return ScaledParameters(b_tilde, e_tilde, delta_tilde, cfg.theta)
 
 
+def _scaled(scale, field, name: str, unit: str):
+    """scale(field), or ValueError naming the first field value whose
+    scaled value is not finite. numpy input overflows without a warning."""
+    if isinstance(field, (np.ndarray, np.generic)):
+        with np.errstate(over="ignore"):
+            value = scale(field)
+        bad = np.flatnonzero(~np.isfinite(value))
+        if not bad.size:
+            return value
+        field = np.ravel(field)[bad[0]]
+    else:
+        value = scale(field)
+        if math.isfinite(value):
+            return value
+    raise ValueError(f"{name} {float(field):.6g} {unit} overflows its scaled "
+                     "GHz variable")
+
+
 def b_tilde_from_field(b_field):
     """The magnetic-field scaling alone, tesla to GHz; takes arrays too."""
-    return 4.0 * BOHR_MAGNETON * b_field / PLANCK / 1e9
+    return _scaled(lambda b: 4.0 * BOHR_MAGNETON * b / PLANCK / 1e9,
+                   b_field, "b_field", "T")
+
+
+def e_tilde_from_field(e_field, mol: MoleculeParameters):
+    """The electric-field scaling alone, V/m to GHz; takes arrays too."""
+    return _scaled(lambda e: 2.0 * mol.electric_dipole * e / PLANCK / 1e9,
+                   e_field, "e_field", "V/m")
 
 
 def b_field_from_tilde(b_tilde: float) -> float:

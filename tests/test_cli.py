@@ -2,11 +2,13 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ohcross import algebra, crossings
 from ohcross.cli import build_parser, run
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
@@ -17,10 +19,12 @@ GHZ_PER_PERCM = 29.9792458
 # Stdout of these commands must match the files under tests/data byte for
 # byte: the README crossings, b1, gap and hamiltonian commands, the dump at
 # negative B, and catalogs at 3 kV/cm over the special angles and one
-# generic angle. The b1 and gap sweeps evaluate the scalar coefficient
-# functions once per point, so they also pin those paths' rounding. The
-# `--unit ghz` variants pin the unit table, and the spectrum sweep pins the
-# `--config` path on tests/data/mol.json (commands run in tests/data).
+# generic angle. The b1 and gap sweeps run their closed form per point in
+# Python floats, so they also pin that path's rounding; the sweeps over E
+# and over all angles (the 3 kV/cm b1 sweep crosses the critical field)
+# pin the array scaling and the stacked matrices. The `--unit ghz`
+# variants pin the unit table, and the spectrum sweep pins the `--config`
+# path on tests/data/mol.json (commands run in tests/data).
 # When an output change is intended, rewrite the file with
 # `ohcross <command> > tests/data/<name>` and say why in CHANGES.md.
 GOLDEN = Path(__file__).parent / "data"
@@ -43,6 +47,12 @@ GOLDEN_COMMANDS = {
     "spectrum_config.csv":
         "spectrum --e-vcm 1000 --theta-deg 60 --b-max 0.3 --points 31 "
         "--config mol.json",
+    "b1_theta_3kvcm.csv":
+        "b1 --vs theta --theta-min-deg 0 --theta-max-deg 180 --points 25 --e-vcm 3000",
+    "b1_e_theta90.csv": "b1 --vs e --e-min 10 --e-max 5000 --points 51 --theta-deg 90",
+    "gap_theta_2kvcm.csv":
+        "gap --vs theta --theta-min-deg 0 --theta-max-deg 180 --points 25 --e-vcm 2000",
+    "gap_e_theta75.csv": "gap --vs e --e-min 10 --e-max 4000 --points 51 --theta-deg 75",
 }
 
 
@@ -417,6 +427,44 @@ class TestConfigAndErrors:
         assert err.startswith("error:") and "must be finite" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["hamiltonian", "--b-tesla", "1e308"],
+        ["spectrum", "--b-max", "1e307", "--points", "3"],
+        ["gap", "--vs", "e", "--e-min", "0", "--e-max", "1e306",
+         "--theta-deg", "60", "--points", "3"],
+    ])
+    def test_finite_field_that_overflows_rejected(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1
+
+    def test_parallel_corner_error_pinned(self, capsys):
+        argv = "b1 --vs e --theta-deg 0.5 --e-min 1000 --e-max 100000 --points 21"
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: discriminant routes disagree: "
+                       "-1.148723e+31 vs -1.148723e+31\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # the first point fails its check before 200 degrees is rejected
+        ("b1 --vs theta --theta-min-deg 0.5 --theta-max-deg 200 "
+         "--e-vcm 30000 --points 3", 2, "discriminant routes disagree"),
+        ("gap --vs e --theta-deg 0.5 --e-min 30000 --e-max 1e306 --points 3",
+         2, "discriminant routes disagree"),
+        ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
+         "--e-vcm 1000 --points 7", 1, "theta must lie in [0, pi]"),
+    ])
+    def test_sweep_fails_at_its_first_failing_point(self, argv, code, message,
+                                                    capsys):
+        assert run(argv.split()) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_bad_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "mol.json"
         cfg.write_text(json.dumps({"delta_ghz": -2.0}))
@@ -457,3 +505,29 @@ class TestParserReuse:
         assert "error:" in capsys.readouterr().err
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, levels_calls", [
+    ("gap --vs e --e-min 10 --e-max 4000 --points 51 --theta-deg 75", 1),
+    ("gap --vs theta --theta-min-deg 0 --theta-max-deg 180 --points 51 "
+     "--e-vcm 2000", 1),
+    ("b1 --vs e --e-min 10 --e-max 5000 --points 51 --theta-deg 90", 0),
+])
+def test_sweep_is_one_array_pass(argv, levels_calls, monkeypatch, capsys):
+    """A 51-point sweep solves its confirming cubics in one row solve and,
+    for gap, takes every gap from one stacked eigvalsh call."""
+    calls = {"cubic": 0, "levels": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra, "_cubic_monic_roots_rows",
+                        counted("cubic", algebra._cubic_monic_roots_rows))
+    monkeypatch.setattr(crossings, "numeric_levels",
+                        counted("levels", crossings.numeric_levels))
+    assert run(argv.split()) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 51
+    assert calls == {"cubic": 1, "levels": levels_calls}

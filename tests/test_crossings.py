@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ohcross import crossings
-from ohcross.algebra import numeric_roots
+from ohcross.algebra import ResidualError, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
@@ -427,3 +427,111 @@ class TestSharedZeroFieldMatrix:
         cat = crossing_catalog(from_fields(1000.0, math.pi / 3.0))
         assert len(cat) == 5
         assert 1 <= len(calls) <= 2
+
+
+def _resolvent_grid():
+    """E x theta pairs: generic fields, the special angles 0, pi/2 and pi,
+    and 1e-4 either side of the critical field at three angles."""
+    es, ths = [], []
+    for th in (0.0, 0.3, math.pi / 3.0, math.pi / 2.0, 2.0, math.pi):
+        for e in (0.0, 0.5, 2.0, 4.0, 7.0):
+            es.append(e)
+            ths.append(th)
+    for th in (math.pi / 3.0, math.pi / 2.0, 2.0):
+        ec = critical_field_tilde(D, th)
+        for factor in (1.0 - 1e-4, 1.0, 1.0 + 1e-4):
+            es.append(ec * factor)
+            ths.append(th)
+    return np.array(es), np.array(ths)
+
+
+# A point where the two discriminant routes disagree (about 30 kV/cm at
+# 0.5 degrees) and one whose confirming cubic overflows to NaN.
+MISMATCH_POINT = (50.13980101272537, math.radians(0.5))
+RESIDUAL_POINT = (1e200, 1.0)
+GOOD_POINT = (2.0, 1.0)
+
+
+def _b1_at(points):
+    e, th = (np.array(v) for v in zip(*points))
+    return b1_exact_tilde(e, D, th)
+
+
+def _error_alone(point):
+    with pytest.raises(ValueError) as info:
+        b1_exact_tilde(point[0], D, point[1])
+    return info.type, str(info.value)
+
+
+class TestBatchedRoute:
+    """Array calls against one call per point, bit for bit."""
+
+    def test_arrays_equal_point_calls(self):
+        e, th = _resolvent_grid()
+        data = resolvent_analysis(e, D, th)
+        b1 = b1_exact_tilde(e, D, th)
+        gaps = gap_lowest_pair(ScaledParameters(b1, e, D, th))
+        for k in range(e.size):
+            one = resolvent_analysis(float(e[k]), D, float(th[k]))
+            for name in ("q", "r", "s", "delta_c", "g_c", "c_r", "d_b"):
+                assert (np.float64(getattr(one, name)).tobytes()
+                        == getattr(data, name)[k].tobytes()), name
+            b1_one = b1_exact_tilde(float(e[k]), D, float(th[k]))
+            assert np.float64(b1_one).tobytes() == b1[k].tobytes()
+            gap_one = gap_lowest_pair(params(float(e[k]), float(th[k]), b1_one))
+            assert np.float64(gap_one).tobytes() == gaps[k].tobytes()
+
+    def test_shapes_broadcast_and_scalars_stay_floats(self):
+        e, th = np.array([0.5, 2.0, 4.0]), np.array([0.3, 1.2])
+        b1 = b1_exact_tilde(e[:, None], D, th[None, :])
+        assert b1.shape == (3, 2)
+        assert resolvent_analysis(e[:, None], D, th).q.shape == (3, 2)
+        assert b1[2, 1] == b1_exact_tilde(4.0, D, 1.2)
+        assert b1_approx_tilde(e, D, 0.3)[1] == b1_approx_tilde(2.0, D, 0.3)
+        assert type(b1_exact_tilde(2.0, D, 1.2)) is float
+        assert type(resolvent_analysis(2.0, D, 1.2).c_r) is float
+        assert type(b1_approx_tilde(2.0, D, 1.2)) is float
+        assert type(gap_lowest_pair(params(2.0, 1.2, 3.0))) is float
+
+    @pytest.mark.parametrize("points, failing, kind", [
+        ((GOOD_POINT, RESIDUAL_POINT, MISMATCH_POINT), RESIDUAL_POINT, ResidualError),
+        ((GOOD_POINT, MISMATCH_POINT, RESIDUAL_POINT), MISMATCH_POINT,
+         crossings.ResolventMismatchError),
+        ((RESIDUAL_POINT, GOOD_POINT, MISMATCH_POINT), RESIDUAL_POINT, ResidualError),
+    ])
+    def test_lowest_failing_point_raises_as_alone(self, points, failing, kind):
+        alone, message = _error_alone(failing)
+        assert alone is kind
+        with pytest.raises(kind) as info:
+            _b1_at(points)
+        assert str(info.value) == message
+
+    @staticmethod
+    def _break_branch(monkeypatch, row):
+        """Double the confirming roots of one row, keeping the residuals of
+        the true roots, so that only its branch check fails."""
+        solve = crossings.solve_monic_cubics
+
+        def broken(a):
+            roots, resid = solve(a)
+            if row < len(roots):
+                roots[row] *= 2.0
+            return roots, resid
+
+        monkeypatch.setattr(crossings, "solve_monic_cubics", broken)
+
+    def test_branch_check_order(self, monkeypatch):
+        self._break_branch(monkeypatch, 1)
+        # a lower point's branch check comes before a later point's
+        # discriminant mismatch or residual
+        for later in (MISMATCH_POINT, RESIDUAL_POINT):
+            with pytest.raises(crossings.BranchError, match="principal-branch"):
+                _b1_at((GOOD_POINT, GOOD_POINT, later))
+        # and after a lower point's failures
+        with pytest.raises(crossings.ResolventMismatchError):
+            _b1_at((GOOD_POINT, MISMATCH_POINT, GOOD_POINT))
+        # within one point the residual bound comes first
+        with pytest.raises(ResidualError):
+            _b1_at((GOOD_POINT, RESIDUAL_POINT))
+        with pytest.raises(crossings.BranchError, match="principal-branch"):
+            _b1_at((GOOD_POINT, GOOD_POINT))

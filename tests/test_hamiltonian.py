@@ -131,3 +131,35 @@ class TestZeroFieldSplit:
         rows = np.linalg.eigvalsh(stack)
         for h, row in zip(stack, rows):
             assert np.linalg.eigvalsh(h).tobytes() == row.tobytes()
+
+
+def test_stack_equals_one_matrix_calls():
+    # negative B (whose Zeeman-block zeros are -0.0), B = +-0.0, E = 0 and
+    # the special angles included; every byte of every matrix must agree
+    rng = np.random.default_rng(44)
+    b = rng.uniform(-20, 20, 40)
+    b[:2] = (-0.0, 0.0)
+    e = rng.uniform(0, 10, 40)
+    e[2] = 0.0
+    th = rng.uniform(0, math.pi, 40)
+    th[3:6] = (0.0, math.pi / 2.0, math.pi)
+    stack = build_hamiltonian(ScaledParameters(b, e, 8.335, th))
+    assert stack.shape == (40, 8, 8)
+    assert angular_coupling(th).shape == (40, 4, 4)
+    for k in range(40):
+        one = build_hamiltonian(params(b=float(b[k]), e=float(e[k]),
+                                       theta=float(th[k])))
+        assert stack[k].tobytes() == one.tobytes()
+        assert angular_coupling(th)[k].tobytes() == angular_coupling(float(th[k])).tobytes()
+    assert np.signbit(stack[0, 0, 1]) and not np.signbit(stack[1, 0, 1])
+
+
+def test_scalar_fields_broadcast_against_arrays():
+    b = np.array([[-1.5], [2.0]])
+    th = np.array([0.0, 0.4, math.pi])
+    stack = build_hamiltonian(params(b=b, e=3.0, theta=th))
+    assert stack.shape == (2, 3, 8, 8)
+    for i in range(2):
+        for j in range(3):
+            one = build_hamiltonian(params(b=float(b[i, 0]), e=3.0, theta=float(th[j])))
+            assert stack[i, j].tobytes() == one.tobytes()

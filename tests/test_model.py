@@ -3,13 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ohcross.cli import _GHZ_PER_UNIT
 from ohcross.model import (BOHR_MAGNETON, DEBYE, GHZ_PER_INVERSE_CM, PLANCK,
                            REDUCED_PLANCK, ConfigError, FieldConfiguration,
                            MoleculeParameters, ScaledParameters,
-                           b_field_from_tilde, e_field_from_tilde,
+                           b_field_from_tilde, b_tilde_from_field,
+                           e_field_from_tilde, e_tilde_from_field,
                            molecule_from_config, scale_parameters)
 
 # Frozen against the defining expressions recomputed from raw constants:
@@ -69,6 +71,28 @@ def test_tilde_roundtrips():
     p = scale_parameters(mol, FieldConfiguration(e_field=3.3e4, b_field=0.21, theta=0.4))
     assert b_field_from_tilde(p.b_tilde) == pytest.approx(0.21, rel=1e-13)
     assert e_field_from_tilde(p.e_tilde, mol) == pytest.approx(3.3e4, rel=1e-13)
+
+
+def test_array_scalings_equal_scalar_ones():
+    mol = MoleculeParameters()
+    fields = np.array([0.0, 1e-7, 0.05, 3.3e4, 1e5, 1e280])
+    e = e_tilde_from_field(fields, mol)
+    b = b_tilde_from_field(-fields)
+    for k, field in enumerate(fields.tolist()):
+        p = scale_parameters(mol, FieldConfiguration(e_field=field, b_field=-field))
+        assert e[k].tobytes() == np.float64(p.e_tilde).tobytes()
+        assert b[k].tobytes() == np.float64(p.b_tilde).tobytes()
+    assert type(e_tilde_from_field(2e4, mol)) is float
+
+
+def test_field_too_large_to_scale_rejected():
+    mol = MoleculeParameters()
+    with pytest.raises(ValueError, match="b_field 1e\\+308 T overflows"):
+        scale_parameters(mol, FieldConfiguration(b_field=1e308))
+    with pytest.raises(ValueError, match="e_field 5e\\+307 V/m overflows"):
+        e_tilde_from_field(np.array([0.0, 5e307, 1e308]), mol)
+    with pytest.raises(ValueError, match="b_field -1e\\+308 T"):
+        b_tilde_from_field(np.float64(-1e308))
 
 
 def test_theta_passes_through_unchanged():
