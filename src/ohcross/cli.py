@@ -51,8 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Every number in a data file or fit report prints with this format:
+# "%.12g" % v is format(float(v), ".12g") for floats, ints and np.float64.
+_NUMBER = "%.12g"
+
+
 def _fmt(value) -> str:
-    return format(float(value), ".12g")
+    return _NUMBER % value
 
 
 def _emit(text: str, out_path) -> None:
@@ -64,15 +69,22 @@ def _emit(text: str, out_path) -> None:
 
 
 def _csv(command: str, provenance: dict, header, rows) -> str:
+    """CSV text of a provenance block, a header and rows (a 2-D float array
+    or a list of lists). The cell types of the first row fix the row
+    format, str cells as they are and numbers as _NUMBER, and one
+    %-format fills the whole block."""
     lines = [f"# ohcross {command}"]
     for key in sorted(provenance):
         value = provenance[key]
         text = _fmt(value) if isinstance(value, float) else str(value)
         lines.append(f"# {key} = {text}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    if len(rows):
+        row_fmt = ",".join("%s" if isinstance(cell, str) else _NUMBER
+                           for cell in rows[0])
+        cells = (rows.ravel().tolist() if isinstance(rows, np.ndarray)
+                 else [cell for row in rows for cell in row])
+        lines.append("\n".join([row_fmt] * len(rows)) % tuple(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -124,30 +136,50 @@ def _check_sweep(lo, hi, points: int, bounds: str) -> None:
         raise ValueError("sweep needs at least 2 points")
 
 
+def _table(header: list, lines: list):
+    """The data lines as one (row, column) float array: all cells split in
+    one pass and parsed by float() in one numpy call. Otherwise PlotError
+    names the first bad line, as a row-by-row parse would."""
+    width = len(header)
+    if all(line.count(",") == width - 1 for line in lines):
+        cells = ",".join(lines).split(",")
+        try:
+            return np.fromiter(map(float, cells), float,
+                               len(cells)).reshape(-1, width)
+        except ValueError:
+            pass
+    for line in lines:
+        cells = line.split(",")
+        if len(cells) != width:
+            raise PlotError(f"row has {len(cells)} cells, header has {width}")
+        try:
+            list(map(float, cells))
+        except ValueError as exc:
+            raise PlotError(f"non-numeric value in data row: {line}") from exc
+    raise AssertionError("the one-call parse failed on rows that parse")
+
+
 def _read_data(path) -> tuple:
-    """Parse a CSV data file: ('#' comments skipped) header + float rows."""
-    header = None
-    rows = []
+    """Parse a CSV data file: ('#' comments skipped) header + float rows.
+
+    Returns the header and a (column, row) float array. Bytes that do not
+    decode raise as the file is read, after any bad row before them.
+    """
+    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise PlotError(f"row has {len(cells)} cells, header has "
-                                f"{len(header)}")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise PlotError(f"non-numeric value in data row: {line}") from exc
-    if header is None or not rows:
+        try:
+            for raw in fh:
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    lines.append(line)
+        except UnicodeDecodeError:
+            if len(lines) > 1:
+                _table(lines[0].split(","), lines[1:])
+            raise
+    if len(lines) < 2:
         raise PlotError("data file has no rows")
-    columns = [list(col) for col in zip(*rows)]
-    return header, columns
+    header = lines[0].split(",")
+    return header, _table(header, lines[1:]).T
 
 
 def _cmd_spectrum(args) -> int:
@@ -159,8 +191,7 @@ def _cmd_spectrum(args) -> int:
         e_field=args.e_vcm * 100.0, theta=theta))
     lams = analytic_spectrum(b_tilde_from_field(b), p.e_tilde,
                              p.delta_tilde, theta)
-    rows = np.column_stack(
-        [b, lams / _GHZ_PER_UNIT[args.unit]]).tolist()
+    rows = np.column_stack([b, lams / _GHZ_PER_UNIT[args.unit]])
     provenance = {
         "b_min_tesla": float(args.b_min), "b_max_tesla": float(args.b_max),
         "points": args.points, "e_vcm": float(args.e_vcm),
@@ -259,7 +290,7 @@ def _sweep_rows(args, mol, value_fn):
     columns = value_fn(p)
     if error is not None:
         raise error
-    return x_name, np.column_stack([xs] + columns).tolist(), provenance
+    return x_name, np.column_stack([xs] + columns), provenance
 
 
 def _cmd_b1(args) -> int:
@@ -305,7 +336,8 @@ def _cmd_fit(args) -> int:
     xs = columns[args.x_col - 1]
     ys = columns[args.y_col - 1]
     result = fit_power_law(xs, ys, args.model, window=window)
-    used = [v for v in xs if result.window[0] <= v <= result.window[1]]
+    lo, hi = result.window
+    used = np.count_nonzero((lo <= xs) & (xs <= hi))
     lines = [
         f"model: {result.model}",
         f"coefficient: {_fmt(result.coefficient)}",
@@ -313,7 +345,7 @@ def _cmd_fit(args) -> int:
         f"rms_residual: {_fmt(result.rms_residual)}",
         f"window_min: {_fmt(result.window[0])}",
         f"window_max: {_fmt(result.window[1])}",
-        f"points_used: {len(used)}",
+        f"points_used: {used}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

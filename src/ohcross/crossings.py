@@ -193,13 +193,19 @@ def _confirm_resolvents(points) -> None:
 
 def _resolvent_points(e_tilde, delta_tilde, theta) -> tuple:
     """The broadcast shape of the inputs, the (e, d, theta) floats of each
-    point and its confirmed _resolvent_point tuple."""
+    point and its confirmed _resolvent_point tuple. A point whose Python
+    float `**` overflows raises CrossingError."""
     args = np.broadcast_arrays(e_tilde, delta_tilde, theta)
     inputs = list(zip(*(np.ravel(a).tolist() for a in args)))
     points = []
     try:
         for e, d, th in inputs:
-            points.append(_resolvent_point(e, d, th))
+            try:
+                points.append(_resolvent_point(e, d, th))
+            except OverflowError as exc:
+                raise CrossingError(
+                    f"resolvent closed form overflows at e_tilde = {e:.6g}, "
+                    f"delta_tilde = {d:.6g}, theta = {th:.6g}") from exc
     finally:
         # also when a point raised: the checks of the points before it
         # come first, as they would one point at a time

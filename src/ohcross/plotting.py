@@ -4,11 +4,22 @@ Hand-rolled on purpose: the rendering contract is byte-identical output
 for identical input, which rules out library version drift. Only the
 small feature set the data files need is supported: one shared x column,
 several y series, linear axes with 1-2-5 ticks, a legend.
+
+Text contract, shared with the CLI that writes and reads the data files:
+CSV cells print as "%.12g", SVG coordinates as "%.2f" and tick labels as
+"%.6g", so identical input gives byte-identical output. Numbers are
+formatted a block at a time. The pixel coordinates of all series are one
+numpy expression, elementwise in the order of operations of the scalar
+formula, so each rounds as a Python float would. The shared x
+coordinates are formatted once, and each polyline's points are one
+%-format.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 WIDTH = 800
 HEIGHT = 560
@@ -60,27 +71,25 @@ def render_line_plot(x, ys, labels, title: str = "",
     palette. Coordinates are emitted with two decimals and tick labels
     with six significant digits, so equal input gives equal bytes.
     """
-    xs = [float(v) for v in x]
+    xs = np.asarray(x, dtype=float)
     if len(xs) < 2:
         raise PlotError("need at least two x values")
-    if not ys:
+    if len(ys) == 0:
         raise PlotError("need at least one y series")
-    series = [[float(v) for v in y] for y in ys]
-    for s in series:
-        if len(s) != len(xs):
-            raise PlotError("every series must match the length of x")
+    # lengths first: numpy refuses ragged series with its own message
+    if any(len(y) != len(xs) for y in ys):
+        raise PlotError("every series must match the length of x")
+    series = np.asarray(ys, dtype=float)
     names = [str(v) for v in labels]
     if len(names) != len(series):
         raise PlotError("labels must match the number of series")
-    for v in xs + [v for s in series for v in s]:
-        if not math.isfinite(v):
-            raise PlotError("data contains non-finite values")
+    if not (np.isfinite(xs).all() and np.isfinite(series).all()):
+        raise PlotError("data contains non-finite values")
 
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
     if x_hi == x_lo:
         raise PlotError("x range is singular")
-    flat = [v for s in series for v in s]
-    y_lo, y_hi = min(flat), max(flat)
+    y_lo, y_hi = float(series.min()), float(series.max())
     if y_hi == y_lo:
         pad = max(abs(y_lo) * 0.1, 0.5)
         y_lo -= pad
@@ -89,10 +98,11 @@ def render_line_plot(x, ys, labels, title: str = "",
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(v: float) -> float:
+    # Both take a float or an array.
+    def px(v):
         return MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(v: float) -> float:
+    def py(v):
         return MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -139,11 +149,15 @@ def render_line_plot(x, ys, labels, title: str = "",
             f'font-size="13" text-anchor="middle" '
             f'transform="rotate(-90 {cx} {cy:.2f})">{_escape(y_label)}</text>')
 
-    for k, s in enumerate(series):
+    # Every polyline shares the x coordinates: they are formatted once and
+    # set into the points format, which then takes one series' y values.
+    x_cells = (" ".join(["%.2f"] * len(xs)) % tuple(px(xs).tolist())).split()
+    points_fmt = " ".join([cell + ",%.2f" for cell in x_cells])
+    for k, ys_px in enumerate(py(series).tolist()):
         color = PALETTE[k % len(PALETTE)]
         dash = DASHES[k % len(DASHES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(xs, s))
+        points = points_fmt % tuple(ys_px)
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash_attr} points="{points}"/>')
 

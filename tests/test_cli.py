@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ohcross import algebra, crossings
+from ohcross import algebra, cli, crossings
 from ohcross.cli import build_parser, run
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            scale_parameters)
+from ohcross.plotting import PlotError
 
 GHZ_PER_PERCM = 29.9792458
 
@@ -24,7 +25,10 @@ GHZ_PER_PERCM = 29.9792458
 # and over all angles (the 3 kV/cm b1 sweep crosses the critical field)
 # pin the array scaling and the stacked matrices. The `--unit ghz`
 # variants pin the unit table, and the spectrum sweep pins the `--config`
-# path on tests/data/mol.json (commands run in tests/data).
+# path on tests/data/mol.json (commands run in tests/data). The 201-point
+# spectra (at 60 deg, and at 0 deg in GHz, where degenerate levels
+# overlap) and their `plot` SVGs, with the SVG of b1_readme.csv, pin the
+# block-at-a-time CSV writer, the one-call parser and the array renderer.
 # When an output change is intended, rewrite the file with
 # `ohcross <command> > tests/data/<name>` and say why in CHANGES.md.
 GOLDEN = Path(__file__).parent / "data"
@@ -53,6 +57,13 @@ GOLDEN_COMMANDS = {
     "gap_theta_2kvcm.csv":
         "gap --vs theta --theta-min-deg 0 --theta-max-deg 180 --points 25 --e-vcm 2000",
     "gap_e_theta75.csv": "gap --vs e --e-min 10 --e-max 4000 --points 51 --theta-deg 75",
+    "spectrum_e2500_theta60.csv":
+        "spectrum --e-vcm 2500 --theta-deg 60 --b-max 0.3 --points 201",
+    "spectrum_e2500_theta60.svg": "plot --in spectrum_e2500_theta60.csv",
+    "spectrum_e2500_theta0_ghz.csv":
+        "spectrum --e-vcm 2500 --theta-deg 0 --b-max 0.3 --points 201 --unit ghz",
+    "spectrum_e2500_theta0_ghz.svg": "plot --in spectrum_e2500_theta0_ghz.csv",
+    "b1_readme.svg": "plot --in b1_readme.csv",
 }
 
 
@@ -373,6 +384,138 @@ class TestPlot:
         capsys.readouterr()
 
 
+def _random_floats(n, seed):
+    """n float64 values from uniform random bit patterns: every exponent,
+    subnormals, signed zeros, infinities and NaN payloads included."""
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+SPECIAL_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   1.5e-310, math.inf, -math.inf, math.nan, -math.nan,
+                   1.7976931348623157e308, 0.1, 1e16, 123456789012.5,
+                   0, 1, -7, 10 ** 15, 2 ** 53 + 1, -(10 ** 300), True,
+                   np.float64(0.3), np.float64(-2.5e-320), np.float64("nan")]
+
+
+class TestTextEquivalences:
+    """The block writer and the one-call parser match the per-cell
+    format(float(v), ".12g") and float() they replace."""
+
+    def test_number_format_matches_format_on_random_bits(self):
+        values = _random_floats(100_000, 11).tolist()
+        text = cli._csv("t", {}, ["v"], np.reshape(values, (-1, 1)))
+        assert text.splitlines()[2:] == [format(v, ".12g") for v in values]
+
+    def test_number_format_matches_format_on_special_values(self):
+        for v in SPECIAL_NUMBERS:
+            assert cli._fmt(v) == format(float(v), ".12g"), v
+        rows = [[v, "s%s"] for v in SPECIAL_NUMBERS]
+        assert cli._csv("t", {}, ["v", "s"], rows).splitlines()[2:] == [
+            f"{format(float(v), '.12g')},s%s" for v in SPECIAL_NUMBERS]
+        with pytest.raises(OverflowError):
+            cli._fmt(10 ** 400)
+
+    def test_block_of_rows_matches_cell_by_cell(self):
+        table = _random_floats(9 * 201, 12).reshape(201, 9)
+        lines = cli._csv("t", {"k": 0.5}, list("abcdefghi"), table).splitlines()
+        assert lines[:3] == ["# ohcross t", "# k = 0.5", "a,b,c,d,e,f,g,h,i"]
+        assert lines[3:] == [",".join(format(v, ".12g") for v in row)
+                             for row in table.tolist()]
+        assert cli._csv("t", {}, ["a"], []) == "# ohcross t\na\n"
+
+    def test_parse_matches_float_on_printed_numbers(self):
+        cells = [format(v, ".12g") for v in _random_floats(100_000, 13).tolist()]
+        cells += [repr(v) for v in _random_floats(1000, 14).tolist()]
+        got = cli._table(["v"], cells).ravel()
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("cell", [
+        "1_000", " 1.5 ", "infinity", "-Infinity", "NaN", "-nan", "inf ",
+        "\uff11\uff12", "\u0661.5", "1e400", "-1e-400", "+.5", "5.", "\xa02",
+        "0x10", "1__0", "_1", "1_", "nan(1)", "snan", "1e", ".", "", " ",
+        "1 2", "1d5", "0b1", "\uff11\uff0e5"])
+    def test_parse_accepts_and_rejects_like_float(self, cell):
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(PlotError, match="non-numeric"):
+                cli._table(["a", "b"], ["0,1", f"0,{cell}"])
+        else:
+            got = cli._table(["a", "b"], ["0,1", f"0,{cell}"])[1, 1]
+            assert np.array([got]).view(np.uint64) == \
+                np.array([want]).view(np.uint64)
+
+
+# Data file text -> the one line that `plot` and `fit` print on stderr;
+# the first bad line in file order decides.
+DATA_FILE_ERRORS = [
+    ("x,y\n0,1\n1\n", "row has 1 cells, header has 2"),
+    ("x,y\n0,1\n1,2,3\n2,abc\n", "row has 3 cells, header has 2"),
+    # a long row and a short one that add up to whole rows
+    ("x,y\n0,1,2\n3\n", "row has 3 cells, header has 2"),
+    ("x,y\n0,1\n1,abc\n2\n", "non-numeric value in data row: 1,abc"),
+    ("x,y\n0,1\n 1 , 0x10 \n", "non-numeric value in data row: 1 , 0x10"),
+    ("x,y\n0,1\n1,\n", "non-numeric value in data row: 1,"),
+    ("x,y\n", "data file has no rows"),
+    ("# only a comment\n\n", "data file has no rows"),
+    ("", "data file has no rows"),
+]
+
+
+class TestDataFileErrors:
+    @pytest.mark.parametrize("command", [
+        ["plot"], ["fit", "--model", "power-in-E"]])
+    @pytest.mark.parametrize("text, message", DATA_FILE_ERRORS)
+    def test_message_and_exit_code(self, tmp_path, capsys, command, text,
+                                   message):
+        data = tmp_path / "d.csv"
+        data.write_text(text, encoding="utf-8")
+        assert run(command + ["--in", str(data)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0,1\n", "need at least two x values"),
+        ("x,y\n0,1\n1,nan\n", "data contains non-finite values"),
+        ("x,y\n0,1\n-inf,2\n", "data contains non-finite values"),
+        ("x,y\n1,1\n1,2\n", "x range is singular"),
+        ("x\n0\n1\n", "plot needs an x column plus at least one series"),
+    ])
+    def test_plot_messages(self, tmp_path, capsys, text, message):
+        data = tmp_path / "d.csv"
+        data.write_text(text, encoding="utf-8")
+        assert run(["plot", "--in", str(data)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_bad_value_before_undecodable_bytes(self, tmp_path, capsys):
+        # The bad row is reported although bytes far past it do not decode,
+        # as when each row is parsed as it is read.
+        data = tmp_path / "d.csv"
+        filler = "".join(f"{k},{k}\n" for k in range(4000)).encode()
+        data.write_bytes(b"x,y\n0,1\n1,abc\n" + filler + b"2,\xff\n")
+        assert run(["plot", "--in", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            "error: non-numeric value in data row: 1,abc\n")
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"x,y\n0,1\n2,\xff\n")
+        assert run(["plot", "--in", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
+    def test_fit_reads_float_syntax(self, tmp_path, capsys):
+        # underscores, padding, full-width digits: whatever float() takes
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,2\n2, 16 \n3,5_4\n\uff14,128\n5,2.5e2\n",
+                        encoding="utf-8")
+        assert run(["fit", "--in", str(data), "--model", "power-in-E"]) == 0
+        out = capsys.readouterr().out
+        assert "exponent: 3\n" in out and "points_used: 5\n" in out
+
+
 class TestHamiltonian:
     def test_dump_layout(self, capsys):
         assert run(["hamiltonian", "--b-tesla", "0.1", "--e-vcm", "1000",
@@ -440,6 +583,21 @@ class TestConfigAndErrors:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "b1 --vs e --e-min 0 --e-max 1e90 --points 3 --theta-deg 60",
+        "gap --vs e --e-min 0 --e-max 1e90 --points 3 --theta-deg 60",
+        "b1 --vs theta --theta-min-deg 10 --theta-max-deg 80 --points 3 "
+        "--e-vcm 1e90",
+    ])
+    def test_resolvent_overflow_is_a_validation_failure(self, argv, capsys):
+        # Python's float ** raises OverflowError where numpy gives inf
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: resolvent closed form overflows at "
+                              "e_tilde = ")
         assert err.count("\n") == 1
 
     def test_parallel_corner_error_pinned(self, capsys):

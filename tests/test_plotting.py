@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ohcross.plotting import PlotError, render_line_plot
@@ -48,6 +49,36 @@ def test_escapes_markup_in_text():
 def test_constant_series_padded_not_error():
     svg = render_line_plot(X, [[2.0, 2.0, 2.0, 2.0]], ["flat"])
     assert "<polyline" in svg
+
+
+@pytest.mark.parametrize("x, ys, labels, message", [
+    ([1.0], [[2.0]], ["a"], "need at least two x values"),
+    (X, [], [], "need at least one y series"),
+    # ragged series: numpy would refuse them with its own message
+    (X, [[1, 2, 3, 4], [1, 2]], ["a", "b"],
+     "every series must match the length of x"),
+    (X, [[1, 2, 3, 4, 5]], ["a"], "every series must match the length of x"),
+    (X, [[1, 2, 3, 4]], ["a", "b"], "labels must match the number of series"),
+    (X, [[1, 2, math.inf, 4]], ["a"], "data contains non-finite values"),
+    ([0, 1, math.nan, 3], [[1, 2, 3, 4]], ["a"],
+     "data contains non-finite values"),
+    ([2, 2, 2, 2], [[1, 2, 3, 4]], ["a"], "x range is singular"),
+])
+def test_error_messages(x, ys, labels, message):
+    with pytest.raises(PlotError) as info:
+        render_line_plot(x, ys, labels)
+    assert str(info.value) == message
+
+
+def test_array_input_matches_list_input():
+    x = [0.0, 0.1, 0.25, 0.3]
+    ys = [[3.0, -1.5, 0.125, 2.0], [0.0, 1.0, -2.0, 1e-9]]
+    svg = render_line_plot(x, ys, ["a", "b"], title="t")
+    assert render_line_plot(np.array(x), np.array(ys), ("a", "b"),
+                            title="t") == svg
+    assert ('<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
+            'points="70.00,44.00 305.33,459.80 658.33,309.65 776.00,136.40"/>'
+            in svg)
 
 
 def test_rejects_short_x():
