@@ -168,21 +168,6 @@ def solve_monic_cubics(a):
     return roots, resid
 
 
-def solve_cubic(coeffs) -> np.ndarray:
-    """Closed-form roots of c0 + c1 z + c2 z^2 + c3 z^3.
-
-    One row through solve_monic_cubics after scaling to monic. Each root
-    satisfies |p(root)| <= 1e-9 times the coefficient magnitude scale at
-    that root, or ResidualError is raised; a zero leading coefficient
-    fails that bound.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    with np.errstate(all="ignore"):
-        roots, resid = solve_monic_cubics((c[:3] / c[3])[None])
-    _check(resid[0], CUBIC_RESIDUAL_REL, "cubic")
-    return roots[0]
-
-
 def solve_quartic(coeffs) -> np.ndarray:
     """Closed-form roots of c0 + c1 z + ... + c4 z^4.
 

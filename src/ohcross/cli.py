@@ -222,51 +222,31 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _sweep_parameters(mol, xs, fields) -> tuple:
-    """ScaledParameters, as arrays, over the leading sweep points that
-    FieldConfiguration and the field scaling accept, and the error of the
-    first other point (None if there is none).
+def _sweep_parameters(mol, e_field, theta) -> ScaledParameters:
+    """ScaledParameters over a sweep from its e_field (V/m) and theta, each
+    a float or an array along the sweep.
 
-    fields(x) gives (e_field in V/m, theta) at sweep values x. Both run
-    monotonically along a sweep and their accepted values form intervals,
-    so when both end points pass every point does.
+    Both run monotonically along a sweep and their accepted values form
+    intervals, so FieldConfiguration and the field scaling check the two
+    end points only: when both pass, every point does.
     """
-    def error_at(k):
-        e_field, theta = fields(xs[k])
-        try:
-            scale_parameters(mol, FieldConfiguration(e_field=float(e_field),
-                                                     theta=float(theta)))
-        except ValueError as exc:
-            return exc
-        return None
-
-    n, error = xs.size, None
-    if error_at(0) or error_at(-1):
-        for n in range(xs.size):
-            error = error_at(n)
-            if error:
-                break
-    e_field, theta = fields(xs[:n])
-    delta_tilde = scale_parameters(mol, FieldConfiguration()).delta_tilde
+    for k in (0, -1):
+        end = scale_parameters(mol, FieldConfiguration(
+            e_field=float(np.ravel(e_field)[k]), theta=float(np.ravel(theta)[k])))
     return ScaledParameters(0.0, e_tilde_from_field(e_field, mol),
-                            delta_tilde, theta), error
+                            end.delta_tilde, theta)
 
 
 def _sweep_rows(args, mol, value_fn):
     """Rows of (sweep value, value_fn columns) for b1 and gap sweeps.
 
-    value_fn takes the whole sweep as one ScaledParameters of arrays. A
-    sweep with a rejected point still evaluates the points before it
-    first, so it fails where a point-by-point loop would.
+    value_fn takes the whole sweep as one ScaledParameters of arrays, after
+    the sweep's end points have passed their field checks.
     """
     if args.vs == "e":
         _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
-        theta = _theta(args)
         xs = np.linspace(args.e_min, args.e_max, args.points)
-
-        def fields(e_vcm):
-            return e_vcm * 100.0, theta
-
+        e_field, theta = xs * 100.0, _theta(args)
         x_name = "e_vcm"
         provenance = {
             "vs": "e", "e_min_vcm": float(args.e_min),
@@ -277,19 +257,13 @@ def _sweep_rows(args, mol, value_fn):
         lo, hi = _theta_range(args)
         _check_sweep(lo, hi, args.points, "the theta bounds")
         xs = np.linspace(lo, hi, args.points)
-
-        def fields(theta):
-            return args.e_vcm * 100.0, theta
-
+        e_field, theta = args.e_vcm * 100.0, xs
         x_name = "theta_rad"
         provenance = {
             "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
             "points": args.points, "e_vcm": float(args.e_vcm),
         }
-    p, error = _sweep_parameters(mol, xs, fields)
-    columns = value_fn(p)
-    if error is not None:
-        raise error
+    columns = value_fn(_sweep_parameters(mol, e_field, theta))
     return x_name, np.column_stack([xs] + columns), provenance
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CUBIC_RESIDUAL_REL, _check, numeric_roots,
-                      solve_monic_cubics, solve_quartic)
+from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, _check,
+                      _monic_quartic_rows, numeric_roots, solve_monic_cubics,
+                      solve_quartic)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import build_hamiltonian
@@ -45,6 +46,10 @@ IMAG_SNAP_REL = 1e-7
 
 # Roots closer than this fraction of their magnitude are one repeated root.
 ROOT_MERGE_REL = 1e-8
+
+# A resolvent value below this fraction of |q| takes one Newton step on
+# the resolvent cubic before it enters the first-crossing composition.
+RESOLVENT_NEWTON_REL = 1e-2
 
 # Half width, in the internal field variable, of the gap-minimum search.
 SEARCH_HALF_WIDTH_TILDE = 0.15
@@ -100,123 +105,142 @@ class ResolventData:
     d_b: float
 
 
-def _resolvent_point(e_tilde: float, delta_tilde: float, theta: float) -> tuple:
-    """resolvent_analysis at one point in Python floats, short of its
-    confirming cubic.
+def _depressed(e_tilde, delta_tilde, theta) -> tuple:
+    """Depressed coefficients q, r, s of the f1 quartic, and q^2 - 4s.
 
-    Returns the seven ResolventData fields in order, then c6, the
-    resolvent scale and the confirming cubic in w = z / alpha as
-    (alpha, a0, a1, a2). ResolventMismatchError if the discriminant routes
-    disagree.
+    All four are written in S = sin^2 theta (tests re-derive them with
+    sympy). r and q^2 - 4s keep their exact factor S, so neither is left to
+    cancel out of c0..c6 near parallel fields, and r keeps its factor
+    d^2 + e^2 - 4 S e^2, which vanishes exactly at the critical field.
     """
-    c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
-    q = c4 - 3.0 * c6 * c6 / 8.0
-    r = (8.0 * c2 - 4.0 * c4 * c6 + c6 ** 3) / 8.0
-    s = c0 - c6 * (64.0 * c2 - 16.0 * c4 * c6 + 3.0 * c6 ** 3) / 256.0
-
-    st = math.sin(theta)
-    c2t = math.cos(2.0 * theta)
-    e2 = e_tilde * e_tilde
-    d2 = delta_tilde * delta_tilde
-    g_c = (32.0 * d2 ** 3 + 16.0 * e2 * d2 * d2 * (25.0 - 23.0 * c2t)
-           + 576.0 * e2 * e2 * d2 * st * st * (7.0 - c2t)
-           + 2592.0 * e2 ** 3 * st * st * math.cos(theta) ** 4)
-    delta_c = (-(2.0 / 3.0) ** 2 * (32.0 / 3.0) ** 9
-               * (delta_tilde * e2) ** 4 * (d2 + 9.0 * e2) ** 3
-               * st ** 8 * g_c)
-
-    big_c = 2.0 * q ** 3 - 72.0 * q * s + 27.0 * r * r
-    big_p = q * q + 12.0 * s
-    delta_generic = 2.0 ** 24 * (big_c * big_c - 4.0 * big_p ** 3)
-    scale = 2.0 ** 24 * max(big_c * big_c, 4.0 * abs(big_p) ** 3)
-    if abs(delta_c - delta_generic) > 1e-9 * max(scale, REL_FLOOR):
-        raise ResolventMismatchError(
-            f"discriminant routes disagree: {delta_c:.6e} vs {delta_generic:.6e}")
-
-    inner = complex(12.0 * q ** 3 * r * r + 81.0 * r ** 4
-                    - 48.0 * q * (q ** 3 + 9.0 * r * r) * s
-                    + 384.0 * q * q * s * s - 768.0 * s ** 3)
-    kernel = (2.0 / 3.0) * q ** 3 + 9.0 * r * r - 24.0 * q * s + cmath.sqrt(inner)
-    d_b = 3.0 ** (1.0 / 3.0) * kernel ** (1.0 / 3.0)
-    lim_scale = max(abs(q), abs(s) ** 0.5, abs(r) ** (2.0 / 3.0))
-    if abs(d_b) <= 1e-10 * max(lim_scale, REL_FLOOR):
-        # kernel and numerator vanish together; the composition tends to -q/6
-        cr_complex = complex(-q / 6.0)
-    else:
-        cr_complex = (2.0 ** (1.0 / 3.0) * (2.0 * q * q + 24.0 * s) / (24.0 * d_b)
-                      + 2.0 ** (2.0 / 3.0) * d_b / 24.0 - q / 6.0)
-
-    # The confirming cubic is solved in a scaled variable z = alpha w so all
-    # coefficients stay O(1); otherwise a huge constant term (r^2 grows
-    # like the eighth power of the field) would swamp the leading 1.
-    alpha = max(abs(2.0 * q), abs(q * q - 4.0 * s) ** 0.5,
-                (r * r) ** (1.0 / 3.0), REL_FLOOR)
-    return (q, r, s, delta_c, g_c, cr_complex.real, d_b.real, c6, lim_scale,
-            alpha, -r * r / alpha ** 3, (q * q - 4.0 * s) / (alpha * alpha),
-            2.0 * q / alpha)
+    e2, d2 = e_tilde * e_tilde, delta_tilde * delta_tilde
+    d4 = d2 * d2
+    se2 = np.sin(theta) ** 2 * e2
+    u = se2 * (se2 - e2)  # S^2 e^4 - S e^4
+    q = -8.0 / 81.0 * (81.0 * u - 189.0 * d2 * se2 + 4.0 * d4)
+    r = 128.0 / 9.0 * d2 * se2 * (d2 + e2 - 4.0 * se2)
+    s = 16.0 / 6561.0 * (6561.0 * u * u + 16038.0 * d2 * se2 ** 3
+                         - 8991.0 * d4 * se2 * se2 - 4374.0 * d2 * e2 * se2 * se2
+                         + 1080.0 * d4 * d2 * se2 + 1944.0 * d4 * e2 * se2
+                         + 16.0 * d4 * d4)
+    disc = -1024.0 / 81.0 * d2 * se2 * (36.0 * se2 * se2 - 35.0 * d2 * se2
+                                         - 27.0 * e2 * se2 + 2.0 * d4 + 2.0 * d2 * e2)
+    return q, r, s, disc
 
 
-def _confirm_resolvents(points) -> None:
-    """Check the resolvent value of each _resolvent_point tuple against its
-    confirming cubic, all cubics in one row solve. The lowest failing
-    point raises its first failing check: the cubic residual bound
-    (ResidualError), a real root, then branch agreement (BranchError).
+def _first_crossing(e_tilde, delta_tilde, theta) -> tuple:
+    """resolvent_analysis and b1_exact_tilde in one array pass.
+
+    Returns the inputs' broadcast shape, the seven ResolventData fields and
+    b1, each flat over the points (a scalar runs as one point, so it gives
+    the same bits alone as in a sweep). The lowest failing point raises
+    its first failing check, in this order: a non-finite value, the
+    discriminant routes, the confirming cubic's residual bound, a real
+    cubic root, branch agreement, and the composed root in the quartic.
     """
-    if not points:
-        return
-    cols = np.array(points)
-    c_r, lim_scale, alpha = cols[:, 5], cols[:, 8], cols[:, 9]
-    zs, resid = solve_monic_cubics(cols[:, 10:])
+    args = np.broadcast_arrays(e_tilde, delta_tilde, theta)
+    e, d, th = (np.ravel(a).astype(float) for a in args)
     with np.errstate(all="ignore"):
+        q, r, s, disc = _depressed(e, d, th)
+        sin2 = np.sin(th) ** 2
+        e2, d2 = e * e, d * d
+        g_c = (32.0 * d2 ** 3 + 32.0 * e2 * d2 * d2 * (1.0 + 23.0 * sin2)
+               + 1152.0 * e2 * e2 * d2 * sin2 * (3.0 + sin2)
+               + 2592.0 * e2 ** 3 * sin2 * np.cos(th) ** 4)
+        delta_c = (-(2.0 / 3.0) ** 2 * (32.0 / 3.0) ** 9 * (d * e2) ** 4
+                   * (d2 + 9.0 * e2) ** 3 * sin2 ** 4 * g_c)
+        big_c = 2.0 * q ** 3 - 72.0 * q * s + 27.0 * r * r
+        big_p = q * q + 12.0 * s
+        delta_generic = 2.0 ** 24 * (big_c * big_c - 4.0 * big_p ** 3)
+        scale = 2.0 ** 24 * np.maximum(big_c * big_c, 4.0 * np.abs(big_p) ** 3)
+
+        # principal-branch cube-root composition of the resolvent value
+        inner = (12.0 * q ** 3 * r * r + 81.0 * r ** 4
+                 - 48.0 * q * (q ** 3 + 9.0 * r * r) * s
+                 + 384.0 * q * q * s * s - 768.0 * s ** 3)
+        kernel = ((2.0 / 3.0) * q ** 3 + 9.0 * r * r - 24.0 * q * s
+                  + np.sqrt(inner.astype(complex)))
+        d_b = 3.0 ** (1.0 / 3.0) * kernel ** (1.0 / 3.0)
+        lim_scale = np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))),
+                               np.abs(r) ** (2.0 / 3.0))
+        # where kernel and numerator vanish together the value tends to -q/6
+        c_r = np.where(np.abs(d_b) <= 1e-10 * np.maximum(lim_scale, REL_FLOOR), 0.0,
+                       (2.0 ** (1.0 / 3.0) * (2.0 * q * q + 24.0 * s) / (24.0 * d_b)
+                        + 2.0 ** (2.0 / 3.0) * d_b / 24.0).real) - q / 6.0
+
+        # Near the critical field c_r tends to zero under about eps |q| of
+        # noise. One Newton step on the resolvent cubic z^3 + 2q z^2 +
+        # (q^2 - 4s) z - r^2 from z = 4 c_r removes it, and the cubic then
+        # gives |r| / (4 sqrt(c_r)) as sqrt((z + q)^2 - 4s) / 2, with no 0/0.
+        near = c_r <= RESOLVENT_NEWTON_REL * np.abs(q)
+        z = 4.0 * c_r
+        z = np.where(near, z - (((z + 2.0 * q) * z + disc) * z - r * r)
+                     / ((3.0 * z + 4.0 * q) * z + disc), z)
+        c_r = z / 4.0
+        # The sign of e^2 (1 - 2 cos 2 theta) - d^2 picks the branch pair,
+        # -sqrt(c_r) below the critical field and +sqrt(c_r) above it; r
+        # carries that factor negated, so sign * r is -|r| on both sides.
+        sign = np.where(e2 * (4.0 * sin2 - 1.0) < d2, -1.0, 1.0)
+        half_root = np.where(near, np.sqrt(np.maximum(disc + z * (2.0 * q + z), 0.0)),
+                             np.abs(r) / (2.0 * np.sqrt(c_r))) / 2.0
+        c0, c2, c4, c6 = f1_quartic_coefficients(e, d, th)
+        re = sign * np.sqrt(np.maximum(c_r, 0.0)) - c6 / 4.0
+        im = np.sqrt(np.maximum(q / 2.0 + c_r - half_root, 0.0))
+        b1 = np.sqrt(np.maximum((re + np.hypot(re, im)) / 2.0, 0.0))
+
+        # The confirming cubic is solved in a scaled variable z = alpha w so
+        # all coefficients stay O(1); otherwise a huge constant term (r^2
+        # grows like the eighth power of the field) would swamp the leading 1.
+        alpha = np.maximum(np.maximum(np.abs(2.0 * q), np.sqrt(np.abs(disc))),
+                           np.maximum(np.cbrt(r * r), REL_FLOOR))
+        zs, resid = solve_monic_cubics(np.stack(
+            [-r * r / alpha ** 3, disc / (alpha * alpha), 2.0 * q / alpha], axis=1))
         real = np.abs(zs.imag) <= 1e-8 * np.maximum(1.0, np.abs(zs))
         reference = np.where(real, alpha[:, None] * zs.real, -np.inf).max(axis=1) / 4.0
-        # Near the critical field both routes cancel down to ~eps * q of
-        # noise while the value itself tends to zero, so the disagreement
-        # is measured against the natural resolvent scale as well as the
-        # value. A wrong branch would err at the full resolvent scale,
-        # eight orders above this tolerance.
+        # Near the critical field both routes tend to zero, so the tolerance
+        # also scales with the resolvent; a wrong branch would err at the
+        # full resolvent scale, eight orders above it.
         tol = np.maximum(np.maximum(1e-8 * np.maximum(np.abs(c_r), np.abs(reference)),
                                     1e-9 * lim_scale), REL_FLOOR)
-        off_branch = np.abs(c_r - reference) > tol
-    no_real = ~real.any(axis=1)
-    off_residual = ~(resid <= CUBIC_RESIDUAL_REL)
-    failing = np.flatnonzero(off_residual.any(axis=1) | no_real | off_branch)
-    if failing.size:
-        i = failing[0]
-        _check(resid[i], CUBIC_RESIDUAL_REL, "cubic")
-        if no_real[i]:
-            raise BranchError("resolvent cubic has no real root")
-        raise BranchError(
-            f"principal-branch resolvent {c_r[i]:.12e} disagrees with "
-            f"largest cubic root {reference[i]:.12e}")
+
+        # the composed root x = re + i im (b1 = Re sqrt(x)) in the quartic
+        x = (re + 1j * im)[:, None]
+        a = np.stack([c0, c2, c4, c6], axis=1)
+        root_resid = (np.abs(_monic_quartic_rows(a, x))
+                      / _monic_quartic_rows(np.abs(a), np.abs(x)))[:, 0]
+        fields = (q, r, s, delta_c, g_c, c_r, d_b.real)
+        finite = np.isfinite(np.stack(fields + (disc, delta_generic, scale, alpha, b1)))
+        checks = (
+            (~finite.all(axis=0), lambda i: CrossingError(
+                f"resolvent closed form overflows at e_tilde = {e[i]:.6g}, "
+                f"delta_tilde = {d[i]:.6g}, theta = {th[i]:.6g}")),
+            (np.abs(delta_c - delta_generic) > 1e-9 * np.maximum(scale, REL_FLOOR),
+             lambda i: ResolventMismatchError(
+                 f"discriminant routes disagree: {delta_c[i]:.6e} vs "
+                 f"{delta_generic[i]:.6e}")),
+            # _check raises its own ResidualError
+            (~(resid <= CUBIC_RESIDUAL_REL).all(axis=1),
+             lambda i: _check(resid[i], CUBIC_RESIDUAL_REL, "cubic")),
+            (~real.any(axis=1),
+             lambda i: BranchError("resolvent cubic has no real root")),
+            (np.abs(c_r - reference) > tol, lambda i: BranchError(
+                f"principal-branch resolvent {c_r[i]:.12e} disagrees with "
+                f"largest cubic root {reference[i]:.12e}")),
+            (~(root_resid <= QUARTIC_RESIDUAL_REL), lambda i: CrossingError(
+                f"composed first-crossing root residual {root_resid[i]:.3e} is "
+                f"above {QUARTIC_RESIDUAL_REL:.1e} of its scale")),
+        )
+    failing = np.stack([mask for mask, _ in checks])
+    if failing.any():
+        i = np.flatnonzero(failing.any(axis=0))[0]
+        raise checks[np.argmax(failing[:, i])][1](i)
+    return args[0].shape, fields, b1
 
 
-def _resolvent_points(e_tilde, delta_tilde, theta) -> tuple:
-    """The broadcast shape of the inputs, the (e, d, theta) floats of each
-    point and its confirmed _resolvent_point tuple. A point whose Python
-    float `**` overflows raises CrossingError."""
-    args = np.broadcast_arrays(e_tilde, delta_tilde, theta)
-    inputs = list(zip(*(np.ravel(a).tolist() for a in args)))
-    points = []
-    try:
-        for e, d, th in inputs:
-            try:
-                points.append(_resolvent_point(e, d, th))
-            except OverflowError as exc:
-                raise CrossingError(
-                    f"resolvent closed form overflows at e_tilde = {e:.6g}, "
-                    f"delta_tilde = {d:.6g}, theta = {th:.6g}") from exc
-    finally:
-        # also when a point raised: the checks of the points before it
-        # come first, as they would one point at a time
-        _confirm_resolvents(points)
-    return args[0].shape, inputs, points
-
-
-def _shaped(values, shape: tuple):
-    """A sequence of floats as an array of shape, or its one float for
-    scalar input."""
-    return np.reshape(values, shape) if shape else values[0]
+def _out(values, shape: tuple):
+    """values in the given shape, or a Python float for a 0-d result."""
+    values = np.reshape(values, shape)
+    return float(values) if values.ndim == 0 else values
 
 
 def resolvent_analysis(e_tilde, delta_tilde, theta) -> ResolventData:
@@ -228,19 +252,16 @@ def resolvent_analysis(e_tilde, delta_tilde, theta) -> ResolventData:
     ResolventMismatchError is raised.
 
     The resolvent value c_r comes from the principal-branch complex cube
-    root composition; its real part is validated against a quarter of the
-    largest real root of z^3 + 2q z^2 + (q^2-4s) z - r^2 computed by the
-    independent cubic solver, and BranchError reports any disagreement.
+    root composition, with one Newton step where it is below
+    RESOLVENT_NEWTON_REL of |q|. It must match a quarter of the largest
+    real root of z^3 + 2q z^2 + (q^2-4s) z - r^2 from the independent
+    cubic solver, or BranchError is raised.
 
     The inputs broadcast, and the fields take their shape; scalar input
-    gives floats. Each point's closed form runs in Python floats, and all
-    confirming cubics are solved in one row solve. If any point fails,
-    the lowest failing one raises, with its first failing check in the
-    order above.
+    gives floats. The pass and its checks are b1_exact_tilde's.
     """
-    shape, _, points = _resolvent_points(e_tilde, delta_tilde, theta)
-    fields = list(zip(*points))[:7] or [()] * 7
-    return ResolventData(*(_shaped(field, shape) for field in fields))
+    shape, fields, _ = _first_crossing(e_tilde, delta_tilde, theta)
+    return ResolventData(*(_out(field, shape) for field in fields))
 
 
 def critical_field_tilde(delta_tilde: float, theta: float) -> float:
@@ -258,41 +279,19 @@ def critical_field_tilde(delta_tilde: float, theta: float) -> float:
     return delta_tilde / math.sqrt(denom)
 
 
-def _b1_point(e_tilde: float, delta_tilde: float, theta: float, point) -> float:
-    """b1_exact_tilde at one point from its _resolvent_point tuple."""
-    q, r, s, _, _, c_r, _, c6 = point[:8]
-    cr = max(c_r, 0.0)
-    sq = math.sqrt(cr)
-    denom = 1.0 - 2.0 * math.cos(2.0 * theta)
-    ecrit = delta_tilde / math.sqrt(denom) if denom > 0.0 else math.inf
-    # Below the critical field the branch pair takes -sqrt(C_r), above it
-    # +sqrt(C_r). r changes sign exactly where the pair switches, so the
-    # ratio sign * r / (4 sqrt(C_r)) tends to -sqrt(q^2 - 4 s) / 2 from both
-    # sides; at the switch itself (sqrt(C_r) = 0) that shared limit is used.
-    sign = -1.0 if e_tilde < ecrit else 1.0
-    re = sign * sq - c6 / 4.0
-    if sq > 0.0:
-        im2 = q / 2.0 + cr + sign * r / (4.0 * sq)
-    else:
-        im2 = q / 2.0 + cr - math.sqrt(max(q * q - 4.0 * s, 0.0)) / 2.0
-    im = math.sqrt(max(im2, 0.0))
-    mod = math.hypot(re, im)
-    return math.sqrt(max((re + mod) / 2.0, 0.0))
-
-
 def b1_exact_tilde(e_tilde, delta_tilde, theta):
     """Closed-form location (internal units) of the first crossing of the
     zero-energy level pair.
 
     Composition of the branch-resolved resolvent value with the depressed
     coefficients; the branch pair switches at the critical field. Reduces
-    to delta_tilde / 3 exactly when the electric field vanishes. Broadcasts
-    like resolvent_analysis, whose errors it raises; the composition runs
-    per point in Python floats, and scalar input gives a float.
+    to delta_tilde / 3 exactly when the electric field vanishes. The
+    composed root must satisfy the f1 quartic to QUARTIC_RESIDUAL_REL of
+    its term scale, or CrossingError is raised. Broadcasts like
+    resolvent_analysis, whose errors it raises; scalar input gives a float.
     """
-    shape, inputs, points = _resolvent_points(e_tilde, delta_tilde, theta)
-    return _shaped([_b1_point(e, d, th, point)
-                    for (e, d, th), point in zip(inputs, points)], shape)
+    shape, _, b1 = _first_crossing(e_tilde, delta_tilde, theta)
+    return _out(b1, shape)
 
 
 def b1_exact(p: ScaledParameters) -> float:
@@ -303,10 +302,10 @@ def b1_exact(p: ScaledParameters) -> float:
 def b1_approx_tilde(e_tilde, delta_tilde, theta):
     """Small-field expansion of the first-crossing location:
     delta/3 + 3 (3 + cos 2 theta) e^2 / (8 delta). Broadcasts."""
-    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
-    return (delta_tilde / 3.0
-            + 3.0 * (3.0 + cos(2.0 * theta)) * e_tilde * e_tilde
-            / (8.0 * delta_tilde))
+    value = (delta_tilde / 3.0
+             + 3.0 * (3.0 + np.cos(2.0 * theta)) * e_tilde * e_tilde
+             / (8.0 * delta_tilde))
+    return _out(value, np.shape(value))
 
 
 def pair_gap(p: ScaledParameters, pair):
@@ -321,7 +320,7 @@ def pair_gap(p: ScaledParameters, pair):
     per point from one stacked eigvalsh call; scalar fields give a float.
     """
     gap = _floored_gap(numeric_levels(build_hamiltonian(p)), pair)
-    return float(gap) if gap.ndim == 0 else gap
+    return _out(gap, gap.shape)
 
 
 def _floored_gap(levels, pair):

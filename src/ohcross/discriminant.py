@@ -10,11 +10,11 @@ the squared field variable x = b_tilde^2:
   f2  octic in x; real roots mark further exact crossings, complex roots
       govern avoided crossings
 
-Every evaluator broadcasts over arrays of field points, and scalar inputs
-stay Python floats. Every factor is cross-checked against eigenvalue
-products computed by two independent spectral routes; audit_triple drives
-that comparison over a randomized sample, one array pass per section, and
-can localize a corrupted octic coefficient.
+Every evaluator broadcasts over arrays of field points. Every factor is
+cross-checked against eigenvalue products computed by two independent
+spectral routes; audit_triple drives that comparison over a randomized
+sample, one array pass per section, and can localize a corrupted octic
+coefficient.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .hamiltonian import build_hamiltonian
 from .model import (FieldConfiguration, MoleculeParameters, ScaledParameters,
-                    scale_parameters)
+                    b_tilde_from_field, e_tilde_from_field, scale_parameters)
 from .spectrum import analytic_spectrum, numeric_levels, numeric_levels_along_b
 
 # Leading constant of the pure-power factor f0 = F0_CONSTANT * b_tilde^8.
@@ -71,10 +71,8 @@ def eval_f0_tilde(b_tilde):
 
 def f1_quartic_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     """Monic-quartic coefficients (c0, c2, c4, c6) of f1/81 in x = b_tilde^2."""
-    # math.cos keeps scalar callers on Python floats, which are faster
-    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
-    c2t = cos(2.0 * theta)
-    c4t = cos(4.0 * theta)
+    c2t = np.cos(2.0 * theta)
+    c4t = np.cos(4.0 * theta)
     e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
     c6 = -20.0 / 9.0 * d2 - 4.0 * e2 * c2t
@@ -112,13 +110,12 @@ def g_coefficients(e_tilde, delta_tilde, theta, fault=None) -> tuple:
     hook: a (name, factor) pair multiplies the named coefficient, letting
     the self-test machinery inject a known corruption.
     """
-    cos = np.cos if isinstance(theta, np.ndarray) else math.cos
-    c = cos(theta)
-    c2 = cos(2.0 * theta)
-    c4 = cos(4.0 * theta)
-    c6 = cos(6.0 * theta)
-    c8 = cos(8.0 * theta)
-    c10 = cos(10.0 * theta)
+    c = np.cos(theta)
+    c2 = np.cos(2.0 * theta)
+    c4 = np.cos(4.0 * theta)
+    c6 = np.cos(6.0 * theta)
+    c8 = np.cos(8.0 * theta)
+    c10 = np.cos(10.0 * theta)
     E = e_tilde
     D = delta_tilde
     g16 = 8192 * (D**4 + 5 * (1 + c2) * D**2 * E**2 + 9 * c**4 * E**4)
@@ -319,12 +316,6 @@ def _localize_fault(p: ScaledParameters, fault) -> tuple:
     return suspects, scores
 
 
-def _columns(samples) -> tuple:
-    """The b_tilde, e_tilde and theta of ScaledParameters as arrays."""
-    return tuple(np.array([getattr(p, name) for p in samples])
-                 for name in ("b_tilde", "e_tilde", "theta"))
-
-
 def _section(name: str, rel, tolerance: float) -> AuditSection:
     worst = float(np.max(rel))
     return AuditSection(name, len(rel), worst, tolerance, worst <= tolerance)
@@ -355,9 +346,9 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
 
     # (E, B, theta) rows, drawn in the order of one call per value
     fields = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
-    main = [scale_parameters(mol, FieldConfiguration(*row)) for row in fields.tolist()]
-    b, e, th = _columns(main)
-    d = main[0].delta_tilde
+    main = b, e, th = (b_tilde_from_field(fields[:, 1]),
+                       e_tilde_from_field(fields[:, 0], mol), fields[:, 2])
+    d = scale_parameters(mol, FieldConfiguration()).delta_tilde
     h = build_hamiltonian(ScaledParameters(b, e, d, th))
     lam = analytic_spectrum(b, e, d, th)
     f1 = eval_f1_tilde(b, e, d, th)
@@ -375,18 +366,17 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
 
     n_side = max(1, n_samples // 5)
     fields = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
-    zero = [scale_parameters(mol, FieldConfiguration(0.0, *row))
-            for row in fields.tolist()]
-    b, _, th = _columns(zero)
+    b, th = b_tilde_from_field(fields[:, 0]), fields[:, 1]
     sections.append(_section("zero-field-form", _form_error(
         f2_zero_field_tilde(b, d), b, 0.0, d, th, fault), ZERO_FIELD_TOL))
 
-    special = []
+    rows = []
     for _ in range(n_side):
         angle = float(rng.choice([0.0, math.pi / 2.0, math.pi]))
-        row = rng.uniform((0.0, 0.0), (5e5, 0.3)).tolist() + [angle]
-        special.append(scale_parameters(mol, FieldConfiguration(*row)))
-    b, e, th = _columns(special)
+        rows.append(rng.uniform((0.0, 0.0), (5e5, 0.3)).tolist() + [angle])
+    fields = np.array(rows)
+    special = b, e, th = (b_tilde_from_field(fields[:, 1]),
+                          e_tilde_from_field(fields[:, 0], mol), fields[:, 2])
     closed = np.where(th == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
                       f2_parallel_tilde(b, e, d))
     special_rel = _form_error(closed, b, e, d, th, fault)
@@ -397,9 +387,10 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     if not passed:
         # the first worst sample; the special-angle one only when the main
         # section passed and some special sample disagreed at all
-        target = main[int(np.argmax(triple))]
+        worst, (b, e, th) = int(np.argmax(triple)), main
         if sections[0].passed and special_rel.max() > 0.0:
-            target = special[int(np.argmax(special_rel))]
-        suspects, scores = _localize_fault(target, fault)
+            worst, (b, e, th) = int(np.argmax(special_rel)), special
+        suspects, scores = _localize_fault(ScaledParameters(
+            float(b[worst]), float(e[worst]), d, float(th[worst])), fault)
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)

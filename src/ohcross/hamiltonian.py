@@ -35,9 +35,7 @@ def angular_coupling(theta) -> np.ndarray:
     the first off-diagonal carries the sin(theta) mixing of adjacent m.
     An array of angles gives a stack of shape theta.shape + (4, 4).
     """
-    # math keeps one angle on Python floats; np.cos and np.sin round alike
-    trig = (np.cos, np.sin) if isinstance(theta, np.ndarray) else (math.cos, math.sin)
-    c, s = (f(theta) for f in trig)
+    c, s = np.cos(theta), np.sin(theta)
     m = np.zeros(np.shape(theta) + (4, 4))
     for k, weight in enumerate(_M_PATTERN):
         m[..., k, k] = weight * c

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.algebra import (AlgebraError, _residuals, numeric_roots,
-                             solve_cubic, solve_monic_quartics, solve_quartic)
+from ohcross.algebra import (CUBIC_RESIDUAL_REL, AlgebraError, _residuals,
+                             numeric_roots, solve_monic_cubics,
+                             solve_monic_quartics, solve_quartic)
 from ohcross.discriminant import g_coefficients
 from ohcross.model import FieldConfiguration, MoleculeParameters, scale_parameters
 
@@ -32,40 +33,44 @@ class TestPolynomial:
 
 
 class TestCubic:
+    """solve_monic_cubics rows: (a0, a1, a2) of z^3 + a2 z^2 + a1 z + a0."""
+
+    @staticmethod
+    def roots_of(a0, a1, a2):
+        roots, resid = solve_monic_cubics(np.array([[a0, a1, a2]]))
+        assert np.all(resid <= CUBIC_RESIDUAL_REL)
+        return roots[0]
+
     def test_known_real_roots(self):
-        roots = sorted_roots(solve_cubic((-6.0, 11.0, -6.0, 1.0)).tolist())
+        roots = sorted_roots(self.roots_of(-6.0, 11.0, -6.0).tolist())
         for got, want in zip(roots, (1.0, 2.0, 3.0)):
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_triple_root(self):
         # (x - 2)^3: all three copies come back
-        roots = solve_cubic((-8.0, 12.0, -6.0, 1.0))
+        roots = self.roots_of(-8.0, 12.0, -6.0)
         assert roots.shape == (3,)
         for z in roots:
             assert z == pytest.approx(2.0, abs=1e-4)
 
     def test_complex_pair(self):
         # (x - 1)(x^2 + 1)
-        roots = solve_cubic((-1.0, 1.0, -1.0, 1.0)).tolist()
+        roots = self.roots_of(-1.0, 1.0, -1.0).tolist()
         real = [z for z in roots if abs(z.imag) < 1e-9]
         assert len(real) == 1
         assert real[0].real == pytest.approx(1.0, abs=1e-10)
 
     def test_random_cubics_match_companion_roots(self):
         rng = np.random.default_rng(101)
-        for _ in range(300):
-            coeffs = rng.uniform(-5, 5, size=3)
-            mine = sorted_roots(solve_cubic(tuple(coeffs) + (1.0,)).tolist())
+        rows = rng.uniform(-5, 5, size=(300, 3))
+        roots, resid = solve_monic_cubics(rows)
+        assert np.all(resid <= CUBIC_RESIDUAL_REL)
+        for coeffs, mine in zip(rows, roots):
             ref = sorted_roots(np.roots([1.0, coeffs[2], coeffs[1], coeffs[0]])
                                .astype(complex).tolist())
             scale = max(1.0, max(abs(z) for z in ref))
-            for a, b in zip(mine, ref):
+            for a, b in zip(sorted_roots(mine.tolist()), ref):
                 assert abs(a - b) <= 1e-7 * scale
-
-    def test_rejects_wrong_degree(self):
-        # a vanishing leading coefficient fails the residual bound
-        with pytest.raises(AlgebraError):
-            solve_cubic((1.0, 1.0, 1.0, 0.0))
 
 
 class TestQuartic:

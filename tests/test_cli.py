@@ -12,6 +12,7 @@ from ohcross import algebra, cli, crossings
 from ohcross.cli import build_parser, run
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
+                           b_field_from_tilde, e_tilde_from_field,
                            scale_parameters)
 from ohcross.plotting import PlotError
 
@@ -20,10 +21,10 @@ GHZ_PER_PERCM = 29.9792458
 # Stdout of these commands must match the files under tests/data byte for
 # byte: the README crossings, b1, gap and hamiltonian commands, the dump at
 # negative B, and catalogs at 3 kV/cm over the special angles and one
-# generic angle. The b1 and gap sweeps run their closed form per point in
-# Python floats, so they also pin that path's rounding; the sweeps over E
-# and over all angles (the 3 kV/cm b1 sweep crosses the critical field)
-# pin the array scaling and the stacked matrices. The `--unit ghz`
+# generic angle. The b1 and gap sweeps pin the one array pass of the
+# first-crossing closed form; the sweeps over E and over all angles (the
+# 3 kV/cm b1 sweep crosses the critical field and is symmetric about 90
+# degrees) pin the array scaling and the stacked matrices. The `--unit ghz`
 # variants pin the unit table, and the spectrum sweep pins the `--config`
 # path on tests/data/mol.json (commands run in tests/data). The 201-point
 # spectra (at 60 deg, and at 0 deg in GHz, where degenerate levels
@@ -592,7 +593,8 @@ class TestConfigAndErrors:
         "--e-vcm 1e90",
     ])
     def test_resolvent_overflow_is_a_validation_failure(self, argv, capsys):
-        # Python's float ** raises OverflowError where numpy gives inf
+        # the fields pass their scaling, but the closed form does not fit
+        # in double precision
         assert run(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -600,26 +602,37 @@ class TestConfigAndErrors:
                               "e_tilde = ")
         assert err.count("\n") == 1
 
-    def test_parallel_corner_error_pinned(self, capsys):
+    def test_parallel_corner_matches_mpmath(self, capsys):
+        # the discriminant routes disagreed here before the depressed
+        # coefficients took their factored forms in sin^2 theta
+        from test_crossings import b1_mpmath
         argv = "b1 --vs e --theta-deg 0.5 --e-min 1000 --e-max 100000 --points 21"
-        assert run(argv.split()) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == ("error: discriminant routes disagree: "
-                       "-1.148723e+31 vs -1.148723e+31\n")
+        assert run(argv.split()) == 0
+        rows = parse_csv(capsys.readouterr().out)[2]
+        assert len(rows) == 21
+        p = scale_parameters(MoleculeParameters(), FieldConfiguration())
+        for e_vcm, b1, _ in rows:
+            e_tilde = e_tilde_from_field(float(e_vcm) * 100.0, MoleculeParameters())
+            want = b_field_from_tilde(b1_mpmath(e_tilde, p.delta_tilde,
+                                                math.radians(0.5)))
+            # 12 printed digits
+            assert float(b1) == pytest.approx(want, rel=1e-11)
 
-    @pytest.mark.parametrize("argv, code, message", [
-        # the first point fails its check before 200 degrees is rejected
+    @pytest.mark.parametrize("argv, message", [
         ("b1 --vs theta --theta-min-deg 0.5 --theta-max-deg 200 "
-         "--e-vcm 30000 --points 3", 2, "discriminant routes disagree"),
+         "--e-vcm 30000 --points 3", "theta must lie in [0, pi]"),
         ("gap --vs e --theta-deg 0.5 --e-min 30000 --e-max 1e306 --points 3",
-         2, "discriminant routes disagree"),
+         "e_field 1e+308 V/m overflows"),
         ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
-         "--e-vcm 1000 --points 7", 1, "theta must lie in [0, pi]"),
+         "--e-vcm 1000 --points 7", "theta must lie in [0, pi]"),
     ])
-    def test_sweep_fails_at_its_first_failing_point(self, argv, code, message,
-                                                    capsys):
-        assert run(argv.split()) == code
+    def test_sweep_checks_its_end_points_first(self, argv, message, capsys,
+                                               monkeypatch):
+        def never(*args):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr(cli, "b1_exact_tilde", never)
+        assert run(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 

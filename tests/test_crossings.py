@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from ohcross import crossings
-from ohcross.algebra import ResidualError, numeric_roots
+from ohcross import algebra, crossings
+from ohcross.algebra import QUARTIC_RESIDUAL_REL, ResidualError, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
@@ -19,7 +19,7 @@ from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
-                           scale_parameters)
+                           e_tilde_from_field, scale_parameters)
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -445,11 +445,18 @@ def _resolvent_grid():
     return np.array(es), np.array(ths)
 
 
-# A point where the two discriminant routes disagree (about 30 kV/cm at
-# 0.5 degrees) and one whose confirming cubic overflows to NaN.
+# Before the depressed coefficients took their factored forms in
+# sin^2 theta, the two discriminant routes disagreed at MISMATCH_POINT
+# (about 30 kV/cm at 0.5 degrees); the tests now inject that mismatch.
+# The closed form overflows at OVERFLOW_POINT.
 MISMATCH_POINT = (50.13980101272537, math.radians(0.5))
-RESIDUAL_POINT = (1e200, 1.0)
+OVERFLOW_POINT = (1e200, 1.0)
 GOOD_POINT = (2.0, 1.0)
+
+# Where the parent closed form printed b1 = 16.583 instead of 13.832
+# (96% off): theta = 2.555 rad, E = E_c (1 + 1e-8), and its composed root.
+GUARD_POINT = (critical_field_tilde(D, 2.555) * (1.0 + 1e-8), 2.555)
+GUARD_ROOT_BEFORE = complex(157.85468829342312, 358.97415844621634)
 
 
 def _b1_at(points):
@@ -461,6 +468,127 @@ def _error_alone(point):
     with pytest.raises(ValueError) as info:
         b1_exact_tilde(point[0], D, point[1])
     return info.type, str(info.value)
+
+
+@pytest.fixture
+def mismatch(monkeypatch):
+    """Perturb q at MISMATCH_POINT's field, so that only there the two
+    discriminant routes disagree."""
+    depressed = crossings._depressed
+
+    def broken(e, d, theta):
+        q, r, s, disc = depressed(e, d, theta)
+        return q * np.where(e == MISMATCH_POINT[0], 1.0 + 1e-6, 1.0), r, s, disc
+
+    monkeypatch.setattr(crossings, "_depressed", broken)
+
+
+def b1_mpmath(e_tilde, delta_tilde, theta):
+    """The smallest Re sqrt(x) over the roots x of the f1 quartic, in
+    50-digit mpmath from the same double inputs."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        e2, d2 = mp.mpf(e_tilde) ** 2, mp.mpf(delta_tilde) ** 2
+        c2t, c4t = mp.cos(2 * mp.mpf(theta)), mp.cos(4 * mp.mpf(theta))
+        c6 = -20 * d2 / 9 - 4 * e2 * c2t
+        c4 = 118 * d2 ** 2 / 81 + 4 * (7 - 2 * c2t) * e2 * d2 / 3 + 2 * e2 ** 2 * (2 + c4t)
+        c2 = -4 * (d2 + 9 * e2) * (5 * d2 ** 2 + 9 * c2t * e2 ** 2
+                                   - 7 * (c2t - 3) * d2 * e2) / 81
+        c0 = (d2 ** 2 + 9 * e2 ** 2 + 10 * d2 * e2) ** 2 / 81
+        roots = mp.polyroots([1, c6, c4, c2, c0], maxsteps=200, extraprec=200)
+        return float(min(mp.re(mp.sqrt(x)) for x in roots))
+
+
+def _worst_error(e, th):
+    got = b1_exact_tilde(e, D, th)
+    want = np.array([b1_mpmath(ek, D, tk) for ek, tk in zip(e.tolist(), th.tolist())])
+    return float(np.max(np.abs(got - want) / want))
+
+
+class TestFirstCrossingAccuracy:
+    """b1 against 50-digit mpmath where the c0..c6 route lost it."""
+
+    def test_critical_band(self):
+        rng = np.random.default_rng(61)
+        th = rng.uniform(math.pi / 6.0 + 0.05, 5.0 * math.pi / 6.0 - 0.05, 300)
+        offset = 10.0 ** rng.uniform(-9.0, -1.0, 300) * rng.choice([-1.0, 1.0], 300)
+        ec = D / np.sqrt(1.0 - 2.0 * np.cos(2.0 * th))
+        assert _worst_error(ec * (1.0 + offset), th) <= 1e-12
+
+    def test_near_parallel(self):
+        rng = np.random.default_rng(62)
+        th = 10.0 ** rng.uniform(-4.0, math.log10(0.03), 200)
+        e = e_tilde_from_field(10.0 ** rng.uniform(5.0, 7.0, 200), MOL)
+        assert _worst_error(e, th) <= 1e-12
+
+    def test_near_parallel_grid_raises_nothing(self):
+        # 40 angles from 1e-4 to 0.3 rad x 60 fields from 100 V/cm to
+        # 100 kV/cm, log-spaced; one point in 40 is checked against mpmath
+        th = np.geomspace(1e-4, 0.3, 40)
+        e = e_tilde_from_field(np.geomspace(1e4, 1e7, 60), MOL)
+        b1 = b1_exact_tilde(e[:, None], D, th[None, :])
+        assert b1.shape == (60, 40) and np.all(np.isfinite(b1))
+        ee, tt = np.broadcast_arrays(e[:, None], th[None, :])
+        assert _worst_error(ee.ravel()[::40], tt.ravel()[::40]) <= 1e-12
+
+    def test_composed_root_guard(self, monkeypatch):
+        e, th = GUARD_POINT
+        assert b1_exact_tilde(e, D, th) == pytest.approx(b1_mpmath(e, D, th),
+                                                         rel=1e-12)
+        # the parent's composed root misses the quartic by far more than
+        # the guard's bound ...
+        c0, c2, c4, c6 = f1_quartic_coefficients(e, D, th)
+        x = GUARD_ROOT_BEFORE
+        resid = abs((((x + c6) * x + c4) * x + c2) * x + c0) / (
+            abs(x) ** 4 + abs(c6) * abs(x) ** 3 + abs(c4) * abs(x) ** 2
+            + abs(c2) * abs(x) + abs(c0))
+        assert resid > 1e3 * QUARTIC_RESIDUAL_REL
+        assert cmath.sqrt(x).real == pytest.approx(16.583174, rel=1e-6)
+        # ... and without the Newton step the pass composes that root
+        # again, from the noise in c_r, and the guard stops it
+        monkeypatch.setattr(crossings, "RESOLVENT_NEWTON_REL", 0.0)
+        with pytest.raises(crossings.CrossingError, match="composed first-crossing root"):
+            b1_exact_tilde(e, D, th)
+
+    def test_sympy_rederivation(self):
+        sp = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        # f1 / 81 is 10^8 det H / 81 in x = b^2; r stands for sqrt(3)
+        b, e, d, c, s, r, S, x = sp.symbols("b e d c s r S x")
+        ang = sp.Matrix([[-3 * c, r * s, 0, 0], [r * s, -c, 2 * s, 0],
+                         [0, 2 * s, c, r * s], [0, 0, r * s, 3 * c]])
+        h = sp.zeros(8, 8)
+        h[:4, :4] = sp.diag(-3, -1, 1, 3) * b / 10 - sp.eye(4) * d / 10
+        h[4:, 4:] = sp.diag(-3, -1, 1, 3) * b / 10 + sp.eye(4) * d / 10
+        h[:4, 4:] = h[4:, :4] = -ang * e / 10
+        dm = DomainMatrix.from_Matrix(h)
+        det = sp.Poly(sp.rem(sp.expand(dm.domain.to_sympy(dm.det())),
+                             r ** 2 - 3, r), s, c)
+        # only even powers of sin and cos appear: write them in S = sin^2
+        f1 = sp.Poly(sp.expand(sum(
+            k * S ** (i // 2) * (1 - S) ** (j // 2) * 10 ** 8 / 81
+            for (i, j), k in zip(det.monoms(), det.coeffs())).subs(b, sp.sqrt(x))), x)
+        assert f1.degree() == 4 and f1.LC() == 1
+        c0, c2, c4, c6 = (f1.coeff_monomial(x ** k) for k in range(4))
+        q = c4 - sp.Rational(3, 8) * c6 ** 2
+        rr = (8 * c2 - 4 * c4 * c6 + c6 ** 3) / 8
+        ss = c0 - c6 * (64 * c2 - 16 * c4 * c6 + 3 * c6 ** 3) / 256
+        derived = [sp.expand(v) for v in (q, rr, ss, q ** 2 - 4 * ss)]
+        # the factors the forms keep: S in r and q^2 - 4s, and in r the one
+        # that vanishes at the critical field
+        assert sp.rem(derived[1], S * (d ** 2 + e ** 2 - 4 * S * e ** 2), S) == 0
+        assert sp.rem(derived[3], S, S) == 0
+        rng = np.random.default_rng(63)
+        points = [(rng.uniform(0, 8.4), rng.uniform(1, 10), rng.uniform(0, np.pi))
+                  for _ in range(4)] + [(60.0, D, 1e-3), (5.0, D, math.pi - 2e-3)]
+        for et, dt, th in points:
+            at = {e: sp.Rational(et), d: sp.Rational(dt),
+                  S: sp.Rational(float(np.sin(th) ** 2))}
+            want = [float(v.subs(at)) for v in derived]
+            got = crossings._depressed(et, dt, th)
+            assert got == pytest.approx(want, rel=1e-12)
+        # at parallel fields r and q^2 - 4s vanish exactly
+        assert crossings._depressed(60.0, D, 0.0)[1::2] == (0.0, 0.0)
 
 
 class TestBatchedRoute:
@@ -494,44 +622,66 @@ class TestBatchedRoute:
         assert type(gap_lowest_pair(params(2.0, 1.2, 3.0))) is float
 
     @pytest.mark.parametrize("points, failing, kind", [
-        ((GOOD_POINT, RESIDUAL_POINT, MISMATCH_POINT), RESIDUAL_POINT, ResidualError),
-        ((GOOD_POINT, MISMATCH_POINT, RESIDUAL_POINT), MISMATCH_POINT,
+        ((GOOD_POINT, OVERFLOW_POINT, MISMATCH_POINT), OVERFLOW_POINT,
+         crossings.CrossingError),
+        ((GOOD_POINT, MISMATCH_POINT, OVERFLOW_POINT), MISMATCH_POINT,
          crossings.ResolventMismatchError),
-        ((RESIDUAL_POINT, GOOD_POINT, MISMATCH_POINT), RESIDUAL_POINT, ResidualError),
+        ((OVERFLOW_POINT, GOOD_POINT, MISMATCH_POINT), OVERFLOW_POINT,
+         crossings.CrossingError),
     ])
-    def test_lowest_failing_point_raises_as_alone(self, points, failing, kind):
+    def test_lowest_failing_point_raises_as_alone(self, points, failing, kind,
+                                                  mismatch):
         alone, message = _error_alone(failing)
         assert alone is kind
         with pytest.raises(kind) as info:
             _b1_at(points)
         assert str(info.value) == message
+        if failing is OVERFLOW_POINT:
+            assert message.startswith("resolvent closed form overflows at "
+                                      "e_tilde = 1e+200, ")
 
     @staticmethod
-    def _break_branch(monkeypatch, row):
-        """Double the confirming roots of one row, keeping the residuals of
-        the true roots, so that only its branch check fails."""
-        solve = crossings.solve_monic_cubics
+    def _break_cubic(monkeypatch, row, residual=False):
+        """Move the confirming roots of one row (w -> 2w + 1), keeping the
+        residuals of the true roots, so that only its branch check fails;
+        with residual, its residual bound fails as well."""
+        solve = algebra.solve_monic_cubics
 
         def broken(a):
             roots, resid = solve(a)
             if row < len(roots):
-                roots[row] *= 2.0
+                roots[row] = 2.0 * roots[row] + 1.0
+                if residual:
+                    resid[row] = np.nan
             return roots, resid
 
         monkeypatch.setattr(crossings, "solve_monic_cubics", broken)
 
-    def test_branch_check_order(self, monkeypatch):
-        self._break_branch(monkeypatch, 1)
+    def test_branch_check_order(self, monkeypatch, mismatch):
+        self._break_cubic(monkeypatch, 1)
         # a lower point's branch check comes before a later point's
-        # discriminant mismatch or residual
-        for later in (MISMATCH_POINT, RESIDUAL_POINT):
+        # overflow or discriminant mismatch
+        for later in (MISMATCH_POINT, OVERFLOW_POINT):
             with pytest.raises(crossings.BranchError, match="principal-branch"):
                 _b1_at((GOOD_POINT, GOOD_POINT, later))
         # and after a lower point's failures
         with pytest.raises(crossings.ResolventMismatchError):
             _b1_at((GOOD_POINT, MISMATCH_POINT, GOOD_POINT))
-        # within one point the residual bound comes first
-        with pytest.raises(ResidualError):
-            _b1_at((GOOD_POINT, RESIDUAL_POINT))
+        with pytest.raises(crossings.CrossingError, match="overflows"):
+            _b1_at((GOOD_POINT, OVERFLOW_POINT, GOOD_POINT))
         with pytest.raises(crossings.BranchError, match="principal-branch"):
             _b1_at((GOOD_POINT, GOOD_POINT))
+
+    def test_residual_then_branch_then_composed_root(self, monkeypatch):
+        # within one point the residual bound comes first, the composed
+        # root's guard last
+        monkeypatch.setattr(crossings, "RESOLVENT_NEWTON_REL", 0.0)
+        self._break_cubic(monkeypatch, 1, residual=True)
+        with pytest.raises(ResidualError):
+            _b1_at((GOOD_POINT, GUARD_POINT))
+        self._break_cubic(monkeypatch, 1)
+        with pytest.raises(crossings.BranchError, match="principal-branch"):
+            _b1_at((GOOD_POINT, GUARD_POINT))
+        self._break_cubic(monkeypatch, 2)
+        with pytest.raises(crossings.CrossingError, match="composed first-crossing"):
+            _b1_at((GOOD_POINT, GUARD_POINT))

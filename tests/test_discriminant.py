@@ -144,11 +144,6 @@ class TestGTable:
 
 
 class TestBroadcasting:
-    def test_scalar_inputs_stay_python_floats(self):
-        # the resolvent and the catalog call these once per point
-        assert {type(c) for c in f1_quartic_coefficients(2.0, D, 1.1)} == {float}
-        assert {type(g) for g in g_coefficients(2.0, D, 1.1)} == {float}
-
     def test_arrays_match_scalar_calls(self):
         rng = np.random.default_rng(38)
         b, e, th = (rng.uniform(0.0, hi, (5, 8)) for hi in (17.0, 8.4, math.pi))
