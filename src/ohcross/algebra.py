@@ -5,8 +5,9 @@ that work row-wise over arrays of polynomials, one-row calls into them,
 and a companion-matrix numeric root finder. The numeric root finder is
 deliberately independent of the closed forms so each side can serve as an
 oracle for the other. Every polynomial is an array of coefficients in
-ascending degree order, and every root set is a plain complex array:
-repeated roots are returned as often as they occur, never merged.
+ascending degree order, evaluated by the one `horner` and checked at its
+roots by the one `residuals` rule, and every root set is a plain complex
+array: repeated roots are returned as often as they occur, never merged.
 """
 
 from __future__ import annotations
@@ -31,65 +32,66 @@ class ResidualError(AlgebraError):
     """A computed root or decomposition failed its residual bound."""
 
 
-def _residuals(coeffs, roots) -> list:
-    """|p(z)| at each root of one polynomial over its coefficient magnitude
-    scale there, max(max_k |c_k|, sum_k |c_k| |z|^k).
-
-    coeffs are ascending. A plain loop: at eight roots it costs a few
-    microseconds, where numpy evaluation costs tens in per-call overhead.
-    Non-finite input gives NaN.
-    """
-    scale = max(abs(c) for c in coeffs)
-    out = []
-    for z in roots:
-        value, magnitude, size = 0j, 0.0, abs(z)
-        for c in reversed(coeffs):
-            value = value * z + c
-            magnitude = magnitude * size + abs(c)
-        out.append(abs(value) / max(scale, magnitude))
-    return out
+def horner(coeffs, x):
+    """c_0 + c_1 x + ... + c_n x^n by Horner's rule. The coefficients are
+    ascending along the first axis (a sequence or an array) and each c_k
+    broadcasts against x."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
-def _check(residuals, bound: float, what: str) -> None:
+def residuals(coeffs, roots):
+    """|p(z)| at each root over its coefficient magnitude scale there,
+    max(max_k |c_k|, sum_k |c_k| |z|^k), for a coefficient array laid out
+    as in horner. Non-finite input gives NaN."""
+    c = np.asarray(coeffs)
+    mag = np.abs(c)
+    with np.errstate(all="ignore"):
+        return (np.abs(horner(c, roots))
+                / np.maximum(mag.max(axis=0), horner(mag, np.abs(roots))))
+
+
+def _check(values, bound: float, what: str) -> None:
     """Raise ResidualError for the first residual not within bound (NaN
     included)."""
-    for resid in residuals:
+    for resid in values:
         if not resid <= bound:
             raise ResidualError(f"{what} root residual {resid:.3e} is above "
                                 f"{bound:.1e} of its scale")
 
 
-def _monic_quartic_rows(a, z):
-    """Each row of monic quartic coefficients a (N, 4) at z (N, k)."""
-    return (((z + a[:, 3:]) * z + a[:, 2:3]) * z + a[:, 1:2]) * z + a[:, :1]
+def _monic_rows(a):
+    """Rows (a_0, ..., a_{n-1}) of monic polynomials as the ascending
+    coefficients of horner, leading 1 included, shaped (n + 1, N, 1) to
+    broadcast against roots of shape (N, k)."""
+    return np.concatenate([a.T, np.ones((1, len(a)))])[:, :, None]
 
 
-def _polish_quartic_roots(a, z):
+def _polish_quartic_roots(c, z):
     """Two guarded complex Newton steps on rows of monic quartics.
 
-    Row i of `a` holds (a0, a1, a2, a3); z holds that row's root estimates.
-    A root keeps a step only if it lowers |p|, and stops at its first
-    rejected step. Returns the polished roots and p at them.
+    c holds the quartics as _monic_rows gives them; z holds each row's root
+    estimates. A root keeps a step only if it lowers |p|, and stops at its
+    first rejected step. Returns the polished roots.
     """
-    value = _monic_quartic_rows(a, z)
+    slope_c = c[1:] * np.arange(1.0, 5.0)[:, None, None]  # a1, 2 a2, 3 a3, 4
+    value = horner(c, z)
     live = np.ones(z.shape, dtype=bool)
     with np.errstate(all="ignore"):
         for _ in range(2):
-            slope = ((4.0 * z + 3.0 * a[:, 3:]) * z + 2.0 * a[:, 2:3]) * z + a[:, 1:2]
-            step = z - value / slope
-            step_value = _monic_quartic_rows(a, step)
+            step = z - value / horner(slope_c, z)
+            step_value = horner(c, step)
             live &= np.abs(step_value) < np.abs(value)
             z = np.where(live, step, z)
             value = np.where(live, step_value, value)
-    return z, value
+    return z
 
 
 def _cubic_monic_roots_rows(a2, a1, a0):
-    """The three roots of each monic cubic z^3 + a2 z^2 + a1 z + a0.
-
-    The coefficients are arrays of one shape, or numpy scalars for a single
-    cubic; the roots gain a last axis of length 3.
-    """
+    """The three roots of each monic cubic z^3 + a2 z^2 + a1 z + a0, from
+    coefficient arrays of one shape, along a new last axis of length 3."""
     p = a1 - a2 * a2 / 3.0
     q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
     shift = (-a2 / 3.0)[..., None]
@@ -111,9 +113,8 @@ def solve_monic_quartics(a):
     keeping the least-residual one (the biquadratic split stands in for a
     degenerate branch), then gets two guarded complex Newton steps.
     Near-identical roots are not merged. Returns the roots, shape (N, 4),
-    and per row the worst |p(root)| over its coefficient magnitude scale;
-    rows above 1e-8 fail the residual bound, which the caller enforces.
-    Non-finite rows report NaN.
+    and per row the worst of their residuals; rows above 1e-8 fail the
+    residual bound, which the caller enforces. Non-finite rows report NaN.
     """
     a = np.asarray(a, dtype=float)
     a0, a1, a2, a3 = a.T
@@ -137,44 +138,33 @@ def solve_monic_quartics(a):
                             (proot + d2) / 2.0, (proot - d2) / 2.0], axis=2)
         degenerate = (np.abs(proot) < 1e-9 * qscale[:, None])[:, :, None]
         cand = np.where(degenerate, split, ferrari)
-        res = np.abs(((cand * cand + q3) * cand + r3) * cand + s3).sum(axis=2)
+        res = np.abs(horner((s3, r3, q3, 0.0, 1.0), cand)).sum(axis=2)
         best = np.argmin(np.where(np.isnan(res), np.inf, res), axis=1)
         us = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0, :]
-        roots, value = _polish_quartic_roots(a, us - (a3 / 4.0)[:, None])
-        mag = np.abs(roots)
-        coeff_scale = np.maximum(np.abs(a).max(axis=1), 1.0)[:, None]
-        term_scale = _monic_quartic_rows(np.abs(a), mag)
-        resid = (np.abs(value) / np.maximum(coeff_scale, term_scale)).max(axis=1)
-    return roots, resid
+        c = _monic_rows(a)
+        roots = _polish_quartic_roots(c, us - (a3 / 4.0)[:, None])
+    return roots, residuals(c, roots).max(axis=1)
 
 
 def solve_monic_cubics(a):
     """Closed-form roots of many monic cubics at once.
 
     Row i of `a` holds (a0, a1, a2) of z^3 + a2 z^2 + a1 z + a0. Returns the
-    roots, shape (N, 3), and each root's |p(root)| over its coefficient
-    magnitude scale, max(max_k |c_k|, sum_k |c_k| |root|^k) with the
-    leading 1 included; roots above 1e-9 fail the residual bound, which the
-    caller enforces. Non-finite rows report NaN.
+    roots, shape (N, 3), and their residuals; roots above 1e-9 fail the
+    residual bound, which the caller enforces. Non-finite rows report NaN.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         roots = _cubic_monic_roots_rows(a[:, 2], a[:, 1], a[:, 0])
-        value = ((roots + a[:, 2:]) * roots + a[:, 1:2]) * roots + a[:, :1]
-        mag, size = np.abs(a), np.abs(roots)
-        terms = ((size + mag[:, 2:]) * size + mag[:, 1:2]) * size + mag[:, :1]
-        scale = np.maximum(mag.max(axis=1), 1.0)[:, None]
-        resid = np.abs(value) / np.maximum(scale, terms)
-    return roots, resid
+    return roots, residuals(_monic_rows(a), roots)
 
 
 def solve_quartic(coeffs) -> np.ndarray:
     """Closed-form roots of c0 + c1 z + ... + c4 z^4.
 
-    One row through solve_monic_quartics after scaling to monic. Each root
-    satisfies |p(root)| <= 1e-8 times the coefficient magnitude scale at
-    that root, or ResidualError is raised; a zero leading coefficient
-    fails that bound.
+    One row through solve_monic_quartics after scaling to monic. Each
+    root's residual must be within 1e-8, or ResidualError is raised; a zero
+    leading coefficient fails that bound.
     """
     c = np.asarray(coeffs, dtype=float)
     with np.errstate(all="ignore"):
@@ -189,13 +179,12 @@ def numeric_roots(coeffs) -> np.ndarray:
 
     Serves as the independent numeric oracle for the closed-form solvers
     and as the root finder of the octic, on its full coefficient array.
-    Each root satisfies |p(root)| <= 1e-8 times the coefficient magnitude
-    scale at that root, or ResidualError is raised.
+    Each root's residual must be within 1e-8, or ResidualError is raised.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size < 2 or c[-1] == 0.0:
         raise AlgebraError("numeric_roots needs degree >= 1 and a nonzero "
                            "leading coefficient")
     roots = np.roots(c[::-1]).astype(complex)
-    _check(_residuals(c.tolist(), roots.tolist()), NUMERIC_RESIDUAL_REL, "numeric")
+    _check(residuals(c, roots), NUMERIC_RESIDUAL_REL, "numeric")
     return roots

@@ -228,13 +228,12 @@ def _sweep_parameters(mol, e_field, theta) -> ScaledParameters:
 
     Both run monotonically along a sweep and their accepted values form
     intervals, so FieldConfiguration and the field scaling check the two
-    end points only: when both pass, every point does.
+    end points only, in one call: when both pass, every point does.
     """
-    for k in (0, -1):
-        end = scale_parameters(mol, FieldConfiguration(
-            e_field=float(np.ravel(e_field)[k]), theta=float(np.ravel(theta)[k])))
+    ends = scale_parameters(mol, FieldConfiguration(
+        e_field=np.ravel(e_field)[[0, -1]], theta=np.ravel(theta)[[0, -1]]))
     return ScaledParameters(0.0, e_tilde_from_field(e_field, mol),
-                            end.delta_tilde, theta)
+                            ends.delta_tilde, theta)
 
 
 def _sweep_rows(args, mol, value_fn):

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, _check,
-                      _monic_quartic_rows, numeric_roots, solve_monic_cubics,
-                      solve_quartic)
+from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, _check, horner,
+                      numeric_roots, solve_monic_cubics, solve_quartic)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import build_hamiltonian
@@ -163,10 +162,8 @@ def _first_crossing(e_tilde, delta_tilde, theta) -> tuple:
         d_b = 3.0 ** (1.0 / 3.0) * kernel ** (1.0 / 3.0)
         lim_scale = np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))),
                                np.abs(r) ** (2.0 / 3.0))
-        # where kernel and numerator vanish together the value tends to -q/6
-        c_r = np.where(np.abs(d_b) <= 1e-10 * np.maximum(lim_scale, REL_FLOOR), 0.0,
-                       (2.0 ** (1.0 / 3.0) * (2.0 * q * q + 24.0 * s) / (24.0 * d_b)
-                        + 2.0 ** (2.0 / 3.0) * d_b / 24.0).real) - q / 6.0
+        c_r = (2.0 ** (1.0 / 3.0) * (2.0 * q * q + 24.0 * s) / (24.0 * d_b)
+               + 2.0 ** (2.0 / 3.0) * d_b / 24.0).real - q / 6.0
 
         # Near the critical field c_r tends to zero under about eps |q| of
         # noise. One Newton step on the resolvent cubic z^3 + 2q z^2 +
@@ -174,8 +171,8 @@ def _first_crossing(e_tilde, delta_tilde, theta) -> tuple:
         # gives |r| / (4 sqrt(c_r)) as sqrt((z + q)^2 - 4s) / 2, with no 0/0.
         near = c_r <= RESOLVENT_NEWTON_REL * np.abs(q)
         z = 4.0 * c_r
-        z = np.where(near, z - (((z + 2.0 * q) * z + disc) * z - r * r)
-                     / ((3.0 * z + 4.0 * q) * z + disc), z)
+        z = np.where(near, z - horner((-r * r, disc, 2.0 * q, 1.0), z)
+                     / horner((disc, 4.0 * q, 3.0), z), z)
         c_r = z / 4.0
         # The sign of e^2 (1 - 2 cos 2 theta) - d^2 picks the branch pair,
         # -sqrt(c_r) below the critical field and +sqrt(c_r) above it; r
@@ -203,11 +200,11 @@ def _first_crossing(e_tilde, delta_tilde, theta) -> tuple:
         tol = np.maximum(np.maximum(1e-8 * np.maximum(np.abs(c_r), np.abs(reference)),
                                     1e-9 * lim_scale), REL_FLOOR)
 
-        # the composed root x = re + i im (b1 = Re sqrt(x)) in the quartic
-        x = (re + 1j * im)[:, None]
-        a = np.stack([c0, c2, c4, c6], axis=1)
-        root_resid = (np.abs(_monic_quartic_rows(a, x))
-                      / _monic_quartic_rows(np.abs(a), np.abs(x)))[:, 0]
+        # the composed root x = re + i im (b1 = Re sqrt(x)) in the quartic,
+        # over its terms alone, tighter than algebra.residuals' scale
+        x = re + 1j * im
+        a = (c0, c2, c4, c6, 1.0)
+        root_resid = np.abs(horner(a, x)) / horner([abs(c) for c in a], np.abs(x))
         fields = (q, r, s, delta_c, g_c, c_r, d_b.real)
         finite = np.isfinite(np.stack(fields + (disc, delta_generic, scale, alpha, b1)))
         checks = (
@@ -526,24 +523,19 @@ def f2_crossings(p: ScaledParameters) -> list:
 def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple:
     """All validated crossings at the given electric configuration.
 
-    Records from both factors, deduplicated (same pair within 1e-6 T keeps
-    the analytic quartic route) and sorted by field location. Locations at
+    Records from both factors, deduplicated (of one pair's records within
+    1e-6 T the lowest-field one is kept; the quartic gives pair (4, 5) only
+    and the octic never does) and sorted by field location. Locations at
     negative field are the mirror image of the positive ones because the
     spectrum is even in B; they are suppressed unless include_mirror is set.
     """
     records = f1_crossings(p) + f2_crossings(p)
     kept = []
     for rec in sorted(records, key=lambda r: (r.b_location, r.pair)):
-        dup = None
-        for k, other in enumerate(kept):
-            if (other.pair == rec.pair
-                    and abs(other.b_location - rec.b_location) < DEDUPE_B_TESLA):
-                dup = k
-                break
-        if dup is None:
+        if not any(other.pair == rec.pair
+                   and abs(other.b_location - rec.b_location) < DEDUPE_B_TESLA
+                   for other in kept):
             kept.append(rec)
-        elif rec.source == "f1-analytic" and kept[dup].source != "f1-analytic":
-            kept[dup] = rec
     if include_mirror:
         mirrored = [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
                     for r in kept if r.b_location > 0.0]

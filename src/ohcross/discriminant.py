@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import horner
 from .hamiltonian import build_hamiltonian
 from .model import (FieldConfiguration, MoleculeParameters, ScaledParameters,
-                    b_tilde_from_field, e_tilde_from_field, scale_parameters)
+                    scale_parameters)
 from .spectrum import analytic_spectrum, numeric_levels, numeric_levels_along_b
 
 # Leading constant of the pure-power factor f0 = F0_CONSTANT * b_tilde^8.
@@ -47,21 +48,13 @@ LOCALIZE_CONSISTENCY_TOL = 0.05
 G_NAMES = ("g0", "g2", "g4", "g6", "g8", "g10", "g12", "g14", "g16")
 
 
-def _horner(coeffs, x):
-    """Ascending coefficients, indexed along the first axis, at x."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def relative_spread(values, floor: float = REL_FLOOR):
+def relative_spread(values):
     """Largest pairwise difference over the largest magnitude across the
-    first axis of values; 0 where that magnitude is at most floor."""
+    first axis of values; 0 where that magnitude is at most REL_FLOOR."""
     v = np.asarray(values, dtype=float)
     top = np.abs(v).max(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(top <= floor, 0.0, (v.max(axis=0) - v.min(axis=0)) / top)
+        return np.where(top <= REL_FLOOR, 0.0, (v.max(axis=0) - v.min(axis=0)) / top)
 
 
 def eval_f0_tilde(b_tilde):
@@ -87,8 +80,7 @@ def f1_quartic_coefficients(e_tilde, delta_tilde, theta) -> tuple:
 def eval_f1_tilde(b_tilde, e_tilde, delta_tilde, theta):
     """Quartic discriminant factor f1 at x = b_tilde^2, equal to 10^8 det H."""
     c0, c2, c4, c6 = f1_quartic_coefficients(e_tilde, delta_tilde, theta)
-    x = b_tilde * b_tilde
-    return 81.0 * ((((x + c6) * x + c4) * x + c2) * x + c0)
+    return 81.0 * horner((c0, c2, c4, c6, 1.0), b_tilde * b_tilde)
 
 
 def _faulted(table: tuple, fault) -> tuple:
@@ -166,28 +158,28 @@ def g_coefficients(e_tilde, delta_tilde, theta, fault=None) -> tuple:
 
 def eval_f2_tilde(b_tilde, e_tilde, delta_tilde, theta, fault=None):
     """Octic discriminant factor f2 at x = b_tilde^2 (enters squared)."""
-    return _horner(g_coefficients(e_tilde, delta_tilde, theta, fault=fault),
-                   b_tilde * b_tilde)
+    return horner(g_coefficients(e_tilde, delta_tilde, theta, fault=fault),
+                  b_tilde * b_tilde)
 
 
-def f2_magnitude_tilde(b_tilde, e_tilde, delta_tilde, theta, fault=None):
+def f2_magnitude_tilde(b_tilde, e_tilde, delta_tilde, theta):
     """Sum of absolute octic terms at x = b_tilde^2, the cancellation scale.
 
     Near a root of f2 the signed value cancels to far below its largest
     term, so honest agreement checks must be measured against this scale
     rather than against the signed value.
     """
-    gs = g_coefficients(e_tilde, delta_tilde, theta, fault=fault)
-    return _horner([abs(g) for g in gs], b_tilde * b_tilde)
+    gs = g_coefficients(e_tilde, delta_tilde, theta)
+    return horner([abs(g) for g in gs], b_tilde * b_tilde)
 
 
-def _form_error(closed, b_tilde, e_tilde, delta_tilde, theta, fault):
+def _form_error(closed, p: ScaledParameters, fault):
     """|eval_f2_tilde with the fault - closed| over the clean
-    f2_magnitude_tilde, both from one coefficient table."""
-    clean = g_coefficients(e_tilde, delta_tilde, theta)
-    x = b_tilde * b_tilde
-    scale = np.maximum(_horner([abs(g) for g in clean], x), REL_FLOOR)
-    return np.abs(_horner(_faulted(clean, fault), x) - closed) / scale
+    f2_magnitude_tilde at p, both from one coefficient table."""
+    clean = g_coefficients(p.e_tilde, p.delta_tilde, p.theta)
+    x = p.b_tilde * p.b_tilde
+    scale = np.maximum(horner([abs(g) for g in clean], x), REL_FLOOR)
+    return np.abs(horner(_faulted(clean, fault), x) - closed) / scale
 
 
 def f2_zero_field_tilde(b_tilde, delta_tilde):
@@ -225,8 +217,8 @@ def f2_parallel_tilde(b_tilde, e_tilde, delta_tilde):
     e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
     front = d2 * d2 + 10.0 * d2 * e2 + 9.0 * e2 * e2
-    quart = _horner(_special_angle_quartics(e_tilde, delta_tilde)[0],
-                    b_tilde * b_tilde)
+    quart = horner(_special_angle_quartics(e_tilde, delta_tilde)[0],
+                   b_tilde * b_tilde)
     return 512.0 * front * quart * quart
 
 
@@ -240,7 +232,7 @@ def f2_perpendicular_tilde(b_tilde, e_tilde, delta_tilde):
     x = b_tilde * b_tilde
     d2 = delta_tilde * delta_tilde
     lin = -4.0 * x + d2 + 8.0 * (e_tilde * e_tilde)
-    quart = _horner(_special_angle_quartics(e_tilde, delta_tilde)[1], x)
+    quart = horner(_special_angle_quartics(e_tilde, delta_tilde)[1], x)
     return 512.0 * x * x * d2 * d2 * lin * lin * quart
 
 
@@ -346,10 +338,9 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
 
     # (E, B, theta) rows, drawn in the order of one call per value
     fields = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
-    main = b, e, th = (b_tilde_from_field(fields[:, 1]),
-                       e_tilde_from_field(fields[:, 0], mol), fields[:, 2])
-    d = scale_parameters(mol, FieldConfiguration()).delta_tilde
-    h = build_hamiltonian(ScaledParameters(b, e, d, th))
+    main = scale_parameters(mol, FieldConfiguration(*fields.T))
+    b, e, d, th = main.b_tilde, main.e_tilde, main.delta_tilde, main.theta
+    h = build_hamiltonian(main)
     lam = analytic_spectrum(b, e, d, th)
     f1 = eval_f1_tilde(b, e, d, th)
     f2 = eval_f2_tilde(b, e, d, th, fault=fault)
@@ -366,20 +357,19 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
 
     n_side = max(1, n_samples // 5)
     fields = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
-    b, th = b_tilde_from_field(fields[:, 0]), fields[:, 1]
+    zero = scale_parameters(mol, FieldConfiguration(0.0, *fields.T))
     sections.append(_section("zero-field-form", _form_error(
-        f2_zero_field_tilde(b, d), b, 0.0, d, th, fault), ZERO_FIELD_TOL))
+        f2_zero_field_tilde(zero.b_tilde, d), zero, fault), ZERO_FIELD_TOL))
 
-    rows = []
-    for _ in range(n_side):
-        angle = float(rng.choice([0.0, math.pi / 2.0, math.pi]))
-        rows.append(rng.uniform((0.0, 0.0), (5e5, 0.3)).tolist() + [angle])
-    fields = np.array(rows)
-    special = b, e, th = (b_tilde_from_field(fields[:, 1]),
-                          e_tilde_from_field(fields[:, 0], mol), fields[:, 2])
-    closed = np.where(th == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
+    # per sample an angle draw, then (E, B)
+    theta, e_field, b_field = np.array([
+        [rng.choice([0.0, math.pi / 2.0, math.pi]), *rng.uniform((0.0, 0.0), (5e5, 0.3))]
+        for _ in range(n_side)]).T
+    special = scale_parameters(mol, FieldConfiguration(e_field, b_field, theta))
+    b, e = special.b_tilde, special.e_tilde
+    closed = np.where(theta == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
                       f2_parallel_tilde(b, e, d))
-    special_rel = _form_error(closed, b, e, d, th, fault)
+    special_rel = _form_error(closed, special, fault)
     sections.append(_section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL))
 
     passed = all(sec.passed for sec in sections)
@@ -387,10 +377,11 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     if not passed:
         # the first worst sample; the special-angle one only when the main
         # section passed and some special sample disagreed at all
-        worst, (b, e, th) = int(np.argmax(triple)), main
+        worst, p = int(np.argmax(triple)), main
         if sections[0].passed and special_rel.max() > 0.0:
-            worst, (b, e, th) = int(np.argmax(special_rel)), special
+            worst, p = int(np.argmax(special_rel)), special
         suspects, scores = _localize_fault(ScaledParameters(
-            float(b[worst]), float(e[worst]), d, float(th[worst])), fault)
+            float(p.b_tilde[worst]), float(p.e_tilde[worst]), d,
+            float(p.theta[worst])), fault)
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)

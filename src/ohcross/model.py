@@ -60,13 +60,15 @@ class MoleculeParameters:
 
 @dataclass(frozen=True)
 class FieldConfiguration:
-    """Applied static fields.
+    """Applied static fields, each a float or an array; arrays broadcast.
 
     e_field: electric field magnitude in V/m, finite and nonnegative
     b_field: magnetic field magnitude in tesla, finite; negative values are
         accepted so evenness of the spectrum under B -> -B can be exercised
         directly
     theta: angle between the electric and magnetic field vectors, rad, [0, pi]
+
+    The rules run in this order, each over every entry.
     """
 
     e_field: float = 0.0
@@ -74,12 +76,13 @@ class FieldConfiguration:
     theta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.e_field >= 0.0:
+        e, b, theta = map(np.asarray, (self.e_field, self.b_field, self.theta))
+        if not (e >= 0.0).all():
             raise ValueError("e_field must be >= 0")
-        for name in ("e_field", "b_field"):
-            if not math.isfinite(getattr(self, name)):
+        for name, field in (("e_field", e), ("b_field", b)):
+            if not np.isfinite(field).all():
                 raise ValueError(f"{name} must be finite")
-        if not 0.0 <= self.theta <= math.pi:
+        if not ((0.0 <= theta) & (theta <= math.pi)).all():
             raise ValueError("theta must lie in [0, pi]")
 
 
@@ -125,21 +128,16 @@ def scale_parameters(mol: MoleculeParameters,
 
 
 def _scaled(scale, field, name: str, unit: str):
-    """scale(field), or ValueError naming the first field value whose
-    scaled value is not finite. numpy input overflows without a warning."""
-    if isinstance(field, (np.ndarray, np.generic)):
-        with np.errstate(over="ignore"):
-            value = scale(field)
-        bad = np.flatnonzero(~np.isfinite(value))
-        if not bad.size:
-            return value
-        field = np.ravel(field)[bad[0]]
-    else:
+    """scale(field) as one array pass, a float for a scalar; ValueError
+    names the first field value whose scaled value is not finite."""
+    field = np.asarray(field, dtype=float)
+    with np.errstate(over="ignore"):
         value = scale(field)
-        if math.isfinite(value):
-            return value
-    raise ValueError(f"{name} {float(field):.6g} {unit} overflows its scaled "
-                     "GHz variable")
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{name} {field[~finite].flat[0]:.6g} {unit} overflows "
+                         "its scaled GHz variable")
+    return float(value) if value.ndim == 0 else value
 
 
 def b_tilde_from_field(b_field):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.algebra import (CUBIC_RESIDUAL_REL, AlgebraError, _residuals,
-                             numeric_roots, solve_monic_cubics,
+from ohcross.algebra import (CUBIC_RESIDUAL_REL, NUMERIC_RESIDUAL_REL,
+                             QUARTIC_RESIDUAL_REL, AlgebraError, horner,
+                             numeric_roots, residuals, solve_monic_cubics,
                              solve_monic_quartics, solve_quartic)
 from ohcross.discriminant import g_coefficients
 from ohcross.model import FieldConfiguration, MoleculeParameters, scale_parameters
@@ -17,11 +18,12 @@ def sorted_roots(values):
 
 
 class TestPolynomial:
-    """Residuals of one ascending coefficient array at given points."""
+    """horner and residuals of one ascending coefficient array."""
 
     def test_horner_evaluation(self):
-        c = (-6.0, 11.0, -6.0, 1.0)  # (x-1)(x-2)(x-3)
-        res = _residuals(c, [1.0, 4.0, 1j])
+        c = np.array([-6.0, 11.0, -6.0, 1.0])  # (x-1)(x-2)(x-3)
+        assert horner(c, 4.0) == 6.0
+        res = residuals(c, np.array([1.0, 4.0, 1j]))
         assert res[0] == pytest.approx(0.0, abs=1e-15)
         # scale sum_k |c_k| |x|^k: 210 at x = 4 and 24 at |x| = 1
         assert res[1] == pytest.approx(6.0 / 210.0, rel=1e-12)
@@ -29,7 +31,80 @@ class TestPolynomial:
                                        rel=1e-12)
 
     def test_eval_magnitude_bounds_value(self):
-        assert all(r <= 1.0 for r in _residuals((1.0, -3.0, 2.0), [-2.0, 0.5, 3.0]))
+        assert np.all(residuals(np.array([1.0, -3.0, 2.0]),
+                                np.array([-2.0, 0.5, 3.0])) <= 1.0)
+
+    def test_coefficients_broadcast_against_points(self):
+        # two quadratics, one per column, each at its own point
+        c = np.array([[1.0, -4.0], [0.0, 0.0], [1.0, 1.0]])
+        assert horner(c, np.array([2.0, 2.0])).tolist() == [5.0, 0.0]
+        assert horner((1.0, 2.0, 3.0), 2.0) == 17.0
+
+
+def python_residuals(coeffs, roots):
+    """The residual rule in plain Python floats, one root at a time."""
+    scale = max(abs(c) for c in coeffs)
+    out = []
+    for z in roots:
+        value, magnitude, size = 0j, 0.0, abs(z)
+        for c in reversed(coeffs):
+            value = value * z + c
+            magnitude = magnitude * size + abs(c)
+        out.append(abs(value) / max(scale, magnitude))
+    return np.array(out)
+
+
+def unrolled_row_residuals(a, z):
+    """The monic-row residuals as the row solvers wrote them out by hand."""
+    mag, size = np.abs(a), np.abs(z)
+    if a.shape[1] == 3:
+        value = ((z + a[:, 2:]) * z + a[:, 1:2]) * z + a[:, :1]
+        terms = ((size + mag[:, 2:]) * size + mag[:, 1:2]) * size + mag[:, :1]
+    else:
+        value = (((z + a[:, 3:]) * z + a[:, 2:3]) * z + a[:, 1:2]) * z + a[:, :1]
+        terms = ((((size + mag[:, 3:]) * size + mag[:, 2:3]) * size
+                  + mag[:, 1:2]) * size + mag[:, :1])
+    scale = np.maximum(mag.max(axis=1), 1.0)[:, None]
+    return np.abs(value) / np.maximum(scale, terms)
+
+
+class TestResidualRule:
+    """residuals against independent evaluations of the same rule.
+
+    numpy's vectorized complex product and modulus may round differently
+    from CPython's scalar ones (with FMA they do), so against plain Python
+    floats the residuals agree to the rounding of Horner's rule, about
+    2 n eps for degree n, and every verdict at the bounds is the same.
+    Against the row formulas it replaced they agree bit for bit.
+    """
+
+    @staticmethod
+    def assert_matches_python(coeffs, roots, got, bound):
+        want = python_residuals(list(coeffs), list(roots))
+        assert np.all(np.abs(got - want) <= 4.0 * len(coeffs) * 2.0 ** -53)
+        assert np.array_equal(got <= bound, want <= bound)
+
+    @pytest.mark.parametrize("e_vcm", [4500.0, 10000.0, 40000.0])
+    def test_octic_roots(self, e_vcm):
+        for theta in np.linspace(0.05, math.pi - 0.05, 12):
+            p = scale_parameters(MoleculeParameters(), FieldConfiguration(
+                e_field=e_vcm * 100.0, theta=float(theta)))
+            c = np.array(g_coefficients(p.e_tilde, p.delta_tilde, p.theta))
+            roots = numeric_roots(c)
+            self.assert_matches_python(c, roots, residuals(c, roots),
+                                       NUMERIC_RESIDUAL_REL)
+
+    @pytest.mark.parametrize("degree", [3, 4])
+    def test_random_rows(self, degree):
+        rng = np.random.default_rng(205 + degree)
+        a = rng.uniform(-5.0, 5.0, (400, degree)) * 10.0 ** rng.uniform(-4, 4, (400, degree))
+        solve = solve_monic_cubics if degree == 3 else solve_monic_quartics
+        bound = CUBIC_RESIDUAL_REL if degree == 3 else QUARTIC_RESIDUAL_REL
+        roots, resid = solve(a)
+        per_root = unrolled_row_residuals(a, roots)
+        assert np.array_equal(resid, per_root if degree == 3 else per_root.max(axis=1))
+        for row, z, got in zip(a, roots, per_root):
+            self.assert_matches_python(row.tolist() + [1.0], z, got, bound)
 
 
 class TestCubic:

@@ -625,6 +625,10 @@ class TestConfigAndErrors:
          "e_field 1e+308 V/m overflows"),
         ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
          "--e-vcm 1000 --points 7", "theta must lie in [0, pi]"),
+        # both end points are checked in one call, every rule over both
+        # before any scaling: the theta bound before the overflowing E
+        ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
+         "--e-vcm 1e303 --points 3", "theta must lie in [0, pi]"),
     ])
     def test_sweep_checks_its_end_points_first(self, argv, message, capsys,
                                                monkeypatch):

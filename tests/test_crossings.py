@@ -233,6 +233,9 @@ class TestCatalogAvoided:
                     assert not (pair == r.pair
                                 and abs(b - r.b_location) < 1e-6)
                 seen.append((r.b_location, r.pair))
+                # the dedupe needs no source preference: the quartic gives
+                # pair (4, 5) only and the octic never does
+                assert (r.pair == (4, 5)) == (r.source == "f1-analytic")
 
 
 class TestSpecialAngleRoutes:
@@ -503,6 +506,23 @@ def _worst_error(e, th):
     got = b1_exact_tilde(e, D, th)
     want = np.array([b1_mpmath(ek, D, tk) for ek, tk in zip(e.tolist(), th.tolist())])
     return float(np.max(np.abs(got - want) / want))
+
+
+def test_cube_root_kernel_never_vanishes():
+    # c_r divides by d_b; over the whole field range (E = 0 at each special
+    # angle), the critical field and the special angles |Re d_b| stays
+    # above the scale of q, r and s
+    rng = np.random.default_rng(64)
+    ratio = np.concatenate([np.zeros(5), 10.0 ** rng.uniform(-7.0, math.log10(12.0), 4000)])
+    th = rng.uniform(0.0, math.pi, ratio.size)
+    special = np.array([0.0, math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0, math.pi])
+    th[:1000] = special[np.arange(1000) % 5]
+    tc = rng.uniform(math.pi / 6.0 + 1e-3, 5.0 * math.pi / 6.0 - 1e-3, 500)
+    e = np.concatenate([ratio * D, D / np.sqrt(1.0 - 2.0 * np.cos(2.0 * tc))])
+    data = resolvent_analysis(e, D, np.concatenate([th, tc]))
+    lim_scale = np.maximum(np.maximum(np.abs(data.q), np.sqrt(np.abs(data.s))),
+                           np.abs(data.r) ** (2.0 / 3.0))
+    assert np.all(np.abs(data.d_b) >= lim_scale)
 
 
 class TestFirstCrossingAccuracy:

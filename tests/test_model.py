@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,41 @@ def test_field_configuration_rejects_bad_inputs():
             FieldConfiguration(**fields)
     # negative magnetic field is legitimate
     FieldConfiguration(b_field=-0.2)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("e_field", -1.0), ("e_field", math.nan), ("e_field", math.inf),
+    ("b_field", math.nan), ("b_field", -math.inf),
+    ("theta", -0.01), ("theta", math.pi + 0.01), ("theta", math.nan)])
+@pytest.mark.parametrize("index", [0, 3, 6])
+def test_field_configuration_checks_arrays_elementwise(name, bad, index):
+    with pytest.raises(ValueError) as scalar:
+        FieldConfiguration(**{name: bad})
+    fields = {key: np.linspace(0.0, 1.0, 7) for key in ("e_field", "b_field", "theta")}
+    fields[name][index] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        FieldConfiguration(**fields)
+
+
+def test_field_configuration_array_checks_keep_their_order():
+    # a bad e_field anywhere is reported before a bad theta anywhere, as
+    # the checks of one float run
+    with pytest.raises(ValueError, match="e_field must be >= 0"):
+        FieldConfiguration(e_field=np.array([1.0, -1.0]), theta=np.array([-1.0, 0.0]))
+    with pytest.raises(ValueError, match="b_field must be finite"):
+        FieldConfiguration(b_field=np.array([0.0, math.inf]), theta=np.array([9.0, 0.0]))
+
+
+def test_array_configuration_scales_like_its_points():
+    mol = MoleculeParameters()
+    rows = np.array([[0.0, -0.2, 0.0], [3.3e4, 0.0, 1.0], [1e5, 0.21, math.pi]])
+    p = scale_parameters(mol, FieldConfiguration(*rows.T))
+    for k, row in enumerate(rows.tolist()):
+        one = scale_parameters(mol, FieldConfiguration(*row))
+        assert (p.e_tilde[k], p.b_tilde[k], p.theta[k]) == (
+            one.e_tilde, one.b_tilde, one.theta)
+        assert type(one.b_tilde) is float and type(one.e_tilde) is float
+    assert type(b_tilde_from_field(np.float64(0.5))) is float
 
 
 def test_scaled_parameters_requires_positive_splitting():

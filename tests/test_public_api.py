@@ -74,3 +74,44 @@ def test_constants_live_in_model_only():
         counts = {name: text.count(literal) for name, text in sources.items()
                   if literal in text}
         assert counts == {"model.py": 1}, literal
+
+
+def _is_horner_step(node) -> bool:
+    """An accumulator step `acc = acc * x + c`, or a hand-unrolled Horner
+    `(a * x + b) * x + c` (either sum may be a difference)."""
+    def step(expr):
+        # (left, x) of `left * x + c`, else None
+        if (isinstance(expr, ast.BinOp) and isinstance(expr.op, (ast.Add, ast.Sub))
+                and isinstance(expr.left, ast.BinOp)
+                and isinstance(expr.left.op, ast.Mult)):
+            return expr.left.left, ast.unparse(expr.left.right)
+        return None
+
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        outer = step(node.value)
+        return outer is not None and ast.unparse(outer[0]) == ast.unparse(node.targets[0])
+    outer = step(node)
+    inner = step(outer[0]) if outer else None
+    return inner is not None and inner[1] == outer[1]
+
+
+def test_one_horner_helper():
+    # every polynomial in src/ohcross is evaluated by algebra.horner
+    found = set()
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                    _is_horner_step(node) for node in ast.walk(func)):
+                found.add((path.stem, func.name))
+    assert found == {("algebra", "horner")}
+
+
+def test_no_array_type_dispatch_outside_cli():
+    # scalars run as 0-d arrays; only the CLI's text output asks for a type
+    found = set()
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and re.search(r"np\.(ndarray|generic)", ast.unparse(node.args[1]))):
+                found.add(path.stem)
+    assert found <= {"cli"}
