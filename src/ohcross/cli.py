@@ -124,14 +124,18 @@ def _theta_range(args) -> tuple:
 
 
 def _check_sweep(lo, hi, points: int, bounds: str) -> None:
-    """Reject a missing, unordered or non-finite sweep range, or too few
-    points; `bounds` names the bound options in the messages."""
+    """Reject a missing, unordered or non-finite sweep range, one whose
+    span max - min overflows, or too few points; `bounds` names the bound
+    options in the messages. All checks run on Python floats, before any
+    array is built."""
     if lo is None or hi is None:
         raise ValueError(f"sweep needs both {bounds}")
     if not lo < hi:
         raise ValueError("sweep range must satisfy min < max")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{bounds} must be finite")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{bounds} span max - min overflows")
     if points < 2:
         raise ValueError("sweep needs at least 2 points")
 
@@ -244,6 +248,8 @@ def _sweep_rows(args, mol, value_fn):
     """
     if args.vs == "e":
         _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
+        if not math.isfinite(max(abs(args.e_min), abs(args.e_max)) * 100.0):
+            raise ValueError("--e-min/--e-max: a bound overflows in V/m")
         xs = np.linspace(args.e_min, args.e_max, args.points)
         e_field, theta = xs * 100.0, _theta(args)
         x_name = "e_vcm"

@@ -436,27 +436,41 @@ def _cluster_roots(xs) -> list:
                   key=lambda z: (z.real, z.imag))
 
 
-def _records_from_roots(xs, p: ScaledParameters, source: str,
-                        pair_policy: str) -> list:
-    """Shared candidate pipeline from x-roots to validated records.
+def _factor_roots(p: ScaledParameters):
+    """Each discriminant factor's x-roots with its source name, the quartic
+    factor's first; a generator, so the octic is rooted only after the
+    quartic's records are written.
+
+    Generic angles root the full octic numerically; the parallel and
+    perpendicular geometries use the collapsed closed forms, whose factors
+    are lower degree and carry the root structure exactly.
+    """
+    e, d, th = p.e_tilde, p.delta_tilde, p.theta
+    yield solve_quartic((*f1_quartic_coefficients(e, d, th), 1.0)), "f1-analytic"
+    if abs(th) <= _SPECIAL_ANGLE_TOL or abs(th - math.pi) <= _SPECIAL_ANGLE_TOL:
+        yield solve_quartic(_special_angle_quartics(e, d)[0]), "f2-parallel"
+    elif abs(th - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
+        roots = solve_quartic(_special_angle_quartics(e, d)[1])
+        # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
+        x_lin = (d * d + 8.0 * (e * e)) / 4.0
+        yield [complex(0.0), complex(x_lin)] + roots.tolist(), "f2-perpendicular"
+    else:
+        yield numeric_roots(g_coefficients(e, d, th)), "f2-octic"
+
+
+def _seeds(xs) -> list:
+    """Field seeds Re[sqrt(x)] (internal units) of one factor's x-roots.
 
     Repeated roots are clustered first (_cluster_roots). Tiny magnitudes
     then snap to x = 0 and tiny imaginary parts snap to the real axis,
     whatever the sign of that rounding noise. Roots still carrying a
     negative imaginary part are conjugate partners and skipped, as are
     repeats of a root already seen. Negative real x has no field location
-    and is dropped. The seed is Re[sqrt(x)]; the measured gap at the seed
-    decides real vs avoided, and avoided candidates must survive
-    interior-minimum refinement. All gaps share one zero-field matrix.
+    and is dropped.
     """
-    tesla_per_tilde = b_field_from_tilde(1.0)
     roots = _cluster_roots(xs)
-    if not roots:
-        return []
-    top = max(abs(x) for x in roots)
-    h0 = build_hamiltonian(p.with_b_tilde(0.0))
-    records = []
-    seen = set()
+    top = max((abs(x) for x in roots), default=0.0)
+    seeds, seen = [], set()
     for x in roots:
         if abs(x) < ROOT_SNAP_REL * top:
             x = complex(0.0)
@@ -465,71 +479,42 @@ def _records_from_roots(xs, p: ScaledParameters, source: str,
         if x.imag < 0.0 or x in seen or (x.imag == 0.0 and x.real < 0.0):
             continue
         seen.add(x)
-        seed_tilde = cmath.sqrt(x).real
-        levels = numeric_levels_along_b(h0, seed_tilde)
-        if pair_policy == "opposite":
-            pair = (4, 5)
-        else:
-            pair = _minimal_adjacent_pair(levels)
-        gap_seed = _floored_gap(levels, pair)
-        if gap_seed < GAP_CLASSIFICATION_THRESHOLD:
-            records.append(CrossingRecord(
-                b_location=seed_tilde * tesla_per_tilde, kind="real",
-                pair=pair, gap=0.0, source=source))
-            continue
-        refined = _refine_gap_minimum(h0, pair, seed_tilde)
-        if refined is None:
-            continue
-        b_min, gap_min = refined
-        if gap_min < GAP_CLASSIFICATION_THRESHOLD:
-            records.append(CrossingRecord(
-                b_location=b_min, kind="real", pair=pair,
-                gap=0.0, source=source))
-        else:
-            records.append(CrossingRecord(
-                b_location=b_min, kind="avoided", pair=pair,
-                gap=gap_min, source=source))
-    return records
-
-
-def f1_crossings(p: ScaledParameters) -> list:
-    """Crossing records of the zero-energy pair from the quartic factor."""
-    c0, c2, c4, c6 = f1_quartic_coefficients(p.e_tilde, p.delta_tilde, p.theta)
-    roots = solve_quartic((c0, c2, c4, c6, 1.0))
-    return _records_from_roots(roots, p, "f1-analytic", "opposite")
-
-
-def f2_crossings(p: ScaledParameters) -> list:
-    """Crossing records of the adjacent pairs from the octic factor.
-
-    Generic angles root the full octic numerically; the parallel and
-    perpendicular geometries use the collapsed closed forms, whose factors
-    are lower degree and carry the root structure exactly.
-    """
-    if (abs(p.theta) <= _SPECIAL_ANGLE_TOL
-            or abs(p.theta - math.pi) <= _SPECIAL_ANGLE_TOL):
-        roots = solve_quartic(_special_angle_quartics(p.e_tilde, p.delta_tilde)[0])
-        return _records_from_roots(roots, p, "f2-parallel", "adjacent")
-    if abs(p.theta - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
-        roots = solve_quartic(_special_angle_quartics(p.e_tilde, p.delta_tilde)[1])
-        # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
-        x_lin = (p.delta_tilde * p.delta_tilde + 8.0 * (p.e_tilde * p.e_tilde)) / 4.0
-        xs = [complex(0.0), complex(x_lin)] + roots.tolist()
-        return _records_from_roots(xs, p, "f2-perpendicular", "adjacent")
-    roots = numeric_roots(g_coefficients(p.e_tilde, p.delta_tilde, p.theta))
-    return _records_from_roots(roots, p, "f2-octic", "adjacent")
+        seeds.append(cmath.sqrt(x).real)
+    return seeds
 
 
 def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple:
     """All validated crossings at the given electric configuration.
 
-    Records from both factors, deduplicated (of one pair's records within
-    1e-6 T the lowest-field one is kept; the quartic gives pair (4, 5) only
-    and the octic never does) and sorted by field location. Locations at
-    negative field are the mirror image of the positive ones because the
-    spectrum is even in B; they are suppressed unless include_mirror is set.
+    Every seed of both factors (_seeds) is measured on one zero-field
+    matrix, each factor's seeds in one stacked eigensolve. The quartic's
+    pair is (4, 5); the octic's is the minimal adjacent pair at the seed.
+    A gap below GAP_CLASSIFICATION_THRESHOLD at the seed makes a real
+    record there; otherwise the seed must survive interior-minimum
+    refinement, whose gap classifies the record at the minimum.
+
+    Records are deduplicated (of one pair's records within 1e-6 T the
+    lowest-field one is kept; the quartic gives pair (4, 5) only and the
+    octic never does) and sorted by field location. Locations at negative
+    field are the mirror image of the positive ones because the spectrum
+    is even in B; they are suppressed unless include_mirror is set.
     """
-    records = f1_crossings(p) + f2_crossings(p)
+    tesla_per_tilde = b_field_from_tilde(1.0)
+    h0 = build_hamiltonian(p.with_b_tilde(0.0))
+    records = []
+    for xs, source in _factor_roots(p):
+        seeds = _seeds(xs)
+        for seed, levels in zip(seeds, numeric_levels_along_b(h0, np.array(seeds))):
+            pair = (4, 5) if source == "f1-analytic" else _minimal_adjacent_pair(levels)
+            b_location, gap = seed * tesla_per_tilde, _floored_gap(levels, pair)
+            if not gap < GAP_CLASSIFICATION_THRESHOLD:
+                refined = _refine_gap_minimum(h0, pair, seed)
+                if refined is None:
+                    continue
+                b_location, gap = refined
+            real = gap < GAP_CLASSIFICATION_THRESHOLD
+            records.append(CrossingRecord(b_location, "real" if real else "avoided",
+                                          pair, 0.0 if real else gap, source))
     kept = []
     for rec in sorted(records, key=lambda r: (r.b_location, r.pair)):
         if not any(other.pair == rec.pair
@@ -537,8 +522,7 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
                    for other in kept):
             kept.append(rec)
     if include_mirror:
-        mirrored = [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
-                    for r in kept if r.b_location > 0.0]
-        kept.extend(mirrored)
+        kept += [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
+                 for r in kept if r.b_location > 0.0]
     kept.sort(key=lambda r: (r.b_location, r.pair))
     return tuple(kept)

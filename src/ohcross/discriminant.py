@@ -94,13 +94,11 @@ def _faulted(table: tuple, fault) -> tuple:
     return table[:k] + (table[k] * float(factor),) + table[k + 1:]
 
 
-def g_coefficients(e_tilde, delta_tilde, theta, fault=None) -> tuple:
+def g_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     """Coefficients (g0, g2, ..., g16) of the octic factor f2 in x = b_tilde^2.
 
     The name gk carries the degree in b_tilde, so gk multiplies x^(k/2).
-    Each entry has the broadcast shape of the inputs. `fault` is an audit
-    hook: a (name, factor) pair multiplies the named coefficient, letting
-    the self-test machinery inject a known corruption.
+    Each entry has the broadcast shape of the inputs.
     """
     c = np.cos(theta)
     c2 = np.cos(2.0 * theta)
@@ -153,13 +151,12 @@ def g_coefficients(e_tilde, delta_tilde, theta, fault=None) -> tuple:
                        + 4 * D**2 * E**4 * (-118 - 655 * c2 + 183 * c4)) * E**12
     g0 = 4096 * E**16 * (D**2 + 9 * E**2) * c**2 * (5 * D**2 + E**2
                                                     + (-3 * D**2 + E**2) * c2)
-    return _faulted((g0, g2, g4, g6, g8, g10, g12, g14, g16), fault)
+    return g0, g2, g4, g6, g8, g10, g12, g14, g16
 
 
-def eval_f2_tilde(b_tilde, e_tilde, delta_tilde, theta, fault=None):
+def eval_f2_tilde(b_tilde, e_tilde, delta_tilde, theta):
     """Octic discriminant factor f2 at x = b_tilde^2 (enters squared)."""
-    return horner(g_coefficients(e_tilde, delta_tilde, theta, fault=fault),
-                  b_tilde * b_tilde)
+    return horner(g_coefficients(e_tilde, delta_tilde, theta), b_tilde * b_tilde)
 
 
 def f2_magnitude_tilde(b_tilde, e_tilde, delta_tilde, theta):
@@ -295,7 +292,7 @@ def _localize_fault(p: ScaledParameters, fault) -> tuple:
     denom = eval_f0_tilde(bt) * eval_f1_tilde(bt, e, d, th)
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = np.where(denom != 0.0, np.abs(d_total / denom), 0.0)
-    used = eval_f2_tilde(bt, e, d, th, fault=fault)
+    used = horner(_faulted(g_coefficients(e, d, th), fault), bt * bt)
     resid = used - np.where(used >= 0.0, 1.0, -1.0) * np.sqrt(mag)
     resid_scale = float(np.median(np.abs(resid)))
     powers = nodes ** np.arange(len(G_NAMES))[:, None]  # row k: x^k at each node
@@ -329,7 +326,9 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     The first two sections share n_samples draws, the others take
     max(1, n_samples // 5) each; every section is one array pass. On a
     failing section the fault localizer runs at the worst breaching
-    configuration and fills `suspects`.
+    configuration and fills `suspects`. `fault` is the self-test hook: a
+    (name, factor) pair multiplies the named octic coefficient wherever the
+    audit evaluates the table, and an unknown name raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"audit samples must be at least 1, got {n_samples}")
@@ -343,7 +342,7 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     h = build_hamiltonian(main)
     lam = analytic_spectrum(b, e, d, th)
     f1 = eval_f1_tilde(b, e, d, th)
-    f2 = eval_f2_tilde(b, e, d, th, fault=fault)
+    f2 = horner(_faulted(g_coefficients(e, d, th), fault), b * b)
     triple = relative_spread([discriminant_from_eigenvalues(lam),
                               discriminant_from_eigenvalues(numeric_levels(h)),
                               eval_f0_tilde(b) * f1 * f2 * f2])

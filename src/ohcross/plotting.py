@@ -46,7 +46,7 @@ def _nice_step(span: float) -> float:
     """Largest 1-2-5 step that yields at least ~5 intervals."""
     raw = span / 5.0
     magnitude = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * magnitude * (1.0 + 1e-12):
             return mult * magnitude
     return 10.0 * magnitude

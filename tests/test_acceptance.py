@@ -17,8 +17,8 @@ from conftest import ACCEPTANCE_LINES
 from ohcross.algebra import solve_quartic
 from ohcross.crossings import (b1_approx_tilde, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
-                               f2_crossings, gap_lowest_pair, golden_min,
-                               pair_gap, resolvent_analysis)
+                               gap_lowest_pair, golden_min, pair_gap,
+                               resolvent_analysis)
 from ohcross.discriminant import (discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
@@ -163,7 +163,8 @@ def test_criterion_05_reduced_octic_forms():
     p0 = params_from_fields(0.0, 0.0, math.pi / 3.0)
     # the octic has double roots at zero field; collapse the numeric splits
     locations = []
-    for b in sorted(r.b_location for r in f2_crossings(p0)):
+    for b in sorted(r.b_location for r in crossing_catalog(p0)
+                    if r.source == "f2-octic"):
         if not locations or b - locations[-1] > 1e-5:
             locations.append(b)
     expected = (0.0, 0.074439, 0.148878)

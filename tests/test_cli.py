@@ -221,6 +221,27 @@ class TestCrossings:
         assert comments[0] == "# ohcross crossings"
         assert header == ["b_tesla", "kind", "pair", "gap_percm", "source"]
 
+    def test_split_seeds_refine_to_exact_crossings(self, capsys, monkeypatch):
+        # at 11,245 V/cm antiparallel the f1 quartic's double roots come
+        # back as four split seeds whose gap is open at the seed; each
+        # refined minimum closes below the threshold, so one real (4, 5)
+        # record per crossing is printed at that minimum
+        refine, refined = crossings._refine_gap_minimum, []
+
+        def logged(h0, pair, seed):
+            refined.append((pair, refine(h0, pair, seed)))
+            return refined[-1][1]
+
+        monkeypatch.setattr(crossings, "_refine_gap_minimum", logged)
+        assert run(["crossings", "--theta-deg", "180", "--e-vcm", "11245"]) == 0
+        rows = parse_csv(capsys.readouterr().out)[2]
+        assert [",".join(r) for r in rows if r[4] == "f1-analytic"] == [
+            "0.33934673034,real,4-5,0,f1-analytic",
+            "0.367230778601,real,4-5,0,f1-analytic"]
+        assert len(refined) == 4
+        assert all(pair == (4, 5) and gap < crossings.GAP_CLASSIFICATION_THRESHOLD
+                   for pair, (_, gap) in refined)
+
     def test_parallel_sources(self, capsys):
         assert run(["crossings", "--theta-deg", "0", "--e-vcm", "2000"]) == 0
         _, _, raw = parse_csv(capsys.readouterr().out)
@@ -286,6 +307,38 @@ class TestB1AndGap:
     def test_e_sweep_without_bounds_rejected(self, argv, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == "error: sweep needs both --e-min/--e-max\n"
+
+    def test_radian_theta_sweep(self, capsys):
+        assert run(["gap", "--vs", "theta", "--theta-min-rad", "0.5",
+                    "--theta-max-rad", "1.0", "--points", "3",
+                    "--e-vcm", "1000"]) == 0
+        comments, header, raw = parse_csv(capsys.readouterr().out)
+        assert "# theta_min_rad = 0.5" in comments
+        assert "# theta_max_rad = 1" in comments
+        assert header == ["theta_rad", "gap_percm"]
+        assert raw == [["0.5", "0.00019809323481"],
+                       ["0.75", "0.000504001823433"],
+                       ["1", "0.000847510446792"]]
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--theta-min-deg 10 --theta-max-rad 1.0",
+         "theta sweep takes --theta-min-deg with --theta-max-deg, "
+         "not mixed with radians"),
+        ("--theta-min-deg 10 --theta-max-deg 80 --theta-min-rad 0.5",
+         "theta sweep takes --theta-min-deg with --theta-max-deg, "
+         "not mixed with radians"),
+        ("--theta-min-rad 0.5",
+         "theta sweep needs --theta-min-deg/--theta-max-deg "
+         "or --theta-min-rad/--theta-max-rad"),
+        ("--theta-min-rad 0.5 --theta-max-rad 1.0 --points 1",
+         "sweep needs at least 2 points"),
+    ])
+    def test_theta_sweep_flags_rejected(self, flags, message, capsys):
+        argv = f"gap --vs theta --e-vcm 1000 --points 3 {flags}".split()
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestFit:
@@ -576,6 +629,12 @@ class TestConfigAndErrors:
         ["spectrum", "--b-max", "1e307", "--points", "3"],
         ["gap", "--vs", "e", "--e-min", "0", "--e-max", "1e306",
          "--theta-deg", "60", "--points", "3"],
+        # sweep bounds are checked as typed, before any array is built
+        ["b1", "--vs", "e", "--e-min", "0", "--e-max", "1e307",
+         "--theta-deg", "60", "--points", "3"],
+        ["spectrum", "--b-min=-1.7e308", "--b-max", "1.7e308", "--points", "3"],
+        ["gap", "--vs", "theta", "--theta-min-rad=-1.7e308",
+         "--theta-max-rad", "1.7e308", "--points", "3"],
     ])
     def test_finite_field_that_overflows_rejected(self, argv, capsys):
         with warnings.catch_warnings():
@@ -585,6 +644,7 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error:") and "overflows" in err
         assert err.count("\n") == 1
+        assert "nan" not in err and "inf" not in err
 
     @pytest.mark.parametrize("argv", [
         "b1 --vs e --e-min 0 --e-max 1e90 --points 3 --theta-deg 60",

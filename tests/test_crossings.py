@@ -9,10 +9,8 @@ import pytest
 from ohcross import algebra, crossings
 from ohcross.algebra import QUARTIC_RESIDUAL_REL, ResidualError, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
-                               _records_from_roots,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
-                               f1_crossings, f2_crossings,
                                gap_lowest_pair, golden_min, pair_gap,
                                resolvent_analysis)
 from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
@@ -241,7 +239,8 @@ class TestCatalogAvoided:
 class TestSpecialAngleRoutes:
     def test_parallel_route_matches_octic(self):
         p = from_fields(2000.0, 0.0)
-        special = sorted(r.b_location for r in f2_crossings(p))
+        special = [r.b_location for r in crossing_catalog(p)
+                   if r.source == "f2-parallel"]
         gs = g_coefficients(p.e_tilde, D, 0.0)
         # at parallel fields the octic is the reduced quartic squared, so
         # every numeric root shows up twice, split by about sqrt(eps): a
@@ -274,17 +273,18 @@ class TestSpecialAngleRoutes:
         # 2 kV/cm; a solver may leave +-1e-44j on it
         p = from_fields(2000.0, 0.0)
         x = 1.029896602916097
-        up = _records_from_roots([complex(x, 1e-44)], p, "f2-parallel", "adjacent")
-        down = _records_from_roots([complex(x, -1e-44)], p, "f2-parallel", "adjacent")
-        assert up == down
-        assert len(up) == 1 and up[0].kind == "real"
-        assert pair_gap(p.with_b_tilde(math.sqrt(x)), up[0].pair) < 1e-7
+        up = crossings._seeds([complex(x, 1e-44)])
+        down = crossings._seeds([complex(x, -1e-44)])
+        assert up == down == [cmath.sqrt(x).real]
+        hits = [r for r in crossing_catalog(p)
+                if r.b_location == up[0] * b_field_from_tilde(1.0)]
+        assert len(hits) == 1 and hits[0].kind == "real"
+        assert pair_gap(p.with_b_tilde(up[0]), hits[0].pair) < 1e-7
 
     def test_conjugate_pair_gives_one_record(self):
-        p = from_fields(2000.0, 0.0)
         x = 1.029896602916097
         pair = [complex(x, 1e-9), complex(x, -1e-9)]
-        assert len(_records_from_roots(pair, p, "f2-parallel", "adjacent")) == 1
+        assert len(crossings._seeds(pair)) == 1
 
     def test_perpendicular_route_structure(self):
         p = from_fields(2000.0, math.pi / 2.0)
@@ -321,24 +321,24 @@ class TestMirror:
 def test_cluster_roots_merges_close_values():
     roots = crossings._cluster_roots([2.0 + 0j, 1.0 + 1e-12j, 1.0 + 0j])
     assert roots == [1.0 + 0.5e-12j, 2.0 + 0j]
-    # a real double root split by rounding gives one seed, one record
-    p = from_fields(2000.0, 0.0)
+    # a real double root split by rounding gives one seed
     x = 1.029896602916097
     split = [x * (1.0 + 2e-9), x * (1.0 - 2e-9)]
-    assert len(_records_from_roots(split, p, "f2-parallel", "adjacent")) == 1
+    assert len(crossings._seeds(split)) == 1
 
 
 def test_cluster_roots_keeps_distinct_values():
     assert crossings._cluster_roots([1.5, -2.0 + 0j, 1.0]) == [-2.0, 1.0, 1.5]
 
 
-def test_f1_crossings_source_and_pair():
-    for rec in f1_crossings(from_fields(600.0, 1.1)):
-        assert rec.source == "f1-analytic"
-        assert rec.pair == (4, 5)
+def test_f1_records_source_and_pair():
+    cat = crossing_catalog(from_fields(600.0, 1.1))
+    assert any(rec.source == "f1-analytic" for rec in cat)
+    for rec in cat:
+        assert (rec.source == "f1-analytic") == (rec.pair == (4, 5))
 
 
-def per_point_records(xs, p, source, pair_policy):
+def per_point_records(xs, p, source):
     """The catalog's candidate pipeline as it measured gaps before the
     zero-field matrix was shared: one matrix build and eigensolve per
     field point, through pair_gap."""
@@ -386,7 +386,7 @@ def per_point_records(xs, p, source, pair_policy):
         seen.add(x)
         seed = cmath.sqrt(x).real
         p_seed = p.with_b_tilde(seed)
-        pair = (4, 5) if pair_policy == "opposite" else adjacent_pair(p_seed)
+        pair = (4, 5) if source == "f1-analytic" else adjacent_pair(p_seed)
         if pair_gap(p_seed, pair) < crossings.GAP_CLASSIFICATION_THRESHOLD:
             records.append(CrossingRecord(seed * tesla_per_tilde, "real",
                                           pair, 0.0, source))
@@ -403,22 +403,41 @@ def per_point_records(xs, p, source, pair_policy):
     return records
 
 
+def per_point_catalog(p, include_mirror):
+    """crossing_catalog over per_point_records of both factors' roots,
+    with its deduplication, mirror and order."""
+    records = [rec for xs, source in crossings._factor_roots(p)
+               for rec in per_point_records(xs, p, source)]
+    kept = []
+    for rec in sorted(records, key=lambda r: (r.b_location, r.pair)):
+        if not any(other.pair == rec.pair
+                   and abs(other.b_location - rec.b_location) < crossings.DEDUPE_B_TESLA
+                   for other in kept):
+            kept.append(rec)
+    if include_mirror:
+        kept += [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
+                 for r in kept if r.b_location > 0.0]
+    return tuple(sorted(kept, key=lambda r: (r.b_location, r.pair)))
+
+
 class TestSharedZeroFieldMatrix:
     E_VCM = (100.0, 450.0, 1000.0, 2879.3, 5000.0)
     THETAS = (0.0, math.pi / 2.0, math.pi) + tuple(
         np.random.default_rng(45).uniform(0.0, math.pi, 3).tolist())
+    # where split f1 seeds refine to exact crossings
+    EXTRA_E_VCM = {math.pi: (11245.0,)}
 
     @pytest.mark.parametrize("theta", THETAS)
-    def test_catalog_equals_per_point_route(self, theta, monkeypatch):
+    def test_catalog_equals_per_point_route(self, theta):
         configs = [(from_fields(e, theta), mirror)
-                   for e in self.E_VCM for mirror in (False, True)]
+                   for e in self.E_VCM + self.EXTRA_E_VCM.get(theta, ())
+                   for mirror in (False, True)]
         got = [crossing_catalog(p, include_mirror=m) for p, m in configs]
-        monkeypatch.setattr(crossings, "_records_from_roots", per_point_records)
-        want = [crossing_catalog(p, include_mirror=m) for p, m in configs]
+        want = [per_point_catalog(p, m) for p, m in configs]
         assert got == want
         assert all(want)
 
-    def test_catalog_builds_the_matrix_at_most_twice(self, monkeypatch):
+    def test_catalog_builds_the_matrix_once(self, monkeypatch):
         calls = []
 
         def counted(p):
@@ -429,7 +448,7 @@ class TestSharedZeroFieldMatrix:
         monkeypatch.setattr(crossings, "build_hamiltonian", counted)
         cat = crossing_catalog(from_fields(1000.0, math.pi / 3.0))
         assert len(cat) == 5
-        assert 1 <= len(calls) <= 2
+        assert len(calls) == 1
 
 
 def _resolvent_grid():

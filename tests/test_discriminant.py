@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ohcross.discriminant import (F0_CONSTANT, AuditReport, G_NAMES,
-                                  audit_triple, discriminant_from_eigenvalues,
+                                  _faulted, audit_triple,
+                                  discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
                                   f2_magnitude_tilde, f2_parallel_tilde,
@@ -131,7 +132,7 @@ class TestGTable:
 
     def test_fault_multiplies_named_coefficient(self):
         clean = g_coefficients(2.0, D, 1.1)
-        hurt = g_coefficients(2.0, D, 1.1, fault=("g6", -1.0))
+        hurt = _faulted(clean, ("g6", -1.0))
         for name, a, b in zip(G_NAMES, clean, hurt):
             if name == "g6":
                 assert b == -a
@@ -139,8 +140,8 @@ class TestGTable:
                 assert b == a
 
     def test_unknown_fault_name_rejected(self):
-        with pytest.raises(ValueError):
-            g_coefficients(1.0, D, 1.0, fault=("g7", 2.0))
+        with pytest.raises(ValueError, match="unknown octic coefficient 'g7'"):
+            audit_triple(n_samples=5, seed=1, fault=("g7", 2.0))
 
 
 class TestBroadcasting:
