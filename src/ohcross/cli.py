@@ -190,6 +190,7 @@ def _cmd_spectrum(args) -> int:
     mol = _molecule(args)
     theta = _theta(args)
     _check_sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
+    b_tilde_from_field(np.array([args.b_min, args.b_max]))  # overflow names a bound
     b = np.linspace(args.b_min, args.b_max, args.points)
     p = scale_parameters(mol, FieldConfiguration(
         e_field=args.e_vcm * 100.0, theta=theta))

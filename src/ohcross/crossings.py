@@ -8,10 +8,10 @@ factor covers the remaining adjacent-pair crossings and is rooted
 numerically, or through reduced closed forms at the parallel and
 perpendicular geometries where it collapses.
 
-Every avoided-crossing candidate is validated against the spectrum itself:
-the reported location is the interior minimum of the measured pair gap
-near the algebraic seed, and candidates without such a minimum are
-discarded as spurious.
+Every candidate is validated against the spectrum of one zero-field
+matrix: one stacked eigensolve measures all seeds, then one stacked coarse
+scan and one lockstep golden section find the interior gap minimum near
+each open seed. Seeds without such a minimum are discarded as spurious.
 """
 
 from __future__ import annotations
@@ -321,9 +321,11 @@ def pair_gap(p: ScaledParameters, pair):
 
 
 def _floored_gap(levels, pair):
-    """Pair gap along the last axis of levels, zeroed below the floor."""
+    """Pair gap along the last axis of levels, zeroed below the floor. Label
+    arrays (2, n) pick one pair per row of levels (n, 8)."""
     i, j = pair
-    gap = levels[..., i - 1] - levels[..., j - 1]
+    rows = np.arange(len(levels)) if np.ndim(i) else ...
+    gap = levels[rows, i - 1] - levels[rows, j - 1]
     return np.where(gap > GAP_MEASUREMENT_FLOOR, gap, 0.0)
 
 
@@ -332,22 +334,35 @@ def gap_lowest_pair(p: ScaledParameters):
     return pair_gap(p, (4, 5))
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer for a unimodal scalar function."""
+def golden_min(f, a, b, tol: float = 1e-12):
+    """Golden-section minimizer for unimodal functions on one bracket [a, b]
+    or on arrays of brackets in lockstep, each bracket with the probes and
+    comparisons of the one-bracket loop (numpy rounds like Python floats).
+    f gets one probe per bracket per step: NaN once the bracket is below
+    tol or if it is NaN. Scalar brackets give f floats and return a float.
+    """
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    # rows a, c, d, b and f(c), f(d), updated through slices (views at 0-d)
+    x = np.stack([a, b - ratio * (b - a), a + ratio * (b - a), b])
+    fx = np.stack([f(_out(x[k], a.shape)) for k in (1, 2)]).astype(float)
+    live = abs(x[3] - x[0]) > tol
+    while live.any():
+        left = live & (fx[0] < fx[1])  # the minimum lies in [a, d], else in [c, b]
+        right = live ^ left
+        np.copyto(x[2:], x[1:3], where=left)  # d, b = c, d
+        np.copyto(fx[1:], fx[:1], where=left)
+        np.copyto(x[:2], x[1:3], where=right)  # a, c = c, d
+        np.copyto(fx[:1], fx[1:], where=right)
+        step = ratio * (x[3] - x[0])
+        probe = np.where(left, x[3] - step, x[0] + step)
+        np.copyto(probe, np.nan, where=~live)
+        value = f(_out(probe, a.shape))
+        for k, side in ((1, left), (2, right)):  # the new c, or the new d
+            np.copyto(x[k:k + 1], probe, where=side)
+            np.copyto(fx[k - 1:k], value, where=side)
+        live = abs(x[3] - x[0]) > tol
+    return _out((x[0] + x[3]) / 2.0, a.shape)
 
 
 @dataclass(frozen=True)
@@ -384,33 +399,33 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
-def _refine_gap_minimum(h0, pair, b_seed_tilde: float):
-    """Locate the interior minimum of the pair gap near an algebraic seed.
-
-    One stacked eigvalsh scan of the bracket from h0, the zero-field
-    matrix, then golden-section refinement in tesla, each step on a copy
-    of h0 (gaps bit for bit pair_gap's). Returns (b_tesla, gap) or None
-    when the minimum sits on the bracket edge, which marks the seed as
-    spurious.
+def _refine_gap_minima(h0, labels, seeds):
+    """Interior minima of the pair gaps near their seeds (internal units),
+    column k of labels (2, n) being the pair of seeds[k]: one stacked
+    eigvalsh scan of every bracket from h0, the zero-field matrix, then
+    golden_min over all brackets in lockstep, a NaN probe getting no
+    matrix (gaps bit for bit pair_gap's). Returns locations (tesla) and
+    gaps, NaN where the minimum sits on the bracket edge: a spurious seed.
     """
     tesla_per_tilde = b_field_from_tilde(1.0)
 
-    def gap_at_tesla(b_tesla):
-        levels = numeric_levels_along_b(h0, b_tesla / tesla_per_tilde)
-        return _floored_gap(levels, pair)
+    def gap_at_tesla(b_tesla, labels):
+        live = b_tesla == b_tesla
+        gaps = np.full(b_tesla.shape, np.nan)
+        levels = numeric_levels_along_b(h0, b_tesla[live] / tesla_per_tilde)
+        gaps[live] = _floored_gap(levels, labels[:, live])
+        return gaps
 
-    lo_tilde = max(b_seed_tilde - SEARCH_HALF_WIDTH_TILDE, 0.0)
-    hi_tilde = b_seed_tilde + SEARCH_HALF_WIDTH_TILDE
-    lo = lo_tilde * tesla_per_tilde
-    hi = hi_tilde * tesla_per_tilde
+    lo = np.maximum(seeds - SEARCH_HALF_WIDTH_TILDE, 0.0) * tesla_per_tilde
+    hi = (seeds + SEARCH_HALF_WIDTH_TILDE) * tesla_per_tilde
     step = (hi - lo) / (_COARSE_POINTS - 1)
-    k_min = int(np.argmin(gap_at_tesla(lo + np.arange(_COARSE_POINTS) * step)))
-    if k_min == 0 or k_min == _COARSE_POINTS - 1:
-        return None
-    a = lo + (k_min - 1) * step
-    b = lo + (k_min + 1) * step
-    b_min = golden_min(gap_at_tesla, a, b, tol=_GOLDEN_TOL_TESLA)
-    return b_min, float(gap_at_tesla(b_min))
+    grid = lo[:, None] + np.arange(_COARSE_POINTS) * step[:, None]
+    coarse = gap_at_tesla(grid.ravel(), np.repeat(labels, _COARSE_POINTS, axis=1))
+    k_min = np.argmin(coarse.reshape(grid.shape), axis=1)
+    k_min = np.where((k_min > 0) & (k_min < _COARSE_POINTS - 1), k_min, np.nan)
+    b_min = golden_min(lambda b: gap_at_tesla(b, labels), lo + (k_min - 1) * step,
+                       lo + (k_min + 1) * step, tol=_GOLDEN_TOL_TESLA)
+    return b_min, gap_at_tesla(b_min, labels)
 
 
 def _cluster_roots(xs) -> list:
@@ -438,8 +453,7 @@ def _cluster_roots(xs) -> list:
 
 def _factor_roots(p: ScaledParameters):
     """Each discriminant factor's x-roots with its source name, the quartic
-    factor's first; a generator, so the octic is rooted only after the
-    quartic's records are written.
+    factor's first.
 
     Generic angles root the full octic numerically; the parallel and
     perpendicular geometries use the collapsed closed forms, whose factors
@@ -487,11 +501,11 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     """All validated crossings at the given electric configuration.
 
     Every seed of both factors (_seeds) is measured on one zero-field
-    matrix, each factor's seeds in one stacked eigensolve. The quartic's
-    pair is (4, 5); the octic's is the minimal adjacent pair at the seed.
-    A gap below GAP_CLASSIFICATION_THRESHOLD at the seed makes a real
-    record there; otherwise the seed must survive interior-minimum
-    refinement, whose gap classifies the record at the minimum.
+    matrix in one stacked eigensolve. The quartic's pair is (4, 5); the
+    octic's is the minimal adjacent pair at the seed. A gap below
+    GAP_CLASSIFICATION_THRESHOLD at the seed makes a real record there;
+    the other seeds must survive _refine_gap_minima (one coarse stack, one
+    lockstep golden section), whose gap classifies the record there.
 
     Records are deduplicated (of one pair's records within 1e-6 T the
     lowest-field one is kept; the quartic gives pair (4, 5) only and the
@@ -499,22 +513,24 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     field are the mirror image of the positive ones because the spectrum
     is even in B; they are suppressed unless include_mirror is set.
     """
-    tesla_per_tilde = b_field_from_tilde(1.0)
     h0 = build_hamiltonian(p.with_b_tilde(0.0))
+    found = [(seed, source) for xs, source in _factor_roots(p) for seed in _seeds(xs)]
+    seeds = np.array([seed for seed, _ in found])
+    levels = numeric_levels_along_b(h0, seeds)
+    pairs = [(4, 5) if source == "f1-analytic" else _minimal_adjacent_pair(row)
+             for (_, source), row in zip(found, levels)]
+    labels = np.array(pairs, dtype=int).reshape(-1, 2).T
+    b_location, gap = seeds * b_field_from_tilde(1.0), _floored_gap(levels, labels)
+    refine = ~(gap < GAP_CLASSIFICATION_THRESHOLD)
+    if refine.any():
+        b_location[refine], gap[refine] = _refine_gap_minima(h0, labels[:, refine],
+                                                             seeds[refine])
     records = []
-    for xs, source in _factor_roots(p):
-        seeds = _seeds(xs)
-        for seed, levels in zip(seeds, numeric_levels_along_b(h0, np.array(seeds))):
-            pair = (4, 5) if source == "f1-analytic" else _minimal_adjacent_pair(levels)
-            b_location, gap = seed * tesla_per_tilde, _floored_gap(levels, pair)
-            if not gap < GAP_CLASSIFICATION_THRESHOLD:
-                refined = _refine_gap_minimum(h0, pair, seed)
-                if refined is None:
-                    continue
-                b_location, gap = refined
-            real = gap < GAP_CLASSIFICATION_THRESHOLD
-            records.append(CrossingRecord(b_location, "real" if real else "avoided",
-                                          pair, 0.0 if real else gap, source))
+    for b, g, pair, (_, source) in zip(b_location.tolist(), gap.tolist(), pairs, found):
+        if not math.isnan(b):
+            real = g < GAP_CLASSIFICATION_THRESHOLD
+            records.append(CrossingRecord(b, "real" if real else "avoided",
+                                          pair, 0.0 if real else g, source))
     kept = []
     for rec in sorted(records, key=lambda r: (r.b_location, r.pair)):
         if not any(other.pair == rec.pair

@@ -34,8 +34,6 @@ from .model import ScaledParameters
 IMAG_ROOT_REL = 1e-6
 NEGATIVE_ROOT_REL = 1e-6
 
-_DIAG = np.arange(8)
-
 
 class SpectrumError(ValueError):
     """Raised when spectrum computation breaks one of its contracts."""
@@ -133,7 +131,7 @@ def _along_b(h0, b_tilde) -> np.ndarray:
     b = np.asarray(b_tilde, dtype=float)
     h = np.empty(b.shape + (8, 8))
     h[...] = h0
-    h[..., _DIAG, _DIAG] += (b / 10.0)[..., None] * ZEEMAN_DIAGONAL
+    h.reshape(b.shape + (64,))[..., ::9] += (b / 10.0)[..., None] * ZEEMAN_DIAGONAL
     return h
 
 

@@ -226,13 +226,14 @@ class TestCrossings:
         # back as four split seeds whose gap is open at the seed; each
         # refined minimum closes below the threshold, so one real (4, 5)
         # record per crossing is printed at that minimum
-        refine, refined = crossings._refine_gap_minimum, []
+        refine, refined = crossings._refine_gap_minima, []
 
-        def logged(h0, pair, seed):
-            refined.append((pair, refine(h0, pair, seed)))
-            return refined[-1][1]
+        def logged(h0, labels, seeds):
+            b_min, gap = refine(h0, labels, seeds)
+            refined.extend(zip(map(tuple, labels.T.tolist()), zip(b_min, gap)))
+            return b_min, gap
 
-        monkeypatch.setattr(crossings, "_refine_gap_minimum", logged)
+        monkeypatch.setattr(crossings, "_refine_gap_minima", logged)
         assert run(["crossings", "--theta-deg", "180", "--e-vcm", "11245"]) == 0
         rows = parse_csv(capsys.readouterr().out)[2]
         assert [",".join(r) for r in rows if r[4] == "f1-analytic"] == [
@@ -689,6 +690,9 @@ class TestConfigAndErrors:
         # before any scaling: the theta bound before the overflowing E
         ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
          "--e-vcm 1e303 --points 3", "theta must lie in [0, pi]"),
+        # the typed B bound, not the linspace midpoint 5e+307
+        ("spectrum --b-min 0 --b-max 1e308 --points 3",
+         "b_field 1e+308 T overflows"),
     ])
     def test_sweep_checks_its_end_points_first(self, argv, message, capsys,
                                                monkeypatch):

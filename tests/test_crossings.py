@@ -18,6 +18,7 @@ from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
                            e_tilde_from_field, scale_parameters)
+from ohcross.spectrum import numeric_levels_along_b
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -168,6 +169,89 @@ class TestGapMeasurement:
 def test_golden_min_parabola():
     x = golden_min(lambda t: (t - 1.7) ** 2 + 0.3, 0.0, 5.0, tol=1e-13)
     assert x == pytest.approx(1.7, abs=1e-8)
+
+
+def scalar_golden_min(f, a, b, tol=1e-12):
+    """The one-bracket Python-float loop that golden_min runs in lockstep."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - ratio * (b - a)
+    d = a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while abs(b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+class TestGoldenMinLockstep:
+    TOL = 1e-11
+
+    @staticmethod
+    def brackets(rng):
+        # mixed widths, one clamped at b = 0 and one already below tol
+        lo = np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 30)])
+        width = np.concatenate([[2e-6, 1e-12], 10.0 ** rng.uniform(-9.0, -3.0, 30)])
+        return lo, lo + width
+
+    @pytest.mark.parametrize("shape", [
+        # a smooth minimum per bracket, placed anywhere inside it
+        lambda lo, hi, rng: (lambda x, m: (x - m) ** 2,
+                             lo + rng.uniform(0.0, 1.0, lo.size) * (hi - lo)),
+        # a flat floor, so fc == fd exactly on nearly every step
+        lambda lo, hi, rng: (lambda x, m: np.maximum(np.abs(x - m), m / 2.0),
+                             lo + 0.5 * (hi - lo)),
+        # a staircase: exact ties on some steps, strict order on others
+        lambda lo, hi, rng: (lambda x, m: np.floor(np.abs(x - m) * 1e7),
+                             lo + rng.uniform(0.0, 1.0, lo.size) * (hi - lo)),
+    ])
+    def test_array_brackets_match_scalar_loop_bitwise(self, shape):
+        rng = np.random.default_rng(21)
+        lo, hi = self.brackets(rng)
+        f, m = shape(lo, hi, rng)
+        probes = []
+
+        def stacked(x):
+            live = ~np.isnan(x)
+            probes.append(int(live.sum()))
+            out = np.full(x.shape, np.nan)
+            out[live] = f(x[live], m[live])
+            return out
+
+        got = golden_min(stacked, lo, hi, tol=self.TOL)
+        want, steps = [], []
+        for k in range(lo.size):
+            calls = []
+
+            def one(x, k=k):
+                calls.append(x)
+                return float(f(np.float64(x), m[k]))
+
+            want.append(scalar_golden_min(one, float(lo[k]), float(hi[k]),
+                                          tol=self.TOL))
+            steps.append(len(calls))
+        assert got.tobytes() == np.array(want).tobytes()
+        # one call per step, and each bracket probed as often as alone
+        assert len(probes) == max(steps)
+        assert sum(probes) == sum(steps)
+        # the clamped bracket and the one below tol finish early
+        assert steps[0] < max(steps) and steps[1] == 2
+
+    def test_scalar_bracket_returns_python_float(self):
+        seen = []
+
+        def f(t):
+            seen.append(type(t))
+            return (t - 1.7) ** 2 + 0.3
+
+        x = golden_min(f, 0.0, 5.0, tol=1e-13)
+        assert type(x) is float and set(seen) == {float}
+        assert x == scalar_golden_min(f, 0.0, 5.0, tol=1e-13)
 
 
 class TestCatalogZeroField:
@@ -436,6 +520,25 @@ class TestSharedZeroFieldMatrix:
         want = [per_point_catalog(p, m) for p, m in configs]
         assert got == want
         assert all(want)
+
+    @pytest.mark.parametrize("e_vcm, theta_deg, matrices", [
+        (1000.0, 60.0, 682), (3000.0, 60.0, 568),
+        (11245.0, 180.0, 484), (4500.0, 90.0, 368),
+    ])
+    def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, matrices):
+        # as many matrices as seed-by-seed refinement diagonalised, in one
+        # seed call, one coarse stack, the lockstep golden section and one
+        # final gap call
+        sizes = []
+
+        def counted(h0, b_tilde):
+            sizes.append(np.size(b_tilde))
+            return numeric_levels_along_b(h0, b_tilde)
+
+        monkeypatch.setattr(crossings, "numeric_levels_along_b", counted)
+        assert crossing_catalog(from_fields(e_vcm, math.radians(theta_deg)))
+        assert len(sizes) <= 41
+        assert sum(sizes) == matrices
 
     def test_catalog_builds_the_matrix_once(self, monkeypatch):
         calls = []

@@ -392,6 +392,18 @@ class TestLevelsAlongB:
                 want = numeric_levels(build_hamiltonian(p.with_b_tilde(float(b))))
                 assert row.tobytes() == want.tobytes()
 
+    def test_two_dimensional_field_grid_bitwise(self):
+        # the catalog scans every seed's bracket as one (seeds, points) grid
+        rng = np.random.default_rng(14)
+        p = random_params(rng)
+        h0 = build_hamiltonian(p.with_b_tilde(0.0))
+        bs = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 23)]).reshape(4, 6)
+        rows = numeric_levels_along_b(h0, bs)
+        assert rows.shape == (4, 6, 8)
+        for b, row in zip(bs.ravel(), rows.reshape(-1, 8)):
+            want = numeric_levels(build_hamiltonian(p.with_b_tilde(float(b))))
+            assert row.tobytes() == want.tobytes()
+
     def test_scalar_field_gives_one_row(self):
         p = params(b_tilde=1.3, e_tilde=0.4, theta=1.0)
         h0 = build_hamiltonian(p.with_b_tilde(0.0))
