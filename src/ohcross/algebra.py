@@ -32,6 +32,10 @@ class ResidualError(AlgebraError):
     """A computed root or decomposition failed its residual bound."""
 
 
+class RootOverflowError(ResidualError):
+    """A residual is not finite: the coefficients or roots overflowed."""
+
+
 def horner(coeffs, x):
     """c_0 + c_1 x + ... + c_n x^n by Horner's rule. The coefficients are
     ascending along the first axis (a sequence or an array) and each c_k
@@ -54,12 +58,12 @@ def residuals(coeffs, roots):
 
 
 def _check(values, bound: float, what: str) -> None:
-    """Raise ResidualError for the first residual not within bound (NaN
-    included)."""
+    """Raise ResidualError for the first residual not within bound,
+    RootOverflowError if it is not finite."""
     for resid in values:
         if not resid <= bound:
-            raise ResidualError(f"{what} root residual {resid:.3e} is above "
-                                f"{bound:.1e} of its scale")
+            raise (ResidualError if math.isfinite(resid) else RootOverflowError)(
+                f"{what} root residual {resid:.3e} is above {bound:.1e} of its scale")
 
 
 def _monic_rows(a):

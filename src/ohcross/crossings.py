@@ -10,8 +10,8 @@ perpendicular geometries where it collapses.
 
 Every candidate is validated against the spectrum of one zero-field
 matrix: one stacked eigensolve measures all seeds, then one stacked coarse
-scan and one lockstep golden section find the interior gap minimum near
-each open seed. Seeds without such a minimum are discarded as spurious.
+scan and lockstep Newton steps on the gap's slope find the interior gap
+minimum near each open seed. Seeds without such a minimum are discarded.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, _check, horner,
-                      numeric_roots, solve_monic_cubics, solve_quartic)
+from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowError,
+                      _check, horner, numeric_roots, solve_monic_cubics, solve_quartic)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
-from .spectrum import numeric_levels, numeric_levels_along_b
+from .spectrum import (numeric_level_derivatives_along_b, numeric_levels,
+                       numeric_levels_along_b)
 
 # Measured pair gap below this (internal GHz) classifies a crossing as exact.
 GAP_CLASSIFICATION_THRESHOLD = 1e-7
@@ -57,7 +58,7 @@ SEARCH_HALF_WIDTH_TILDE = 0.15
 DEDUPE_B_TESLA = 1e-6
 
 _COARSE_POINTS = 81
-_GOLDEN_TOL_TESLA = 1e-11
+_NEWTON_TOL_TESLA = 1e-13
 
 # Adjacent same-sign level pairs tracked by the octic factor (1-based).
 _ADJACENT_PAIRS = ((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8))
@@ -334,37 +335,6 @@ def gap_lowest_pair(p: ScaledParameters):
     return pair_gap(p, (4, 5))
 
 
-def golden_min(f, a, b, tol: float = 1e-12):
-    """Golden-section minimizer for unimodal functions on one bracket [a, b]
-    or on arrays of brackets in lockstep, each bracket with the probes and
-    comparisons of the one-bracket loop (numpy rounds like Python floats).
-    f gets one probe per bracket per step: NaN once the bracket is below
-    tol or if it is NaN. Scalar brackets give f floats and return a float.
-    """
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    # rows a, c, d, b and f(c), f(d), updated through slices (views at 0-d)
-    x = np.stack([a, b - ratio * (b - a), a + ratio * (b - a), b])
-    fx = np.stack([f(_out(x[k], a.shape)) for k in (1, 2)]).astype(float)
-    live = abs(x[3] - x[0]) > tol
-    while live.any():
-        left = live & (fx[0] < fx[1])  # the minimum lies in [a, d], else in [c, b]
-        right = live ^ left
-        np.copyto(x[2:], x[1:3], where=left)  # d, b = c, d
-        np.copyto(fx[1:], fx[:1], where=left)
-        np.copyto(x[:2], x[1:3], where=right)  # a, c = c, d
-        np.copyto(fx[:1], fx[1:], where=right)
-        step = ratio * (x[3] - x[0])
-        probe = np.where(left, x[3] - step, x[0] + step)
-        np.copyto(probe, np.nan, where=~live)
-        value = f(_out(probe, a.shape))
-        for k, side in ((1, left), (2, right)):  # the new c, or the new d
-            np.copyto(x[k:k + 1], probe, where=side)
-            np.copyto(fx[k - 1:k], value, where=side)
-        live = abs(x[3] - x[0]) > tol
-    return _out((x[0] + x[3]) / 2.0, a.shape)
-
-
 @dataclass(frozen=True)
 class CrossingRecord:
     """One located crossing of a specific level pair.
@@ -399,33 +369,41 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
-def _refine_gap_minima(h0, labels, seeds):
-    """Interior minima of the pair gaps near their seeds (internal units),
-    column k of labels (2, n) being the pair of seeds[k]: one stacked
-    eigvalsh scan of every bracket from h0, the zero-field matrix, then
-    golden_min over all brackets in lockstep, a NaN probe getting no
-    matrix (gaps bit for bit pair_gap's). Returns locations (tesla) and
-    gaps, NaN where the minimum sits on the bracket edge: a spurious seed.
-    """
+def _refine_gap_minima(h0, labels, lo, hi):
+    """Interior minima of the pair gaps (labels (2, n)) in the brackets
+    [lo, hi] (internal units) from h0, the zero-field matrix: one stacked
+    eigvalsh scan of 81 points per bracket, then lockstep Newton steps on
+    g' = 0 within two scan steps of each coarse minimum (g', g'' from one
+    stacked eigh per step), bisecting where a step leaves the bracket or
+    g'' <= 0. Returns the locations (tesla) and gaps (bit for bit
+    pair_gap's), NaN where the coarse minimum is on the edge: a spurious seed."""
     tesla_per_tilde = b_field_from_tilde(1.0)
-
-    def gap_at_tesla(b_tesla, labels):
-        live = b_tesla == b_tesla
-        gaps = np.full(b_tesla.shape, np.nan)
-        levels = numeric_levels_along_b(h0, b_tesla[live] / tesla_per_tilde)
-        gaps[live] = _floored_gap(levels, labels[:, live])
-        return gaps
-
-    lo = np.maximum(seeds - SEARCH_HALF_WIDTH_TILDE, 0.0) * tesla_per_tilde
-    hi = (seeds + SEARCH_HALF_WIDTH_TILDE) * tesla_per_tilde
-    step = (hi - lo) / (_COARSE_POINTS - 1)
-    grid = lo[:, None] + np.arange(_COARSE_POINTS) * step[:, None]
-    coarse = gap_at_tesla(grid.ravel(), np.repeat(labels, _COARSE_POINTS, axis=1))
+    grid = np.linspace(lo, hi, _COARSE_POINTS, axis=1)
+    coarse = _floored_gap(numeric_levels_along_b(h0, grid.ravel()),
+                          np.repeat(labels, _COARSE_POINTS, axis=1))
     k_min = np.argmin(coarse.reshape(grid.shape), axis=1)
-    k_min = np.where((k_min > 0) & (k_min < _COARSE_POINTS - 1), k_min, np.nan)
-    b_min = golden_min(lambda b: gap_at_tesla(b, labels), lo + (k_min - 1) * step,
-                       lo + (k_min + 1) * step, tol=_GOLDEN_TOL_TESLA)
-    return b_min, gap_at_tesla(b_min, labels)
+    live = found = np.flatnonzero((k_min > 0) & (k_min < _COARSE_POINTS - 1))
+    a, x, b = (grid[live, k_min[live] + shift] for shift in (-1, 0, 1))
+    i, j = labels[:, live] - 1
+    b_min, gap = np.full((2, len(lo)), np.nan)
+    tol = _NEWTON_TOL_TESLA / tesla_per_tilde
+    while live.size:
+        slopes, curvatures = numeric_level_derivatives_along_b(h0, x)
+        rows = np.arange(live.size)
+        # g'' is not finite where a third level meets level i or j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g1, g2 = (d[rows, i] - d[rows, j] for d in (slopes, curvatures))
+            newton = x - g1 / g2
+        # x replaces the bracket end on its side (brackets shrink every step);
+        # a Newton step within tol ends the search even if it rounds onto it
+        a, b = np.where(g1 >= 0.0, a, x), np.where(g1 >= 0.0, x, b)
+        take = (g2 > 0.0) & ((a < newton) & (newton < b) | (abs(newton - x) <= tol))
+        moved = np.where(take, newton, (a + b) / 2.0)
+        done = abs(moved - x) <= tol
+        b_min[live[done]] = moved[done]
+        live, a, x, b, i, j = (v[~done] for v in (live, a, moved, b, i, j))
+    gap[found] = _floored_gap(numeric_levels_along_b(h0, b_min[found]), labels[:, found])
+    return b_min * tesla_per_tilde, gap
 
 
 def _cluster_roots(xs) -> list:
@@ -451,25 +429,28 @@ def _cluster_roots(xs) -> list:
                   key=lambda z: (z.real, z.imag))
 
 
-def _factor_roots(p: ScaledParameters):
-    """Each discriminant factor's x-roots with its source name, the quartic
-    factor's first.
-
-    Generic angles root the full octic numerically; the parallel and
-    perpendicular geometries use the collapsed closed forms, whose factors
-    are lower degree and carry the root structure exactly.
-    """
+def _factor_roots(p: ScaledParameters) -> list:
+    """Each discriminant factor's x-roots with its source name, quartic first:
+    the full octic rooted numerically at generic angles, the collapsed closed
+    forms (lower degree, exact root structure) at parallel and perpendicular
+    fields. Roots that overflow raise CrossingError naming the fields."""
     e, d, th = p.e_tilde, p.delta_tilde, p.theta
-    yield solve_quartic((*f1_quartic_coefficients(e, d, th), 1.0)), "f1-analytic"
-    if abs(th) <= _SPECIAL_ANGLE_TOL or abs(th - math.pi) <= _SPECIAL_ANGLE_TOL:
-        yield solve_quartic(_special_angle_quartics(e, d)[0]), "f2-parallel"
-    elif abs(th - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
-        roots = solve_quartic(_special_angle_quartics(e, d)[1])
-        # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
-        x_lin = (d * d + 8.0 * (e * e)) / 4.0
-        yield [complex(0.0), complex(x_lin)] + roots.tolist(), "f2-perpendicular"
-    else:
-        yield numeric_roots(g_coefficients(e, d, th)), "f2-octic"
+    try:
+        with np.errstate(all="ignore"):
+            f1 = solve_quartic((*f1_quartic_coefficients(e, d, th), 1.0)), "f1-analytic"
+            if abs(th) <= _SPECIAL_ANGLE_TOL or abs(th - math.pi) <= _SPECIAL_ANGLE_TOL:
+                f2 = solve_quartic(_special_angle_quartics(e, d)[0]), "f2-parallel"
+            elif abs(th - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
+                roots = solve_quartic(_special_angle_quartics(e, d)[1])
+                # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
+                x_lin = (d * d + 8.0 * (e * e)) / 4.0
+                f2 = [complex(0.0), complex(x_lin)] + roots.tolist(), "f2-perpendicular"
+            else:
+                f2 = numeric_roots(g_coefficients(e, d, th)), "f2-octic"
+    except RootOverflowError as err:
+        raise CrossingError(f"discriminant factors overflow at e_tilde = {e:.6g}, "
+                            f"delta_tilde = {d:.6g}, theta = {th:.6g}") from err
+    return [f1, f2]
 
 
 def _seeds(xs) -> list:
@@ -504,8 +485,7 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     matrix in one stacked eigensolve. The quartic's pair is (4, 5); the
     octic's is the minimal adjacent pair at the seed. A gap below
     GAP_CLASSIFICATION_THRESHOLD at the seed makes a real record there;
-    the other seeds must survive _refine_gap_minima (one coarse stack, one
-    lockstep golden section), whose gap classifies the record there.
+    the others must survive _refine_gap_minima, whose gap classifies them.
 
     Records are deduplicated (of one pair's records within 1e-6 T the
     lowest-field one is kept; the quartic gives pair (4, 5) only and the
@@ -523,8 +503,9 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     b_location, gap = seeds * b_field_from_tilde(1.0), _floored_gap(levels, labels)
     refine = ~(gap < GAP_CLASSIFICATION_THRESHOLD)
     if refine.any():
+        lo, hi = seeds[refine] + np.array([[-1.0], [1.0]]) * SEARCH_HALF_WIDTH_TILDE
         b_location[refine], gap[refine] = _refine_gap_minima(h0, labels[:, refine],
-                                                             seeds[refine])
+                                                             np.maximum(lo, 0.0), hi)
     records = []
     for b, g, pair, (_, source) in zip(b_location.tolist(), gap.tolist(), pairs, found):
         if not math.isnan(b):
@@ -540,5 +521,4 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     if include_mirror:
         kept += [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
                  for r in kept if r.b_location > 0.0]
-    kept.sort(key=lambda r: (r.b_location, r.pair))
-    return tuple(kept)
+    return tuple(sorted(kept, key=lambda r: (r.b_location, r.pair)))

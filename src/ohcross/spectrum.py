@@ -14,7 +14,7 @@ Both routes run on whole arrays of field points. The closed form evaluates
 the frozen coefficients and solves the quartics row-wise. Along B the
 numeric route stacks H = H0 + (b_tilde/10) Z, with H0 the matrix at
 b_tilde = 0 and Z the fixed Zeeman diagonal, bit for bit build_hamiltonian's
-for b_tilde >= 0, into one eigvalsh call.
+for b_tilde >= 0, into one eigvalsh call (eigh for the derivatives too).
 """
 
 from __future__ import annotations
@@ -181,3 +181,16 @@ def numeric_levels_along_b(h0, b_tilde) -> np.ndarray:
     b_tilde = 0), bit for bit as on build_hamiltonian's matrices; shape
     (..., 8)."""
     return numeric_levels(_along_b(h0, b_tilde))
+
+
+def numeric_level_derivatives_along_b(h0, b_tilde) -> tuple:
+    """b_tilde slopes v_i^T Z' v_i and curvatures 2 sum_{k!=i} (v_k^T Z' v_i)^2
+    / (lambda_i - lambda_k) (Z' = Z/10) of the levels, descending, at b_tilde
+    >= 0 from h0 by one stacked eigh; (..., 8) each, not finite where levels meet."""
+    levels, v = (a[..., ::-1] for a in np.linalg.eigh(_along_b(h0, b_tilde)))
+    couplings = np.swapaxes(v, -1, -2) @ (ZEEMAN_DIAGONAL[:, None] / 10.0 * v)
+    # the infinite diagonal drops the k = i term
+    splits = levels[..., None, :] - levels[..., :, None] + np.diag(np.full(8, np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvatures = 2.0 * (couplings ** 2 / splits).sum(axis=-2)
+    return np.diagonal(couplings, axis1=-2, axis2=-1), curvatures

@@ -15,9 +15,9 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from ohcross.algebra import solve_quartic
-from ohcross.crossings import (b1_approx_tilde, b1_exact_tilde,
-                               critical_field_tilde, crossing_catalog,
-                               gap_lowest_pair, golden_min, pair_gap,
+from ohcross.crossings import (_refine_gap_minima, b1_approx_tilde,
+                               b1_exact_tilde, critical_field_tilde,
+                               crossing_catalog, gap_lowest_pair, pair_gap,
                                resolvent_analysis)
 from ohcross.discriminant import (discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
@@ -75,10 +75,10 @@ def test_criterion_01_zero_field_crossing_location():
           if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real > 0.0]
     from_factor = b_field_from_tilde(math.sqrt(min(xs)))
     # route 3: direct gap minimum of the middle pair
-    p0 = params_from_fields(0.0, 0.0, 0.9)
-    b_tilde = golden_min(
-        lambda b: pair_gap(p0.with_b_tilde(b), (4, 5)), 2.0, 3.5, tol=1e-12)
-    from_search = b_field_from_tilde(b_tilde)
+    h0 = build_hamiltonian(params_from_fields(0.0, 0.0, 0.9))
+    b_min, _ = _refine_gap_minima(h0, np.array([[4], [5]]), np.array([2.0]),
+                                  np.array([3.5]))
+    from_search = float(b_min[0])
     elapsed = time.monotonic() - start
 
     for value in (closed, from_factor, from_search):
@@ -240,15 +240,15 @@ def test_criterion_08_gap_scaling_in_angle():
 
 
 def test_criterion_09_resolvent_sign_structure():
-    rng = np.random.default_rng(11)
-    worst_delta = -math.inf
-    for _ in range(10000):
-        e = float(rng.uniform(1e-6, 10.0))
-        theta = float(rng.uniform(1e-6, math.pi - 1e-6))
-        data = resolvent_analysis(e, D, theta)
-        assert data.delta_c <= 0.0
-        assert data.g_c > 0.0
-        worst_delta = max(worst_delta, data.delta_c)
+    # lo + (hi - lo) * random() is rng.uniform's own arithmetic, so these are
+    # the draws of alternating uniform(1e-6, 10) and uniform(1e-6, pi - 1e-6)
+    # calls bit for bit
+    lo, hi = np.array([1e-6, 1e-6]), np.array([10.0, math.pi - 1e-6])
+    e, theta = (lo + (hi - lo) * np.random.default_rng(11).random((10000, 2))).T
+    data = resolvent_analysis(e, D, theta)
+    assert (data.delta_c <= 0.0).all()
+    assert (data.g_c > 0.0).all()
+    worst_delta = data.delta_c.max()
     ec = critical_field_tilde(D, math.pi / 2.0)
     at_crit = resolvent_analysis(ec, D, math.pi / 2.0)
     natural = resolvent_analysis(0.0, D, math.pi / 2.0).c_r

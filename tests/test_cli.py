@@ -228,8 +228,8 @@ class TestCrossings:
         # record per crossing is printed at that minimum
         refine, refined = crossings._refine_gap_minima, []
 
-        def logged(h0, labels, seeds):
-            b_min, gap = refine(h0, labels, seeds)
+        def logged(h0, labels, lo, hi):
+            b_min, gap = refine(h0, labels, lo, hi)
             refined.extend(zip(map(tuple, labels.T.tolist()), zip(b_min, gap)))
             return b_min, gap
 
@@ -237,8 +237,8 @@ class TestCrossings:
         assert run(["crossings", "--theta-deg", "180", "--e-vcm", "11245"]) == 0
         rows = parse_csv(capsys.readouterr().out)[2]
         assert [",".join(r) for r in rows if r[4] == "f1-analytic"] == [
-            "0.33934673034,real,4-5,0,f1-analytic",
-            "0.367230778601,real,4-5,0,f1-analytic"]
+            "0.339346730341,real,4-5,0,f1-analytic",
+            "0.367230778603,real,4-5,0,f1-analytic"]
         assert len(refined) == 4
         assert all(pair == (4, 5) and gap < crossings.GAP_CLASSIFICATION_THRESHOLD
                    for pair, (_, gap) in refined)
@@ -661,6 +661,22 @@ class TestConfigAndErrors:
         assert out == ""
         assert err.startswith("error: resolvent closed form overflows at "
                               "e_tilde = ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("e_vcm, theta_deg", [
+        (e, theta) for e in ("1e20", "1e90", "1e200") for theta in ("0", "60", "90")
+    ] + [("1e16", "0"), ("1e16", "180")])
+    def test_catalog_overflow_is_a_validation_failure(self, e_vcm, theta_deg, capsys):
+        # the field passes its scaling, but a discriminant factor's roots do
+        # not fit in double precision (at 1e16 V/cm and parallel fields only
+        # the special-angle quartic's)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["crossings", "--e-vcm", e_vcm, "--theta-deg", theta_deg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: discriminant factors overflow at e_tilde = ")
+        assert "theta = " in err and " nan" not in err
         assert err.count("\n") == 1
 
     def test_parallel_corner_matches_mpmath(self, capsys):

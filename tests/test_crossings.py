@@ -11,14 +11,14 @@ from ohcross.algebra import QUARTIC_RESIDUAL_REL, ResidualError, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                b1_approx_tilde, b1_exact, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
-                               gap_lowest_pair, golden_min, pair_gap,
-                               resolvent_analysis)
+                               gap_lowest_pair, pair_gap, resolvent_analysis)
 from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
                            e_tilde_from_field, scale_parameters)
-from ohcross.spectrum import numeric_levels_along_b
+from ohcross.spectrum import (numeric_level_derivatives_along_b,
+                              numeric_levels_along_b)
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -166,92 +166,52 @@ class TestGapMeasurement:
         assert gaps[1] / gaps[0] == pytest.approx(8.0, rel=0.02)
 
 
-def test_golden_min_parabola():
-    x = golden_min(lambda t: (t - 1.7) ** 2 + 0.3, 0.0, 5.0, tol=1e-13)
-    assert x == pytest.approx(1.7, abs=1e-8)
+class TestGapMinimumRefinement:
+    # 40-digit zeros of g' near the five `crossings --theta-deg 60 --e-vcm
+    # 1000` records, in tesla: secant on g' from mpmath.eigsy at 40 digits
+    # on the same double H0 and Z (b_tilde scaled by b_field_from_tilde(1.0))
+    README_MINIMA = (0.005300744708023984, 0.05460259784784871,
+                     0.08457209673571694, 0.1528700797004903,
+                     0.1544316344647772)
 
+    def test_readme_locations_at_forty_digit_minima(self):
+        cat = crossing_catalog(from_fields(1000.0, math.pi / 3.0))
+        assert len(cat) == len(self.README_MINIMA)
+        for rec, want in zip(cat, self.README_MINIMA):
+            assert abs(rec.b_location - want) <= 1e-11
 
-def scalar_golden_min(f, a, b, tol=1e-12):
-    """The one-bracket Python-float loop that golden_min runs in lockstep."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+    @pytest.mark.parametrize("e_vcm, theta_deg", [(1000.0, 60.0), (3000.0, 130.0),
+                                                  (2000.0, 45.0)])
+    def test_seed_bits_do_not_move_locations(self, monkeypatch, e_vcm, theta_deg):
+        p = from_fields(e_vcm, math.radians(theta_deg))
+        want = crossing_catalog(p)
+        seeds = crossings._seeds
+        for factor in (1.0 + 4.4e-16, 1.0 - 4.4e-16, 1.0 + 2e-15):
+            monkeypatch.setattr(crossings, "_seeds",
+                                lambda xs, f=factor: [s * f for s in seeds(xs)])
+            got = crossing_catalog(p)
+            assert [(r.kind, r.pair, r.source) for r in got] \
+                == [(r.kind, r.pair, r.source) for r in want]
+            for a, b in zip(got, want):
+                assert abs(a.b_location - b.b_location) <= 1e-13
 
+    def test_real_crossing_by_bisection(self):
+        # at zero electric field levels 4 and 5 cross exactly at b = d/3, a
+        # kink of the gap where every Newton step overshoots or meets a
+        # non-finite g''; the bisection steps end within the tolerance
+        h0 = build_hamiltonian(from_fields(0.0, 0.9))
+        b_min, gap = crossings._refine_gap_minima(h0, np.array([[4], [5]]),
+                                                  np.array([2.0]), np.array([3.5]))
+        assert abs(b_min[0] - D / 3.0 * B_PER_TILDE) <= 1e-13
+        assert gap[0] == 0.0
 
-class TestGoldenMinLockstep:
-    TOL = 1e-11
-
-    @staticmethod
-    def brackets(rng):
-        # mixed widths, one clamped at b = 0 and one already below tol
-        lo = np.concatenate([[0.0, 0.3], rng.uniform(0.0, 0.5, 30)])
-        width = np.concatenate([[2e-6, 1e-12], 10.0 ** rng.uniform(-9.0, -3.0, 30)])
-        return lo, lo + width
-
-    @pytest.mark.parametrize("shape", [
-        # a smooth minimum per bracket, placed anywhere inside it
-        lambda lo, hi, rng: (lambda x, m: (x - m) ** 2,
-                             lo + rng.uniform(0.0, 1.0, lo.size) * (hi - lo)),
-        # a flat floor, so fc == fd exactly on nearly every step
-        lambda lo, hi, rng: (lambda x, m: np.maximum(np.abs(x - m), m / 2.0),
-                             lo + 0.5 * (hi - lo)),
-        # a staircase: exact ties on some steps, strict order on others
-        lambda lo, hi, rng: (lambda x, m: np.floor(np.abs(x - m) * 1e7),
-                             lo + rng.uniform(0.0, 1.0, lo.size) * (hi - lo)),
-    ])
-    def test_array_brackets_match_scalar_loop_bitwise(self, shape):
-        rng = np.random.default_rng(21)
-        lo, hi = self.brackets(rng)
-        f, m = shape(lo, hi, rng)
-        probes = []
-
-        def stacked(x):
-            live = ~np.isnan(x)
-            probes.append(int(live.sum()))
-            out = np.full(x.shape, np.nan)
-            out[live] = f(x[live], m[live])
-            return out
-
-        got = golden_min(stacked, lo, hi, tol=self.TOL)
-        want, steps = [], []
-        for k in range(lo.size):
-            calls = []
-
-            def one(x, k=k):
-                calls.append(x)
-                return float(f(np.float64(x), m[k]))
-
-            want.append(scalar_golden_min(one, float(lo[k]), float(hi[k]),
-                                          tol=self.TOL))
-            steps.append(len(calls))
-        assert got.tobytes() == np.array(want).tobytes()
-        # one call per step, and each bracket probed as often as alone
-        assert len(probes) == max(steps)
-        assert sum(probes) == sum(steps)
-        # the clamped bracket and the one below tol finish early
-        assert steps[0] < max(steps) and steps[1] == 2
-
-    def test_scalar_bracket_returns_python_float(self):
-        seen = []
-
-        def f(t):
-            seen.append(type(t))
-            return (t - 1.7) ** 2 + 0.3
-
-        x = golden_min(f, 0.0, 5.0, tol=1e-13)
-        assert type(x) is float and set(seen) == {float}
-        assert x == scalar_golden_min(f, 0.0, 5.0, tol=1e-13)
+    def test_edge_minimum_discards_bracket(self):
+        # the (4, 5) gap falls all the way across [1.0, 2.0] towards d/3
+        h0 = build_hamiltonian(from_fields(0.0, 0.9))
+        b_min, gap = crossings._refine_gap_minima(
+            h0, np.array([[4, 4], [5, 5]]), np.array([1.0, 2.0]), np.array([2.0, 3.5]))
+        assert math.isnan(b_min[0]) and math.isnan(gap[0])
+        assert abs(b_min[1] - D / 3.0 * B_PER_TILDE) <= 1e-13
 
 
 class TestCatalogZeroField:
@@ -423,9 +383,11 @@ def test_f1_records_source_and_pair():
 
 
 def per_point_records(xs, p, source):
-    """The catalog's candidate pipeline as it measured gaps before the
-    zero-field matrix was shared: one matrix build and eigensolve per
-    field point, through pair_gap."""
+    """The catalog's candidate pipeline seed by seed, measuring every gap
+    with one matrix build and eigensolve per field point through pair_gap:
+    the pair, the real/avoided decision, each open seed's coarse scan and
+    edge discard, and the gap at the refined location. Only the Newton
+    iteration is the catalog's, run on each bracket alone."""
     tesla_per_tilde = b_field_from_tilde(1.0)
 
     def adjacent_pair(q):
@@ -438,21 +400,19 @@ def per_point_records(xs, p, source):
         return best[1]
 
     def refine(pair, seed):
-        def gap_at_tesla(b_tesla):
-            return pair_gap(p.with_b_tilde(b_tesla / tesla_per_tilde), pair)
-
-        lo = max(seed - crossings.SEARCH_HALF_WIDTH_TILDE, 0.0) * tesla_per_tilde
-        hi = (seed + crossings.SEARCH_HALF_WIDTH_TILDE) * tesla_per_tilde
-        n = crossings._COARSE_POINTS
-        step = (hi - lo) / (n - 1)
-        values = [gap_at_tesla(lo + k * step) for k in range(n)]
-        k_min = min(range(n), key=values.__getitem__)
-        if k_min in (0, n - 1):
+        lo = max(seed - crossings.SEARCH_HALF_WIDTH_TILDE, 0.0)
+        hi = seed + crossings.SEARCH_HALF_WIDTH_TILDE
+        grid = np.linspace(lo, hi, crossings._COARSE_POINTS).tolist()
+        values = [pair_gap(p.with_b_tilde(b), pair) for b in grid]
+        k_min = min(range(len(grid)), key=values.__getitem__)
+        if k_min in (0, len(grid) - 1):
             return None
-        b_min = golden_min(gap_at_tesla, lo + (k_min - 1) * step,
-                           lo + (k_min + 1) * step,
-                           tol=crossings._GOLDEN_TOL_TESLA)
-        return b_min, gap_at_tesla(b_min)
+        b_min = float(crossings._refine_gap_minima(
+            build_hamiltonian(p.with_b_tilde(0.0)), np.array(pair)[:, None],
+            np.array([lo]), np.array([hi]))[0][0])
+        b_tilde = b_min / tesla_per_tilde
+        assert grid[k_min - 1] < b_tilde < grid[k_min + 1]
+        return b_min, pair_gap(p.with_b_tilde(b_tilde), pair)
 
     roots = crossings._cluster_roots(xs)
     if not roots:
@@ -521,23 +481,24 @@ class TestSharedZeroFieldMatrix:
         assert got == want
         assert all(want)
 
-    @pytest.mark.parametrize("e_vcm, theta_deg, matrices", [
-        (1000.0, 60.0, 682), (3000.0, 60.0, 568),
-        (11245.0, 180.0, 484), (4500.0, 90.0, 368),
+    @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
+        (1000.0, 60.0, 6, 511), (3000.0, 60.0, 6, 500),
+        (11245.0, 180.0, 33, 456), (4500.0, 90.0, 6, 334),
     ])
-    def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, matrices):
-        # as many matrices as seed-by-seed refinement diagonalised, in one
-        # seed call, one coarse stack, the lockstep golden section and one
-        # final gap call
+    def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
+                                      matrices):
+        # one seed call, one coarse stack, one eigh per Newton step and one
+        # final gap call; at 11245 V/cm antiparallel the four brackets close
+        # on exact crossings by bisection
         sizes = []
+        for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
+            def counted(h0, b_tilde, solve=globals()[name]):
+                sizes.append(np.size(b_tilde))
+                return solve(h0, b_tilde)
 
-        def counted(h0, b_tilde):
-            sizes.append(np.size(b_tilde))
-            return numeric_levels_along_b(h0, b_tilde)
-
-        monkeypatch.setattr(crossings, "numeric_levels_along_b", counted)
+            monkeypatch.setattr(crossings, name, counted)
         assert crossing_catalog(from_fields(e_vcm, math.radians(theta_deg)))
-        assert len(sizes) <= 41
+        assert len(sizes) == calls
         assert sum(sizes) == matrices
 
     def test_catalog_builds_the_matrix_once(self, monkeypatch):

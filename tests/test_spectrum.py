@@ -12,6 +12,7 @@ from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            scale_parameters)
 from ohcross.spectrum import (HermiticityViolationError, analytic_eigenvalues,
                               analytic_spectrum, lambda_squared_rows,
+                              numeric_level_derivatives_along_b,
                               numeric_levels, numeric_levels_along_b,
                               shifted_quartic_coefficients)
 
@@ -410,6 +411,26 @@ class TestLevelsAlongB:
         got = numeric_levels_along_b(h0, 1.3)
         assert got.shape == (8,)
         assert got.tobytes() == numeric_levels(build_hamiltonian(p)).tobytes()
+
+    def test_derivatives_match_central_differences(self):
+        # Hellmann-Feynman slopes and second-order perturbation curvatures
+        # against central differences of the eigvalsh levels, and each row
+        # of the stack bit for bit its one-point call
+        rng = np.random.default_rng(15)
+        p = random_params(rng)
+        h0 = build_hamiltonian(p.with_b_tilde(0.0))
+        bs = rng.uniform(0.5, 20.0, 25)
+        got = numeric_level_derivatives_along_b(h0, bs)
+        slopes, curvatures = got
+        step = 1e-4
+        up, mid, down = (numeric_levels_along_b(h0, bs + s) for s in (step, 0.0, -step))
+        assert np.abs((up - down) / (2.0 * step) - slopes).max() <= 1e-7
+        fd = (up - 2.0 * mid + down) / step ** 2
+        assert (np.abs(fd - curvatures) <= 1e-5 * np.maximum(1.0, np.abs(fd))).all()
+        for k, b in enumerate(bs):
+            for whole, one in zip(got, numeric_level_derivatives_along_b(h0, b)):
+                assert one.shape == (8,)
+                assert whole[k].tobytes() == one.tobytes()
 
     def test_stack_rows_equal_one_matrix_calls_bitwise(self):
         rng = np.random.default_rng(13)
