@@ -13,8 +13,8 @@ the squared field variable x = b_tilde^2:
 Every evaluator broadcasts over arrays of field points. Every factor is
 cross-checked against eigenvalue products computed by two independent
 spectral routes; audit_triple drives that comparison over a randomized
-sample, one array pass per section, and can localize a corrupted octic
-coefficient.
+sample, one array pass over all sampled sections, and can localize a
+corrupted octic coefficient.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ SPECIAL_ANGLE_TOL = 1e-8
 LOCALIZE_CONSISTENCY_TOL = 0.05
 
 G_NAMES = ("g0", "g2", "g4", "g6", "g8", "g10", "g12", "g14", "g16")
+
+# (i, j) level pairs of discriminant_from_eigenvalues, in its order
+_PAIRS = np.triu_indices(8, k=1)
 
 
 def relative_spread(values):
@@ -106,51 +109,49 @@ def g_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     c6 = np.cos(6.0 * theta)
     c8 = np.cos(8.0 * theta)
     c10 = np.cos(10.0 * theta)
-    E = e_tilde
-    D = delta_tilde
-    g16 = 8192 * (D**4 + 5 * (1 + c2) * D**2 * E**2 + 9 * c**4 * E**4)
-    g14 = -2048 * (9 * c**4 * (9 + 41 * c2) * E**6 + 10 * D**6
-                   + c**2 * (247 + 343 * c2) * D**2 * E**4 + 150 * c**2 * D**4 * E**2)
-    g12 = 64 * (264 * D**8 + 240 * (15 + 7 * c2) * D**6 * E**2
-                + 2 * (7613 + 9308 * c2 + 1311 * c4) * D**4 * E**4
-                + 9 * c**4 * (3155 + 2052 * c2 + 2481 * c4) * E**8
-                + 4 * c**2 * (8599 + 13060 * c2 + 3501 * c4) * D**2 * E**6)
-    g10 = -32 * (160 * D**10 + 16 * (203 + 47 * c2) * D**8 * E**2
-                 + 4 * (5685 + 3884 * c2 + 631 * c4) * D**6 * E**4
-                 + 36 * c**4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6) * E**10
-                 + 4 * c**2 * (39498 + 56409 * c2 + 27750 * c4 + 2903 * c6) * D**2 * E**8
-                 + (72962 + 100955 * c2 + 33550 * c4 + 4533 * c6) * D**4 * E**6)
-    g8 = 8 * (64 * D**12 + 192 * D**10 * E**2 * (9 + c2)
-              + 8 * D**8 * E**4 * (2193 + 1012 * c2 + 339 * c4)
-              + 16 * D**6 * E**6 * (5651 + 6444 * c2 + 3093 * c4 + 252 * c6)
-              + 72 * E**12 * c**4 * (8253 + 6804 * c2 + 7786 * c4 + 900 * c6 + 625 * c8)
-              + 4 * D**2 * E**10 * c**2 * (199593 + 305817 * c2 + 135562 * c4
-                                           + 38183 * c6 + 1165 * c8)
-              + D**4 * E**8 * (305959 + 533164 * c2 + 289236 * c4 + 55892 * c6
-                               + 3077 * c8))
-    g6 = (-(D**10) * (64 + 2816 * c2 + 2240 * c4)
-          - 16 * D**8 * E**2 * (354 + 4215 * c2 + 3326 * c4 + 105 * c6)
-          - 1152 * E**10 * c**4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6)
-          - 64 * D**2 * E**8 * c**2 * (67824 + 129141 * c2 + 44446 * c4
-                                       + 12779 * c6 - 1070 * c8)
-          - 4 * D**6 * E**4 * (38821 + 159112 * c2 + 117620 * c4 + 11768 * c6
-                               - 921 * c8)
-          + D**4 * E**6 * (-1413318 - 3053506 * c2 - 1941176 * c4 - 392525 * c6
-                           + 11646 * c8 + 4879 * c10)) * E**4
-    g4 = 4 * (1575 * D**8 + D**8 * (1616 * c2 + 844 * c4)
-              + 144 * E**8 * c**4 * (3155 + 2052 * c2 + 2481 * c4)
-              + 8 * D**2 * E**6 * c**2 * (91042 + 69141 * c2 + 52350 * c4 - 11253 * c6)
-              + 432 * D**8 * c6
-              + D**4 * E**4 * (198181 + 249080 * c2 + 118740 * c4 + 38536 * c6
-                               - 21113 * c8)
-              + 2 * D**6 * E**2 * (15185 + 16752 * c2 + 8580 * c4 + 3856 * c6
-                                   - 2133 * c8)
-              - 243 * D**8 * c8) * E**8
-    g2 = 512 * c**2 * (D**6 * (3 - 64 * c2) - 36 * E**6 * c**2 * (9 + 41 * c2)
-                       + 21 * D**6 * c4 + 2 * D**4 * E**2 * (-3 - 436 * c2 + 139 * c4)
-                       + 4 * D**2 * E**4 * (-118 - 655 * c2 + 183 * c4)) * E**12
-    g0 = 4096 * E**16 * (D**2 + 9 * E**2) * c**2 * (5 * D**2 + E**2
-                                                    + (-3 * D**2 + E**2) * c2)
+    # each power once, by the ** the expressions were written with, so
+    # the table keeps its bits; cc2 and cc4 are cos(theta)^2 and ^4
+    E2, E4, E6, E8, E10, E12, E16 = (e_tilde**k for k in (2, 4, 6, 8, 10, 12, 16))
+    D2, D4, D6, D8, D10, D12 = (delta_tilde**k for k in (2, 4, 6, 8, 10, 12))
+    cc2, cc4 = c**2, c**4
+    g16 = 8192 * (D4 + 5 * (1 + c2) * D2 * E2 + 9 * cc4 * E4)
+    g14 = -2048 * (9 * cc4 * (9 + 41 * c2) * E6 + 10 * D6
+                   + cc2 * (247 + 343 * c2) * D2 * E4 + 150 * cc2 * D4 * E2)
+    g12 = 64 * (264 * D8 + 240 * (15 + 7 * c2) * D6 * E2
+                + 2 * (7613 + 9308 * c2 + 1311 * c4) * D4 * E4
+                + 9 * cc4 * (3155 + 2052 * c2 + 2481 * c4) * E8
+                + 4 * cc2 * (8599 + 13060 * c2 + 3501 * c4) * D2 * E6)
+    g10 = -32 * (160 * D10 + 16 * (203 + 47 * c2) * D8 * E2
+                 + 4 * (5685 + 3884 * c2 + 631 * c4) * D6 * E4
+                 + 36 * cc4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6) * E10
+                 + 4 * cc2 * (39498 + 56409 * c2 + 27750 * c4 + 2903 * c6) * D2 * E8
+                 + (72962 + 100955 * c2 + 33550 * c4 + 4533 * c6) * D4 * E6)
+    g8 = 8 * (64 * D12 + 192 * D10 * E2 * (9 + c2)
+              + 8 * D8 * E4 * (2193 + 1012 * c2 + 339 * c4)
+              + 16 * D6 * E6 * (5651 + 6444 * c2 + 3093 * c4 + 252 * c6)
+              + 72 * E12 * cc4 * (8253 + 6804 * c2 + 7786 * c4 + 900 * c6 + 625 * c8)
+              + 4 * D2 * E10 * cc2 * (199593 + 305817 * c2 + 135562 * c4
+                                      + 38183 * c6 + 1165 * c8)
+              + D4 * E8 * (305959 + 533164 * c2 + 289236 * c4 + 55892 * c6 + 3077 * c8))
+    g6 = (-D10 * (64 + 2816 * c2 + 2240 * c4)
+          - 16 * D8 * E2 * (354 + 4215 * c2 + 3326 * c4 + 105 * c6)
+          - 1152 * E10 * cc4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6)
+          - 64 * D2 * E8 * cc2 * (67824 + 129141 * c2 + 44446 * c4
+                                  + 12779 * c6 - 1070 * c8)
+          - 4 * D6 * E4 * (38821 + 159112 * c2 + 117620 * c4 + 11768 * c6 - 921 * c8)
+          + D4 * E6 * (-1413318 - 3053506 * c2 - 1941176 * c4 - 392525 * c6
+                       + 11646 * c8 + 4879 * c10)) * E4
+    g4 = 4 * (1575 * D8 + D8 * (1616 * c2 + 844 * c4)
+              + 144 * E8 * cc4 * (3155 + 2052 * c2 + 2481 * c4)
+              + 8 * D2 * E6 * cc2 * (91042 + 69141 * c2 + 52350 * c4 - 11253 * c6)
+              + 432 * D8 * c6
+              + D4 * E4 * (198181 + 249080 * c2 + 118740 * c4 + 38536 * c6 - 21113 * c8)
+              + 2 * D6 * E2 * (15185 + 16752 * c2 + 8580 * c4 + 3856 * c6 - 2133 * c8)
+              - 243 * D8 * c8) * E8
+    g2 = 512 * cc2 * (D6 * (3 - 64 * c2) - 36 * E6 * cc2 * (9 + 41 * c2)
+                      + 21 * D6 * c4 + 2 * D4 * E2 * (-3 - 436 * c2 + 139 * c4)
+                      + 4 * D2 * E4 * (-118 - 655 * c2 + 183 * c4)) * E12
+    g0 = 4096 * E16 * (D2 + 9 * E2) * cc2 * (5 * D2 + E2 + (-3 * D2 + E2) * c2)
     return g0, g2, g4, g6, g8, g10, g12, g14, g16
 
 
@@ -168,15 +169,6 @@ def f2_magnitude_tilde(b_tilde, e_tilde, delta_tilde, theta):
     """
     gs = g_coefficients(e_tilde, delta_tilde, theta)
     return horner([abs(g) for g in gs], b_tilde * b_tilde)
-
-
-def _form_error(closed, p: ScaledParameters, fault):
-    """|eval_f2_tilde with the fault - closed| over the clean
-    f2_magnitude_tilde at p, both from one coefficient table."""
-    clean = g_coefficients(p.e_tilde, p.delta_tilde, p.theta)
-    x = p.b_tilde * p.b_tilde
-    scale = np.maximum(horner([abs(g) for g in clean], x), REL_FLOOR)
-    return np.abs(horner(_faulted(clean, fault), x) - closed) / scale
 
 
 def f2_zero_field_tilde(b_tilde, delta_tilde):
@@ -205,40 +197,40 @@ def _special_angle_quartics(e_tilde, delta_tilde) -> tuple:
          d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2, -2.0 * (d2 - 2.0 * e2), 1.0)))
 
 
-def f2_parallel_tilde(b_tilde, e_tilde, delta_tilde):
-    """Closed form of f2 for parallel or antiparallel fields.
+def _special_angle_forms(b_tilde, e_tilde, delta_tilde) -> tuple:
+    """f2 at (parallel, perpendicular) fields from one build of their quartics.
 
-    The octic collapses to a constant times a perfect square of a quartic
-    in x: every crossing at these angles is exact, none is avoided.
+    At parallel or antiparallel fields the octic collapses to a constant
+    times a perfect square of a quartic in x: every crossing at these
+    angles is exact, none is avoided. At perpendicular fields two squared
+    factors carry exact crossings; the final quartic factor is not squared,
+    so its roots sit at simple zeros where the crossing behavior differs
+    from every other special geometry.
     """
+    x = b_tilde * b_tilde
     e2 = e_tilde * e_tilde
     d2 = delta_tilde * delta_tilde
-    front = d2 * d2 + 10.0 * d2 * e2 + 9.0 * e2 * e2
-    quart = horner(_special_angle_quartics(e_tilde, delta_tilde)[0],
-                   b_tilde * b_tilde)
-    return 512.0 * front * quart * quart
+    par, perp = (horner(q, x) for q in _special_angle_quartics(e_tilde, delta_tilde))
+    lin = -4.0 * x + d2 + 8.0 * e2
+    return (512.0 * (d2 * d2 + 10.0 * d2 * e2 + 9.0 * e2 * e2) * par * par,
+            512.0 * x * x * d2 * d2 * lin * lin * perp)
+
+
+def f2_parallel_tilde(b_tilde, e_tilde, delta_tilde):
+    """Closed form of f2 for parallel or antiparallel fields."""
+    return _special_angle_forms(b_tilde, e_tilde, delta_tilde)[0]
 
 
 def f2_perpendicular_tilde(b_tilde, e_tilde, delta_tilde):
-    """Closed form of f2 for perpendicular fields.
-
-    Two squared factors carry exact crossings; the final quartic factor is
-    not squared, so its roots sit at simple zeros where the crossing
-    behavior differs from every other special geometry.
-    """
-    x = b_tilde * b_tilde
-    d2 = delta_tilde * delta_tilde
-    lin = -4.0 * x + d2 + 8.0 * (e_tilde * e_tilde)
-    quart = horner(_special_angle_quartics(e_tilde, delta_tilde)[1], x)
-    return 512.0 * x * x * d2 * d2 * lin * lin * quart
+    """Closed form of f2 for perpendicular fields."""
+    return _special_angle_forms(b_tilde, e_tilde, delta_tilde)[1]
 
 
 def discriminant_from_eigenvalues(lambdas):
-    """Product of squared differences over all level pairs along the last
-    axis, multiplied in the order (0, 1), (0, 2), ..., (6, 7)."""
+    """Product of squared differences over all pairs of the eight levels
+    along the last axis, multiplied in the order (0, 1), (0, 2), ..., (6, 7)."""
     v = np.asarray(lambdas, dtype=float)
-    i, j = np.triu_indices(v.shape[-1], k=1)
-    diff = v[..., i] - v[..., j]
+    diff = v[..., _PAIRS[0]] - v[..., _PAIRS[1]]
     return np.multiply.reduce(diff * diff, axis=-1)
 
 
@@ -324,63 +316,70 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
                             closed forms, same scale convention
 
     The first two sections share n_samples draws, the others take
-    max(1, n_samples // 5) each; every section is one array pass. On a
-    failing section the fault localizer runs at the worst breaching
-    configuration and fills `suspects`. `fault` is the self-test hook: a
-    (name, factor) pair multiplies the named octic coefficient wherever the
-    audit evaluates the table, and an unknown name raises ValueError.
+    max(1, n_samples // 5) each. All draws form one table of rows main |
+    zero-field | special-angle, scaled in one call, with one octic table
+    and one Horner pass over it; each section is a slice. The matrices,
+    spectra and determinants are of the main rows only. On a failing
+    section the fault localizer runs at the worst breaching configuration
+    and fills `suspects`. `fault` is the self-test hook: a (name, factor)
+    pair multiplies the named octic coefficient wherever the audit
+    evaluates the table, and an unknown name raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"audit samples must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"audit seed must be non-negative, got {seed}")
     mol = molecule if molecule is not None else MoleculeParameters()
     rng = np.random.default_rng(seed)
+    n_side = max(1, n_samples // 5)
+    # (E, B, theta) rows, drawn in the order of one call per value: the
+    # main rows, the zero-field (B, theta), then per special sample an
+    # angle draw before (E, B)
+    main = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
+    zero = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
+    special = np.array([
+        [rng.choice([0.0, math.pi / 2.0, math.pi]), *rng.uniform((0.0, 0.0), (5e5, 0.3))]
+        for _ in range(n_side)])
+    p = scale_parameters(mol, FieldConfiguration(*np.concatenate([
+        main, np.insert(zero, 0, 0.0, axis=1), np.roll(special, -1, axis=1)]).T))
+    b, e, d, th = p.b_tilde, p.e_tilde, p.delta_tilde, p.theta
+    g = g_coefficients(e, d, th)
+    f2 = horner(_faulted(g, fault), b * b)
+    scale = np.maximum(horner([abs(gk) for gk in g], b * b), REL_FLOOR)
 
-    # (E, B, theta) rows, drawn in the order of one call per value
-    fields = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
-    main = scale_parameters(mol, FieldConfiguration(*fields.T))
-    b, e, d, th = main.b_tilde, main.e_tilde, main.delta_tilde, main.theta
-    h = build_hamiltonian(main)
-    lam = analytic_spectrum(b, e, d, th)
-    f1 = eval_f1_tilde(b, e, d, th)
-    f2 = horner(_faulted(g_coefficients(e, d, th), fault), b * b)
+    n, k = n_samples, n_samples + n_side  # main rows [:n], special [k:]
+    h = build_hamiltonian(ScaledParameters(b[:n], e[:n], d, th[:n]))
+    lam = analytic_spectrum(b[:n], e[:n], d, th[:n])
+    f1 = eval_f1_tilde(b[:n], e[:n], d, th[:n])
     triple = relative_spread([discriminant_from_eigenvalues(lam),
                               discriminant_from_eigenvalues(numeric_levels(h)),
-                              eval_f0_tilde(b) * f1 * f2 * f2])
+                              eval_f0_tilde(b[:n]) * f1 * f2[:n] * f2[:n]])
     # 5^8 times the squared product of the mirror-pair differences
     # (1,8), (2,7), (3,6), (4,5) is 10^8 det H as well
     mirror = np.multiply.reduce(lam[:, :4] - lam[:, 7:3:-1], axis=1)
     identity = relative_spread([f1, 1e8 * np.linalg.det(h),
                                 5.0 ** 8 * mirror * mirror])
+    # the zero-field and special-angle rows: the octic against its closed
+    # forms, over the term-magnitude scale
+    parallel, perpendicular = _special_angle_forms(b[k:], e[k:], d)
+    closed = np.concatenate([f2_zero_field_tilde(b[n:k], d), np.where(
+        th[k:] == math.pi / 2.0, perpendicular, parallel)])
+    form_rel = np.abs(f2[n:] - closed) / scale[n:]
+    special_rel = form_rel[n_side:]
     sections = [_section("triple-agreement", triple, TRIPLE_TOL),
-                _section("determinant-identity", identity, DET_IDENTITY_TOL)]
-
-    n_side = max(1, n_samples // 5)
-    fields = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
-    zero = scale_parameters(mol, FieldConfiguration(0.0, *fields.T))
-    sections.append(_section("zero-field-form", _form_error(
-        f2_zero_field_tilde(zero.b_tilde, d), zero, fault), ZERO_FIELD_TOL))
-
-    # per sample an angle draw, then (E, B)
-    theta, e_field, b_field = np.array([
-        [rng.choice([0.0, math.pi / 2.0, math.pi]), *rng.uniform((0.0, 0.0), (5e5, 0.3))]
-        for _ in range(n_side)]).T
-    special = scale_parameters(mol, FieldConfiguration(e_field, b_field, theta))
-    b, e = special.b_tilde, special.e_tilde
-    closed = np.where(theta == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
-                      f2_parallel_tilde(b, e, d))
-    special_rel = _form_error(closed, special, fault)
-    sections.append(_section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL))
+                _section("determinant-identity", identity, DET_IDENTITY_TOL),
+                _section("zero-field-form", form_rel[:n_side], ZERO_FIELD_TOL),
+                _section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL)]
 
     passed = all(sec.passed for sec in sections)
     suspects, scores = (), {}
     if not passed:
         # the first worst sample; the special-angle one only when the main
         # section passed and some special sample disagreed at all
-        worst, p = int(np.argmax(triple)), main
+        worst = int(np.argmax(triple))
         if sections[0].passed and special_rel.max() > 0.0:
-            worst, p = int(np.argmax(special_rel)), special
+            worst = k + int(np.argmax(special_rel))
         suspects, scores = _localize_fault(ScaledParameters(
-            float(p.b_tilde[worst]), float(p.e_tilde[worst]), d,
-            float(p.theta[worst])), fault)
+            float(b[worst]), float(e[worst]), d, float(th[worst])), fault)
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)

@@ -407,6 +407,12 @@ class TestAudit:
         assert captured.out == ""
         assert "error:" in captured.err and "samples" in captured.err
 
+    def test_rejects_negative_seed(self, capsys):
+        assert run(["audit", "--samples", "20", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "audit seed must be non-negative, got -1" in captured.err
+
 
 class TestPlot:
     def test_svg_written(self, tmp_path):

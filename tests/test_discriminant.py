@@ -5,8 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.discriminant import (F0_CONSTANT, AuditReport, G_NAMES,
-                                  _faulted, audit_triple,
+from ohcross import discriminant
+from ohcross.algebra import horner
+from ohcross.discriminant import (DET_IDENTITY_TOL, F0_CONSTANT, REL_FLOOR,
+                                  SPECIAL_ANGLE_TOL, TRIPLE_TOL, ZERO_FIELD_TOL,
+                                  AuditReport, G_NAMES, _faulted,
+                                  _localize_fault, _section, audit_triple,
                                   discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
@@ -138,6 +142,51 @@ class TestGTable:
                 assert b == -a
             else:
                 assert b == a
+
+    # float.hex of (g0, ..., g16) at (e_tilde, theta) with delta_tilde = D,
+    # taken before the table computed each power once. A scalar call and a
+    # 3-element array call differ in the last bit of five of them at the
+    # first configuration: numpy rounds some array operations differently.
+    PINNED = {
+        (4.99, 0.17): (
+            "0x1.dd4ce4d70c467p+64", "-0x1.620e445b00bcap+64", "0x1.7121a6e0cecc5p+62",
+            "-0x1.51460be24a233p+59", "0x1.3c3942910e7b2p+55", "-0x1.235b3cbdf750cp+50",
+            "0x1.002090b09e149p+44", "-0x1.84ea305fb9c9fp+36", "0x1.a43cb7f409dedp+27"),
+        (3.26, 2.2): (
+            "0x1.c5b35295e5b3ep+53", "0x1.9bd807836ade6p+48", "0x1.f415b43b5a6e7p+51",
+            "0x1.e02e558618a49p+51", "0x1.1486206acad23p+49", "-0x1.8fde6e0690170p+45",
+            "0x1.3e6b4295ff706p+40", "-0x1.867d1e99c9011p+33", "0x1.d5160ca9f05f4p+25"),
+        (5.69, 2.77): (
+            "0x1.5012438fa28dfp+68", "-0x1.1f7ef472774b6p+67", "0x1.5d8cee135b52ep+64",
+            "-0x1.8ac932fb07a18p+60", "0x1.2c382455a8260p+56", "-0x1.df1988aace855p+50",
+            "0x1.6efa8fab94020p+44", "-0x1.ea9cc3b911c88p+36", "0x1.eb9ebbe2f6cecp+27"),
+    }
+    ARRAY_PINNED = {(4.99, 0.17): {1: "-0x1.620e445b00bc9p+64", 3: "-0x1.51460be24a231p+59",
+                                   6: "0x1.002090b09e148p+44", 7: "-0x1.84ea305fb9c9ep+36",
+                                   8: "0x1.a43cb7f409decp+27"}}
+
+    def test_pinned_bits_as_scalars_and_arrays(self):
+        e, th = (np.array(col) for col in zip(*self.PINNED))
+        table = g_coefficients(e, D, th)
+        for k, ((ek, tk), want) in enumerate(self.PINNED.items()):
+            assert tuple(float(g).hex() for g in g_coefficients(ek, D, tk)) == want
+            want = list(want)
+            for i, bits in self.ARRAY_PINNED.get((ek, tk), {}).items():
+                want[i] = bits
+            assert [float(g[k]).hex() for g in table] == want
+
+    def test_stacked_table_equals_per_slice_tables(self):
+        # the audit's one table over main | zero-field | special-angle rows
+        # against one table per section, the zero-field one at scalar E = 0
+        rng = np.random.default_rng(39)
+        e = np.concatenate([rng.uniform(0.0, 8.4, 20), np.zeros(4), rng.uniform(0.0, 8.4, 4)])
+        th = np.concatenate([rng.uniform(0.0, math.pi, 24),
+                             rng.choice([0.0, math.pi / 2.0, math.pi], 4)])
+        stacked = np.array(g_coefficients(e, D, th))
+        parts = [g_coefficients(e[:20], D, th[:20]), g_coefficients(0.0, D, th[20:24]),
+                 g_coefficients(e[24:], D, th[24:])]
+        sliced = np.concatenate([np.broadcast_arrays(*part) for part in parts], axis=1)
+        assert stacked.tobytes() == sliced.tobytes()
 
     def test_unknown_fault_name_rejected(self):
         with pytest.raises(ValueError, match="unknown octic coefficient 'g7'"):
@@ -314,3 +363,95 @@ class TestAudit:
         report = audit_triple(n_samples=100, seed=3, fault=(name, factor))
         assert not report.passed
         assert report.suspects == (name,)
+
+
+def sectionwise_audit(n_samples, seed, fault=None):
+    """The audit as one array pass per section, with its own scaling, octic
+    table and Horner passes: the route audit_triple stacked into one pass."""
+    rng = np.random.default_rng(seed)
+
+    def form_error(closed, p):
+        clean = g_coefficients(p.e_tilde, p.delta_tilde, p.theta)
+        x = p.b_tilde * p.b_tilde
+        scale = np.maximum(horner([abs(g) for g in clean], x), REL_FLOOR)
+        return np.abs(horner(_faulted(clean, fault), x) - closed) / scale
+
+    fields = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
+    main = scale_parameters(MOL, FieldConfiguration(*fields.T))
+    b, e, d, th = main.b_tilde, main.e_tilde, main.delta_tilde, main.theta
+    h = build_hamiltonian(main)
+    lam = analytic_spectrum(b, e, d, th)
+    f1 = eval_f1_tilde(b, e, d, th)
+    f2 = horner(_faulted(g_coefficients(e, d, th), fault), b * b)
+    triple = relative_spread([discriminant_from_eigenvalues(lam),
+                              discriminant_from_eigenvalues(numeric_levels(h)),
+                              eval_f0_tilde(b) * f1 * f2 * f2])
+    mirror = np.multiply.reduce(lam[:, :4] - lam[:, 7:3:-1], axis=1)
+    identity = relative_spread([f1, 1e8 * np.linalg.det(h),
+                                5.0 ** 8 * mirror * mirror])
+    sections = [_section("triple-agreement", triple, TRIPLE_TOL),
+                _section("determinant-identity", identity, DET_IDENTITY_TOL)]
+
+    n_side = max(1, n_samples // 5)
+    fields = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
+    zero = scale_parameters(MOL, FieldConfiguration(0.0, *fields.T))
+    sections.append(_section("zero-field-form", form_error(
+        f2_zero_field_tilde(zero.b_tilde, d), zero), ZERO_FIELD_TOL))
+
+    theta, e_field, b_field = np.array([
+        [rng.choice([0.0, math.pi / 2.0, math.pi]), *rng.uniform((0.0, 0.0), (5e5, 0.3))]
+        for _ in range(n_side)]).T
+    special = scale_parameters(MOL, FieldConfiguration(e_field, b_field, theta))
+    b, e = special.b_tilde, special.e_tilde
+    closed = np.where(theta == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
+                      f2_parallel_tilde(b, e, d))
+    special_rel = form_error(closed, special)
+    sections.append(_section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL))
+
+    passed = all(sec.passed for sec in sections)
+    suspects, scores = (), {}
+    if not passed:
+        worst, p = int(np.argmax(triple)), main
+        if sections[0].passed and special_rel.max() > 0.0:
+            worst, p = int(np.argmax(special_rel)), special
+        suspects, scores = _localize_fault(ScaledParameters(
+            float(p.b_tilde[worst]), float(p.e_tilde[worst]), d,
+            float(p.theta[worst])), fault)
+    return AuditReport(sections=tuple(sections), suspects=suspects,
+                       scores=scores, passed=passed)
+
+
+class TestOnePassAudit:
+    # a g4 fault of 5e-8 leaves triple-agreement passing at some seeds and
+    # fails the special-angle section, so the fault is localized there
+    @pytest.mark.parametrize("fault", [None, ("g6", -1.0), ("g4", 1.0 + 5e-8)])
+    def test_equals_sectionwise_route_over_seeds(self, fault):
+        for seed in range(50):
+            assert (repr(audit_triple(n_samples=20, seed=seed, fault=fault))
+                    == repr(sectionwise_audit(20, seed, fault)))
+
+    @pytest.mark.parametrize("n_samples", [1, 4, 5, 20, 100])
+    def test_equals_sectionwise_route_over_sample_counts(self, n_samples):
+        for fault in (None, ("g6", -1.0)):
+            assert (repr(audit_triple(n_samples=n_samples, seed=3, fault=fault))
+                    == repr(sectionwise_audit(n_samples, 3, fault)))
+
+    def test_equals_sectionwise_route_on_breaching_seed(self):
+        # the closed-form spectrum breaches triple-agreement at one sample
+        report = audit_triple(n_samples=20, seed=454419505)
+        assert not report.passed and report.scores
+        assert repr(report) == repr(sectionwise_audit(20, 454419505))
+
+    def test_one_table_and_one_scaling(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        for fn in (discriminant.g_coefficients, discriminant.scale_parameters):
+            monkeypatch.setattr(discriminant, fn.__name__, counted(fn))
+        assert audit_triple(n_samples=20, seed=1).passed
+        assert sorted(calls) == ["g_coefficients", "scale_parameters"]
