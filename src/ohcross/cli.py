@@ -124,16 +124,16 @@ def _theta_range(args) -> tuple:
 
 
 def _check_sweep(lo, hi, points: int, bounds: str) -> None:
-    """Reject a missing, unordered or non-finite sweep range, one whose
-    span max - min overflows, or too few points; `bounds` names the bound
-    options in the messages. All checks run on Python floats, before any
-    array is built."""
+    """Reject a missing, non-finite (NaN included) or unordered sweep
+    range, one whose span max - min overflows, or too few points; `bounds`
+    names the bound options in the messages. All checks run on Python
+    floats, before any array is built."""
     if lo is None or hi is None:
         raise ValueError(f"sweep needs both {bounds}")
-    if not lo < hi:
-        raise ValueError("sweep range must satisfy min < max")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{bounds} must be finite")
+    if not lo < hi:
+        raise ValueError("sweep range must satisfy min < max")
     if not math.isfinite(hi - lo):
         raise ValueError(f"{bounds} span max - min overflows")
     if points < 2:

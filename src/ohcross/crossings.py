@@ -9,9 +9,10 @@ numerically, or through reduced closed forms at the parallel and
 perpendicular geometries where it collapses.
 
 Every candidate is validated against the spectrum of one zero-field
-matrix: one stacked eigensolve measures all seeds, then one stacked coarse
-scan and lockstep Newton steps on the gap's slope find the interior gap
-minimum near each open seed. Seeds without such a minimum are discarded.
+matrix: one stacked eigensolve measures all seeds, then a coarse scan
+around each open seed, pruned to the grid points a Lipschitz bound cannot
+rule out, and lockstep Newton steps on the gap's slope find its interior
+gap minimum. Seeds without such a minimum are discarded.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowErro
                       _check, horner, numeric_roots, solve_monic_cubics, solve_quartic)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
-from .hamiltonian import build_hamiltonian
+from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
 from .model import ScaledParameters, b_field_from_tilde
 from .spectrum import (numeric_level_derivatives_along_b, numeric_levels,
                        numeric_levels_along_b)
@@ -58,6 +59,10 @@ SEARCH_HALF_WIDTH_TILDE = 0.15
 DEDUPE_B_TESLA = 1e-6
 
 _COARSE_POINTS = 81
+# _coarse_minimum's first-round spacing, in grid points
+_COARSE_STRIDE = 16
+# Lipschitz constant of a pair gap in b_tilde: the spread of dH/d(b_tilde)
+_GAP_LIPSCHITZ = (ZEEMAN_DIAGONAL.max() - ZEEMAN_DIAGONAL.min()) / 10.0
 _NEWTON_TOL_TESLA = 1e-13
 
 # Adjacent same-sign level pairs tracked by the octic factor (1-based).
@@ -369,19 +374,64 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
+def _coarse_minimum(h0, labels, grid):
+    """np.argmin, row by row, of the floored pair gaps (labels (2, n)) at
+    the points of grid (n, k) (internal units) from h0, the zero-field
+    matrix, measuring only the points that could hold the minimum.
+
+    For fixed labels the gap g of H0 + (b/10) diag(ZEEMAN_DIAGONAL) is
+    Lipschitz in b with L = (max Z - min Z)/10: by Weyl every level moves
+    by db/10 times a number in [min Z, max Z]. LAPACK's eigenvalues are
+    within a small multiple of eps |H| (64 here, which also covers the
+    matrix build and the subtraction), so a measured floored gap G is
+    within delta = GAP_MEASUREMENT_FLOOR + 64 eps |H| of g. Between
+    measured points l < r every grid point then measures at least
+    (G_l + G_r - L (x_r - x_l)) / 2 - 2 delta. Where that bound is above
+    the best measured gap, no point of the segment can be the minimum or
+    tie with it, and the segment is skipped.
+
+    Round one measures the ends and every _COARSE_STRIDE-th point; each
+    later round measures the midpoints of the segments that survive, for
+    all rows in one stacked eigensolve, until no surviving segment has an
+    interior point. Every point that could equal the minimum is measured,
+    so the argmin over the measured points (the rest +inf) is that of the
+    full scan, first index on ties included.
+    """
+    n, k = grid.shape
+    norm = np.linalg.norm(h0) + np.abs(ZEEMAN_DIAGONAL).max() / 10.0 * np.max(
+        np.abs(grid), initial=0.0)
+    slack = 4.0 * (GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm)
+    # points and segment ends are flat indices into grid; a segment's
+    # midpoint is then (left + right) // 2 and its row left // k
+    x, gaps = grid.ravel(), np.full(n * k, np.inf)
+    firsts = np.append(np.arange(0, k - 1, _COARSE_STRIDE), k - 1)
+    ends = firsts + k * np.arange(n)[:, None]
+    points, left, right = ends.ravel(), ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    while points.size:
+        gaps[points] = _floored_gap(numeric_levels_along_b(h0, x[points]),
+                                    labels[:, points // k])
+        best = gaps.reshape(n, k).min(axis=1)
+        bound = gaps[left] + gaps[right] - _GAP_LIPSCHITZ * (x[right] - x[left])
+        keep = (right - left > 1) & ~(bound > 2.0 * best[left // k] + slack)
+        left, right = left[keep], right[keep]
+        points = (left + right) // 2
+        left, right = np.concatenate((left, points)), np.concatenate((points, right))
+    return np.argmin(gaps.reshape(n, k), axis=1)
+
+
 def _refine_gap_minima(h0, labels, lo, hi):
     """Interior minima of the pair gaps (labels (2, n)) in the brackets
-    [lo, hi] (internal units) from h0, the zero-field matrix: one stacked
-    eigvalsh scan of 81 points per bracket, then lockstep Newton steps on
-    g' = 0 within two scan steps of each coarse minimum (g', g'' from one
-    stacked eigh per step), bisecting where a step leaves the bracket or
-    g'' <= 0. Returns the locations (tesla) and gaps (bit for bit
-    pair_gap's), NaN where the coarse minimum is on the edge: a spurious seed."""
+    [lo, hi] (internal units) from h0, the zero-field matrix: the minimum
+    of an 81-point coarse scan per bracket (_coarse_minimum, which measures
+    only the points that can hold it and returns the full scan's argmin),
+    then lockstep Newton steps on g' = 0 within two scan steps of each
+    coarse minimum (g', g'' from one stacked eigh per step), bisecting
+    where a step leaves the bracket or g'' <= 0. Returns the locations
+    (tesla) and gaps (bit for bit pair_gap's), NaN where the coarse minimum
+    is on the edge: a spurious seed."""
     tesla_per_tilde = b_field_from_tilde(1.0)
     grid = np.linspace(lo, hi, _COARSE_POINTS, axis=1)
-    coarse = _floored_gap(numeric_levels_along_b(h0, grid.ravel()),
-                          np.repeat(labels, _COARSE_POINTS, axis=1))
-    k_min = np.argmin(coarse.reshape(grid.shape), axis=1)
+    k_min = _coarse_minimum(h0, labels, grid)
     live = found = np.flatnonzero((k_min > 0) & (k_min < _COARSE_POINTS - 1))
     a, x, b = (grid[live, k_min[live] + shift] for shift in (-1, 0, 1))
     i, j = labels[:, live] - 1

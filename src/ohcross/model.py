@@ -77,7 +77,8 @@ class FieldConfiguration:
 
     def __post_init__(self) -> None:
         e, b, theta = map(np.asarray, (self.e_field, self.b_field, self.theta))
-        if not (e >= 0.0).all():
+        # NaN is not negative: it fails the finiteness rule below
+        if (e < 0.0).any():
             raise ValueError("e_field must be >= 0")
         for name, field in (("e_field", e), ("b_field", b)):
             if not np.isfinite(field).all():

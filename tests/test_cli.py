@@ -624,12 +624,35 @@ class TestConfigAndErrors:
         ["crossings", "--e-vcm", "inf"],
         ["spectrum", "--b-max", "inf", "--points", "3"],
         ["b1", "--vs", "e", "--e-min", "0", "--e-max", "inf", "--points", "3"],
+        # NaN is not negative and not out of order: it is not finite
+        ["crossings", "--e-vcm", "nan"],
+        ["spectrum", "--e-vcm", "nan", "--b-max", "0.1", "--points", "3"],
+        ["spectrum", "--b-max", "nan", "--points", "3"],
+        ["spectrum", "--b-min", "nan", "--b-max", "0.1", "--points", "3"],
+        ["hamiltonian", "--e-vcm", "nan"],
+        ["b1", "--vs", "e", "--e-min", "nan", "--e-max", "10", "--points", "3"],
+        ["gap", "--vs", "theta", "--theta-min-deg", "nan", "--theta-max-deg", "10",
+         "--points", "3"],
+        ["b1", "--vs", "theta", "--theta-min-deg", "1", "--theta-max-deg", "10",
+         "--e-vcm", "nan", "--points", "3"],
+        # a non-finite bound is reported before the order of the bounds
+        ["spectrum", "--b-min", "inf", "--b-max", "0.1", "--points", "3"],
     ])
     def test_non_finite_input_rejected(self, argv, capsys):
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be finite" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["crossings", "--e-vcm=-1"], "e_field must be >= 0"),
+        (["crossings", "--e-vcm=-inf"], "e_field must be >= 0"),
+        (["spectrum", "--b-min", "0.2", "--b-max", "0.1"],
+         "sweep range must satisfy min < max"),
+    ])
+    def test_negative_and_unordered_inputs_keep_their_messages(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["hamiltonian", "--b-tesla", "1e308"],

@@ -214,6 +214,151 @@ class TestGapMinimumRefinement:
         assert abs(b_min[1] - D / 3.0 * B_PER_TILDE) <= 1e-13
 
 
+def scan_gaps(h0, labels, grid):
+    """Floored pair gaps (labels (2, n)) at every point of grid (n, k), from
+    one stacked eigensolve."""
+    gaps = crossings._floored_gap(numeric_levels_along_b(h0, grid.ravel()),
+                                  np.repeat(labels, grid.shape[1], axis=1))
+    return gaps.reshape(grid.shape)
+
+
+def full_scan_minimum(h0, labels, grid):
+    """np.argmin over the whole scan: the reference _coarse_minimum prunes."""
+    return np.argmin(scan_gaps(h0, labels, grid), axis=1)
+
+
+def catalog_pool(n, seed):
+    """(E in V/cm, theta in degrees) drawn like the benchmark's crossing
+    catalogs: E uniform in 0-5 kV/cm, theta uniform, every eighth at 0, 90
+    or 180 degrees."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for k in range(n):
+        e, theta = rng.uniform(0.0, 5000.0), rng.uniform(0.0, 180.0)
+        configs.append((e, (0.0, 90.0, 180.0)[k // 8 % 3] if k % 8 == 0 else theta))
+    return configs
+
+
+class TestPrunedCoarseScan:
+    @staticmethod
+    def refinements(monkeypatch, configs):
+        """((h0, labels, lo, hi), (b_min, gap)) of each _refine_gap_minima
+        call that the catalogs at configs (V/cm, degrees) make."""
+        seen, refine = [], crossings._refine_gap_minima
+
+        def spy(*args):
+            seen.append((args, refine(*args)))
+            return seen[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(crossings, "_refine_gap_minima", spy)
+            for e, theta in configs:
+                crossing_catalog(from_fields(e, math.radians(theta)))
+        return seen
+
+    @staticmethod
+    def assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, points=None,
+                              got=None):
+        """The pruned k_min is the full scan's on the bracket grid (or on
+        one of `points` points), and _refine_gap_minima's locations and
+        gaps (got, when already computed) are bit for bit those it gives
+        on the full scan."""
+        grid = np.linspace(lo, hi, points or crossings._COARSE_POINTS, axis=1)
+        k_min = crossings._coarse_minimum(h0, labels, grid)
+        full = full_scan_minimum(h0, labels, grid)
+        assert k_min.tolist() == full.tolist()
+        if points is None:
+            got = got or crossings._refine_gap_minima(h0, labels, lo, hi)
+            with monkeypatch.context() as m:
+                m.setattr(crossings, "_coarse_minimum", lambda *args: full)
+                want = crossings._refine_gap_minima(h0, labels, lo, hi)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+        return k_min
+
+    def test_catalog_pool_brackets(self, monkeypatch):
+        edges = clamped = 0
+        for (h0, labels, lo, hi), got in self.refinements(monkeypatch,
+                                                          catalog_pool(200, 18)):
+            k_min = self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, got=got)
+            edges += np.sum((k_min == 0) | (k_min == crossings._COARSE_POINTS - 1))
+            clamped += np.sum(lo == 0.0)
+        # spurious seeds (edge minima) and brackets clamped at zero field
+        assert edges > 0 and clamped > 0
+
+    @pytest.mark.parametrize("e_vcm, theta_deg", [(11245.0, 180.0), (1500.0, 0.0)])
+    def test_exact_crossings(self, monkeypatch, e_vcm, theta_deg):
+        # the catalog's own brackets, then one centred on each of its real
+        # records, where the grid gap at the centre floors to zero
+        for args, got in self.refinements(monkeypatch, [(e_vcm, theta_deg)]):
+            self.assert_full_scan_bits(monkeypatch, *args, got=got)
+        p = from_fields(e_vcm, math.radians(theta_deg))
+        cat = crossing_catalog(p)
+        assert all(rec.kind == "real" for rec in cat)
+        labels = np.array([rec.pair for rec in cat]).T
+        seeds = np.array([rec.b_location for rec in cat]) / b_field_from_tilde(1.0)
+        half = crossings.SEARCH_HALF_WIDTH_TILDE
+        lo, hi = np.maximum(seeds - half, 0.0), seeds + half
+        h0 = build_hamiltonian(p)
+        self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi)
+        grid = np.linspace(lo, hi, crossings._COARSE_POINTS, axis=1)
+        assert np.sum(scan_gaps(h0, labels, grid) == 0.0) >= 4
+
+    def test_mirror_points_tie_at_zero_field(self, monkeypatch):
+        # at zero electric field the (4, 5) gap is 0.6 |b - d/3|, the same at
+        # mirror points of a bracket centred on the crossing: with 81 points
+        # the centre floors to zero, with 80 the two central points tie as
+        # the minimum and the first one wins
+        h0 = build_hamiltonian(from_fields(0.0, 0.9))
+        labels = np.array([[4], [5]])
+        lo, hi = np.array([D / 3.0 - 0.15]), np.array([D / 3.0 + 0.15])
+        for points, minima in ((81, [40]), (80, [39, 40])):
+            gaps = scan_gaps(h0, labels, np.linspace(lo, hi, points, axis=1))[0]
+            assert np.flatnonzero(gaps == gaps.min()).tolist() == minima
+            assert self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi,
+                                              points).tolist() == minima[:1]
+        self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi)
+
+    @pytest.mark.parametrize("e_vcm, theta_deg", [(0.0, 50.0), (1500.0, 0.0),
+                                                  (11245.0, 180.0)])
+    def test_fine_grid_through_the_measurement_floor(self, monkeypatch, e_vcm,
+                                                     theta_deg):
+        # 81 points 5e-13 apart across exact crossings: gaps drop from
+        # above GAP_MEASUREMENT_FLOOR to zero between neighbours, faster
+        # than the Lipschitz bound alone allows; the floor term of the
+        # margin keeps the first zero measured
+        p = from_fields(e_vcm, math.radians(theta_deg))
+        cat = [rec for rec in crossing_catalog(p) if rec.b_location > 0.0]
+        labels = np.array([rec.pair for rec in cat]).T
+        centres = np.array([rec.b_location for rec in cat]) / b_field_from_tilde(1.0)
+        h0 = build_hamiltonian(p)
+        lo, hi = centres - 2e-11, centres + 2e-11
+        k_min = self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, 81)
+        gaps = scan_gaps(h0, labels, np.linspace(lo, hi, 81, axis=1))
+        # records seeded within 1e-7 GHz of a crossing need not lie this close
+        through = ((gaps.min(axis=1) == 0.0)
+                   & (gaps[:, 0] > crossings.GAP_MEASUREMENT_FLOOR))
+        assert through.sum() >= 2
+        assert (gaps[through, k_min[through]] == 0.0).all()
+
+    def test_edge_minimum(self, monkeypatch):
+        h0 = build_hamiltonian(from_fields(0.0, 0.9))
+        labels = np.array([[4, 4], [5, 5]])
+        k_min = self.assert_full_scan_bits(monkeypatch, h0, labels,
+                                           np.array([1.0, 2.0]), np.array([2.0, 3.5]))
+        assert k_min[0] == crossings._COARSE_POINTS - 1
+
+    @pytest.mark.parametrize("half_width, configs", [(0.6, 20), (1.5, 8)])
+    def test_wide_grids_at_todays_spacing(self, monkeypatch, half_width, configs):
+        step = 2.0 * crossings.SEARCH_HALF_WIDTH_TILDE / (crossings._COARSE_POINTS - 1)
+        points = round(2.0 * half_width / step) + 1
+        for (h0, labels, lo, hi), _ in self.refinements(monkeypatch,
+                                                        catalog_pool(configs, 19)):
+            centres = (lo + hi) / 2.0
+            self.assert_full_scan_bits(monkeypatch, h0, labels,
+                                       np.maximum(centres - half_width, 0.0),
+                                       centres + half_width, points)
+
+
 class TestCatalogZeroField:
     def test_known_location_set(self):
         cat = crossing_catalog(from_fields(0.0, math.pi / 3.0))
@@ -482,14 +627,15 @@ class TestSharedZeroFieldMatrix:
         assert all(want)
 
     @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
-        (1000.0, 60.0, 6, 511), (3000.0, 60.0, 6, 500),
-        (11245.0, 180.0, 33, 456), (4500.0, 90.0, 6, 334),
+        (1000.0, 60.0, 10, 291), (3000.0, 60.0, 10, 271),
+        (11245.0, 180.0, 37, 204), (4500.0, 90.0, 10, 156),
     ])
     def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
                                       matrices):
-        # one seed call, one coarse stack, one eigh per Newton step and one
-        # final gap call; at 11245 V/cm antiparallel the four brackets close
-        # on exact crossings by bisection
+        # one seed call, five rounds of the pruned coarse scan (strides 16,
+        # 8, 4, 2, 1), one eigh per Newton step and one final gap call; at
+        # 11245 V/cm antiparallel the four brackets close on exact crossings
+        # by bisection
         sizes = []
         for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
             def counted(h0, b_tilde, solve=globals()[name]):

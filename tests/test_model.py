@@ -124,7 +124,7 @@ def test_field_configuration_rejects_bad_inputs():
         FieldConfiguration(theta=-0.01)
     with pytest.raises(ValueError):
         FieldConfiguration(theta=math.pi + 0.01)
-    for fields in ({"e_field": math.inf}, {"b_field": math.nan},
+    for fields in ({"e_field": math.inf}, {"e_field": math.nan}, {"b_field": math.nan},
                    {"b_field": math.inf}, {"b_field": -math.inf}):
         with pytest.raises(ValueError, match="must be finite"):
             FieldConfiguration(**fields)
