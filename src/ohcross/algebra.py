@@ -46,6 +46,33 @@ def horner(coeffs, x):
     return acc
 
 
+class MonomialTable:
+    """Rows ((num, den), {(b, c): (k_0, k_1, ...)}) of integers, each the
+    polynomial num / den * sum_d k_d y^b z^c w^d with at least one term.
+
+    A call at y, z, w gives the rows along a new first axis. Powers are
+    chains of multiplications and each row sums its terms point by point,
+    so a scalar call equals its entry of an array call bit for bit.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        t = np.array([(r, k, b, c, d) for r, (_, row) in enumerate(rows)
+                      for (b, c), ks in row.items() for d, k in enumerate(ks) if k])
+        self._starts = np.searchsorted(t[:, 0], np.arange(len(rows)))
+        self._k, self._b, self._c, self._d = t[:, 1:2] * 1.0, t[:, 2], t[:, 3], t[:, 4]
+        self._top = t[:, 2:].max()
+        self._num, self._den = np.array([scale for scale, _ in rows]).T[:, :, None] * 1.0
+
+    def __call__(self, y, z, w):
+        yzw = np.broadcast_arrays(*(np.asarray(u, dtype=float) for u in (y, z, w)))
+        flat = np.reshape(yzw, (3, -1))
+        q = np.multiply.accumulate([np.ones_like(flat)] + [flat] * self._top)
+        terms = self._k * q[self._b, 0] * (q[self._c, 1] * q[self._d, 2])
+        s = self._num * np.add.reduceat(terms, self._starts, axis=0) / self._den
+        return s.reshape((len(self.rows),) + yzw[0].shape)
+
+
 def residuals(coeffs, roots):
     """|p(z)| at each root over its coefficient magnitude scale there,
     max(max_k |c_k|, sum_k |c_k| |z|^k), for a coefficient array laid out

@@ -539,9 +539,10 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
 
     Records are deduplicated (of one pair's records within 1e-6 T the
     lowest-field one is kept; the quartic gives pair (4, 5) only and the
-    octic never does) and sorted by field location. Locations at negative
-    field are the mirror image of the positive ones because the spectrum
-    is even in B; they are suppressed unless include_mirror is set.
+    octic never does) and sorted by field location to 12 significant
+    digits, then by pair. Locations at negative field are the mirror image
+    of the positive ones because the spectrum is even in B; they are
+    suppressed unless include_mirror is set.
     """
     h0 = build_hamiltonian(p.with_b_tilde(0.0))
     found = [(seed, source) for xs, source in _factor_roots(p) for seed in _seeds(xs)]
@@ -571,4 +572,6 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     if include_mirror:
         kept += [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
                  for r in kept if r.b_location > 0.0]
-    return tuple(sorted(kept, key=lambda r: (r.b_location, r.pair)))
+    # records that agree to the 12 printed digits are ordered by pair, so
+    # their order does not hang on the last bits of their roots
+    return tuple(sorted(kept, key=lambda r: (float(f"{r.b_location:.12g}"), r.pair)))

@@ -10,11 +10,13 @@ the squared field variable x = b_tilde^2:
   f2  octic in x; real roots mark further exact crossings, complex roots
       govern avoided crossings
 
-Every evaluator broadcasts over arrays of field points. Every factor is
-cross-checked against eigenvalue products computed by two independent
-spectral routes; audit_triple drives that comparison over a randomized
-sample, one array pass over all sampled sections, and can localize a
-corrupted octic coefficient.
+The coefficients of f2 in x, and the two quartics f2 collapses to at the
+special angles, are frozen below as tables of integers that
+algebra.MonomialTable reads. Every evaluator broadcasts over arrays of
+field points. Every factor is cross-checked against eigenvalue products
+computed by two independent spectral routes; audit_triple drives that
+comparison over a randomized sample, one array pass over all sampled
+sections, and can localize a corrupted octic coefficient.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import horner
+from .algebra import MonomialTable, horner
 from .hamiltonian import build_hamiltonian
 from .model import (FieldConfiguration, MoleculeParameters, ScaledParameters,
                     scale_parameters)
@@ -97,6 +99,37 @@ def _faulted(table: tuple, fault) -> tuple:
     return table[:k] + (table[k] * float(factor),) + table[k + 1:]
 
 
+# (g0, g2, ..., g16) in y = e_tilde^2, z = delta_tilde^2 and w = cos^2 theta
+_OCTIC = MonomialTable((
+    ((8192, 1), {(10, 0): (0, 0, 9), (9, 1): (0, 36, -26), (8, 2): (0, 4, -3)}),
+    ((4096, 1), {(9, 0): (0, 0, 144, -369), (8, 1): (0, 360, -1387, 732),
+        (7, 2): (0, 143, -496, 278), (6, 3): (0, 11, -37, 21)}),
+    ((512, 1), {(8, 0): (0, 0, 4032, -17712, 22329),
+        (7, 1): (0, 5344, -30192, 59934, -22506),
+        (6, 2): (64, 7168, -33421, 51860, -21113),
+        (5, 3): (16, 1602, -7152, 10460, -4266),
+        (4, 4): (1, 94, -413, 594, -243)}),
+    ((512, 1), {(7, 0): (0, 0, 8064, -44280, 89316, -73800),
+        (6, 1): (0, 3840, -20872, 53628, -85356, 17120),
+        (5, 2): (192, 4352, 6296, -19683, -9286, 4879),
+        (4, 3): (120, 2980, -1787, -4784, 921), (3, 4): (20, 509, -674, -105),
+        (2, 5): (1, 24, -35)}),
+    ((512, 1), {(6, 0): (0, 0, 10080, -59040, 133974, -147600, 90000),
+        (5, 1): (0, -480, 11072, -35118, 57726, 9320),
+        (4, 2): (144, -5312, 1928, 15638, 6154), (3, 3): (512, -1830, 3162, 2016),
+        (2, 4): (190, -86, 339), (1, 5): (24, 6), (0, 6): (1,)}),
+    ((1024, 1), {(5, 0): (0, 0, 4032, -22140, 44658, -36900),
+        (4, 1): (0, -992, 7116, -10332, -11612), (3, 2): (-32, -472, -1588, -4533),
+        (2, 3): (-304, -340, -631), (1, 4): (-78, -47), (0, 5): (-5,)}),
+    ((512, 1), {(4, 0): (0, 0, 4032, -17712, 22329),
+        (3, 1): (0, -480, -944, 14004), (2, 2): (-96, 2032, 2622),
+        (1, 3): (240, 420), (0, 4): (33,)}),
+    ((4096, 1), {(3, 0): (0, 0, 144, -369), (2, 1): (0, 48, -343),
+        (1, 2): (0, -75), (0, 3): (-5,)}),
+    ((8192, 1), {(2, 0): (0, 0, 9), (1, 1): (0, 10), (0, 2): (1,)}),
+))
+
+
 def g_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     """Coefficients (g0, g2, ..., g16) of the octic factor f2 in x = b_tilde^2.
 
@@ -104,55 +137,7 @@ def g_coefficients(e_tilde, delta_tilde, theta) -> tuple:
     Each entry has the broadcast shape of the inputs.
     """
     c = np.cos(theta)
-    c2 = np.cos(2.0 * theta)
-    c4 = np.cos(4.0 * theta)
-    c6 = np.cos(6.0 * theta)
-    c8 = np.cos(8.0 * theta)
-    c10 = np.cos(10.0 * theta)
-    # each power once, by the ** the expressions were written with, so
-    # the table keeps its bits; cc2 and cc4 are cos(theta)^2 and ^4
-    E2, E4, E6, E8, E10, E12, E16 = (e_tilde**k for k in (2, 4, 6, 8, 10, 12, 16))
-    D2, D4, D6, D8, D10, D12 = (delta_tilde**k for k in (2, 4, 6, 8, 10, 12))
-    cc2, cc4 = c**2, c**4
-    g16 = 8192 * (D4 + 5 * (1 + c2) * D2 * E2 + 9 * cc4 * E4)
-    g14 = -2048 * (9 * cc4 * (9 + 41 * c2) * E6 + 10 * D6
-                   + cc2 * (247 + 343 * c2) * D2 * E4 + 150 * cc2 * D4 * E2)
-    g12 = 64 * (264 * D8 + 240 * (15 + 7 * c2) * D6 * E2
-                + 2 * (7613 + 9308 * c2 + 1311 * c4) * D4 * E4
-                + 9 * cc4 * (3155 + 2052 * c2 + 2481 * c4) * E8
-                + 4 * cc2 * (8599 + 13060 * c2 + 3501 * c4) * D2 * E6)
-    g10 = -32 * (160 * D10 + 16 * (203 + 47 * c2) * D8 * E2
-                 + 4 * (5685 + 3884 * c2 + 631 * c4) * D6 * E4
-                 + 36 * cc4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6) * E10
-                 + 4 * cc2 * (39498 + 56409 * c2 + 27750 * c4 + 2903 * c6) * D2 * E8
-                 + (72962 + 100955 * c2 + 33550 * c4 + 4533 * c6) * D4 * E6)
-    g8 = 8 * (64 * D12 + 192 * D10 * E2 * (9 + c2)
-              + 8 * D8 * E4 * (2193 + 1012 * c2 + 339 * c4)
-              + 16 * D6 * E6 * (5651 + 6444 * c2 + 3093 * c4 + 252 * c6)
-              + 72 * E12 * cc4 * (8253 + 6804 * c2 + 7786 * c4 + 900 * c6 + 625 * c8)
-              + 4 * D2 * E10 * cc2 * (199593 + 305817 * c2 + 135562 * c4
-                                      + 38183 * c6 + 1165 * c8)
-              + D4 * E8 * (305959 + 533164 * c2 + 289236 * c4 + 55892 * c6 + 3077 * c8))
-    g6 = (-D10 * (64 + 2816 * c2 + 2240 * c4)
-          - 16 * D8 * E2 * (354 + 4215 * c2 + 3326 * c4 + 105 * c6)
-          - 1152 * E10 * cc4 * (1620 + 5367 * c2 + 1188 * c4 + 1025 * c6)
-          - 64 * D2 * E8 * cc2 * (67824 + 129141 * c2 + 44446 * c4
-                                  + 12779 * c6 - 1070 * c8)
-          - 4 * D6 * E4 * (38821 + 159112 * c2 + 117620 * c4 + 11768 * c6 - 921 * c8)
-          + D4 * E6 * (-1413318 - 3053506 * c2 - 1941176 * c4 - 392525 * c6
-                       + 11646 * c8 + 4879 * c10)) * E4
-    g4 = 4 * (1575 * D8 + D8 * (1616 * c2 + 844 * c4)
-              + 144 * E8 * cc4 * (3155 + 2052 * c2 + 2481 * c4)
-              + 8 * D2 * E6 * cc2 * (91042 + 69141 * c2 + 52350 * c4 - 11253 * c6)
-              + 432 * D8 * c6
-              + D4 * E4 * (198181 + 249080 * c2 + 118740 * c4 + 38536 * c6 - 21113 * c8)
-              + 2 * D6 * E2 * (15185 + 16752 * c2 + 8580 * c4 + 3856 * c6 - 2133 * c8)
-              - 243 * D8 * c8) * E8
-    g2 = 512 * cc2 * (D6 * (3 - 64 * c2) - 36 * E6 * cc2 * (9 + 41 * c2)
-                      + 21 * D6 * c4 + 2 * D4 * E2 * (-3 - 436 * c2 + 139 * c4)
-                      + 4 * D2 * E4 * (-118 - 655 * c2 + 183 * c4)) * E12
-    g0 = 4096 * E16 * (D2 + 9 * E2) * cc2 * (5 * D2 + E2 + (-3 * D2 + E2) * c2)
-    return g0, g2, g4, g6, g8, g10, g12, g14, g16
+    return tuple(_OCTIC(e_tilde * e_tilde, delta_tilde * delta_tilde, c * c))
 
 
 def eval_f2_tilde(b_tilde, e_tilde, delta_tilde, theta):
@@ -180,6 +165,17 @@ def f2_zero_field_tilde(b_tilde, delta_tilde):
     return 512.0 * x ** 4 * d2 * d2 * quad * quad
 
 
+# the parallel, then the perpendicular quartic, ascending in x, in y and z
+_SPECIAL_ANGLE_QUARTICS = MonomialTable((
+    ((1, 1), {(4, 0): (4,)}), ((1, 1), {(3, 0): (-25,), (2, 1): (-5,)}),
+    ((1, 1), {(2, 0): (42,), (1, 1): (10,), (0, 2): (1,)}),
+    ((1, 1), {(1, 0): (-25,), (0, 1): (-5,)}), ((1, 1), {(0, 0): (4,)}),
+    ((1, 1), {(4, 0): (1,)}), ((1, 1), {(3, 0): (4,), (2, 1): (1,)}),
+    ((1, 1), {(2, 0): (6,), (1, 1): (8,), (0, 2): (1,)}),
+    ((1, 1), {(1, 0): (4,), (0, 1): (-2,)}), ((1, 1), {(0, 0): (1,)}),
+))
+
+
 def _special_angle_quartics(e_tilde, delta_tilde) -> tuple:
     """Ascending coefficients, along the first axis, of the quartics in x
     behind f2 at the special angles: (parallel, perpendicular).
@@ -188,13 +184,8 @@ def _special_angle_quartics(e_tilde, delta_tilde) -> tuple:
     times the square of the first; at perpendicular fields the second is
     its one unsquared factor.
     """
-    e2 = e_tilde * e_tilde
-    d2 = delta_tilde * delta_tilde
-    return tuple(np.stack(np.broadcast_arrays(*coeffs)) for coeffs in (
-        (4.0 * e2 ** 4, -5.0 * e2 * e2 * (d2 + 5.0 * e2),
-         d2 * d2 + 10.0 * d2 * e2 + 42.0 * e2 * e2, -5.0 * (d2 + 5.0 * e2), 4.0),
-        (e2 ** 4, e2 * e2 * (d2 + 4.0 * e2),
-         d2 * d2 + 8.0 * d2 * e2 + 6.0 * e2 * e2, -2.0 * (d2 - 2.0 * e2), 1.0)))
+    q = _SPECIAL_ANGLE_QUARTICS(e_tilde * e_tilde, delta_tilde * delta_tilde, 0.0)
+    return q[:5], q[5:]
 
 
 def _special_angle_forms(b_tilde, e_tilde, delta_tilde) -> tuple:

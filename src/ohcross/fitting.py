@@ -82,7 +82,10 @@ def fit_power_law(x, y, model: str, window=None) -> FitResult:
             "all abscissa and ordinate values must be positive for a log fit")
     design = np.vstack([np.ones_like(u), np.log(u)]).T
     coef, *_ = np.linalg.lstsq(design, np.log(ys), rcond=None)
-    coefficient = float(math.exp(coef[0]))
+    try:
+        coefficient = math.exp(coef[0])
+    except OverflowError:
+        raise FitError(f"fit coefficient exp({coef[0]:.6g}) overflows a float") from None
     exponent = float(coef[1])
     fit_values = coefficient * u ** exponent
     rms = float(np.sqrt(np.mean(((ys - fit_values) / ys) ** 2)))

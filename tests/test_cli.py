@@ -379,6 +379,17 @@ class TestFit:
                     "--model", "power-in-E"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_coefficient_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        xs = [1e-10 * (1.0 + k / 7.0) for k in range(8)]
+        path.write_text("x,y\n" + "".join(f"{x!r},{1e300 * (x / 1e-10) ** 2!r}\n"
+                                           for x in xs))
+        assert run(["fit", "--in", str(path), "--model", "power-in-E"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: fit coefficient exp(736.8")
+        assert err.count("\n") == 1
+
     def test_bad_column(self, cube_csv, capsys):
         assert run(["fit", "--in", str(cube_csv), "--model", "power-in-E",
                     "--y-col", "9"]) == 1

@@ -386,9 +386,24 @@ class TestCatalogZeroField:
     def test_sorted_and_typed(self):
         cat = crossing_catalog(from_fields(0.0, 0.4))
         assert isinstance(cat, tuple)
-        keys = [(r.b_location, r.pair) for r in cat]
+        keys = [(float(f"{r.b_location:.12g}"), r.pair) for r in cat]
         assert keys == sorted(keys)
         assert all(isinstance(r, CrossingRecord) for r in cat)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_printed_ties_order_by_pair(self, monkeypatch, nudge):
+        # (2, 3) and (4, 5) both cross at b_tilde = delta_tilde; moving the
+        # quartic's roots by an ulp either way must not reorder them
+        factor_roots = crossings._factor_roots
+
+        def nudged(p):
+            (f1, source), f2 = factor_roots(p)
+            return [(f1 * (1.0 + nudge * 2.0 ** -52), source), f2]
+
+        monkeypatch.setattr(crossings, "_factor_roots", nudged)
+        at_top = [r for r in crossing_catalog(from_fields(0.0, math.pi / 3.0))
+                  if f"{r.b_location:.12g}" == f"{D * B_PER_TILDE:.12g}"]
+        assert [r.pair for r in at_top] == [(2, 3), (4, 5)]
 
 
 class TestCatalogAvoided:
@@ -606,7 +621,7 @@ def per_point_catalog(p, include_mirror):
     if include_mirror:
         kept += [CrossingRecord(-r.b_location, r.kind, r.pair, r.gap, r.source)
                  for r in kept if r.b_location > 0.0]
-    return tuple(sorted(kept, key=lambda r: (r.b_location, r.pair)))
+    return tuple(sorted(kept, key=lambda r: (float(f"{r.b_location:.12g}"), r.pair)))
 
 
 class TestSharedZeroFieldMatrix:
@@ -717,7 +732,9 @@ def mismatch(monkeypatch):
 
 def b1_mpmath(e_tilde, delta_tilde, theta):
     """The smallest Re sqrt(x) over the roots x of the f1 quartic, in
-    50-digit mpmath from the same double inputs."""
+    50-digit mpmath from the same double inputs. On every sample of
+    TestFirstCrossingAccuracy extraprec 60 and 100 give the same floats as
+    200; 50 does not converge on all of them."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         e2, d2 = mp.mpf(e_tilde) ** 2, mp.mpf(delta_tilde) ** 2
@@ -727,7 +744,7 @@ def b1_mpmath(e_tilde, delta_tilde, theta):
         c2 = -4 * (d2 + 9 * e2) * (5 * d2 ** 2 + 9 * c2t * e2 ** 2
                                    - 7 * (c2t - 3) * d2 * e2) / 81
         c0 = (d2 ** 2 + 9 * e2 ** 2 + 10 * d2 * e2) ** 2 / 81
-        roots = mp.polyroots([1, c6, c4, c2, c0], maxsteps=200, extraprec=200)
+        roots = mp.polyroots([1, c6, c4, c2, c0], maxsteps=200, extraprec=100)
         return float(min(mp.re(mp.sqrt(x)) for x in roots))
 
 

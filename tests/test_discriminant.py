@@ -1,6 +1,7 @@
 """Discriminant factorization, reduced forms, and the audit machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,11 +124,20 @@ class TestF1:
 
 class TestGTable:
     def test_zero_field_reduction_is_exact(self):
+        # the E-carrying coefficients vanish exactly; each other one is a
+        # single term, num * (k * z^c) with z^c the evaluator's chain of
+        # multiplications, so it equals that product bit for bit
         g = g_coefficients(0.0, D, 0.456)
+        z = [1.0]
+        for _ in range(6):
+            z.append(z[-1] * (D * D))
         want = (0.0, 0.0, 0.0, 0.0,
-                512.0 * D ** 12, -5120.0 * D ** 10, 16896.0 * D ** 8,
-                -20480.0 * D ** 6, 8192.0 * D ** 4)
+                512.0 * (1.0 * z[6]), 1024.0 * (-5.0 * z[5]), 512.0 * (33.0 * z[4]),
+                4096.0 * (-5.0 * z[3]), 8192.0 * (1.0 * z[2]))
         assert g == want
+        assert want[4:] == pytest.approx((512.0 * D ** 12, -5120.0 * D ** 10,
+                                          16896.0 * D ** 8, -20480.0 * D ** 6,
+                                          8192.0 * D ** 4), rel=1e-15)
 
     def test_names_cover_even_degrees(self):
         assert G_NAMES == ("g0", "g2", "g4", "g6", "g8",
@@ -143,37 +153,28 @@ class TestGTable:
             else:
                 assert b == a
 
-    # float.hex of (g0, ..., g16) at (e_tilde, theta) with delta_tilde = D,
-    # taken before the table computed each power once. A scalar call and a
-    # 3-element array call differ in the last bit of five of them at the
-    # first configuration: numpy rounds some array operations differently.
-    PINNED = {
-        (4.99, 0.17): (
-            "0x1.dd4ce4d70c467p+64", "-0x1.620e445b00bcap+64", "0x1.7121a6e0cecc5p+62",
-            "-0x1.51460be24a233p+59", "0x1.3c3942910e7b2p+55", "-0x1.235b3cbdf750cp+50",
-            "0x1.002090b09e149p+44", "-0x1.84ea305fb9c9fp+36", "0x1.a43cb7f409dedp+27"),
-        (3.26, 2.2): (
-            "0x1.c5b35295e5b3ep+53", "0x1.9bd807836ade6p+48", "0x1.f415b43b5a6e7p+51",
-            "0x1.e02e558618a49p+51", "0x1.1486206acad23p+49", "-0x1.8fde6e0690170p+45",
-            "0x1.3e6b4295ff706p+40", "-0x1.867d1e99c9011p+33", "0x1.d5160ca9f05f4p+25"),
-        (5.69, 2.77): (
-            "0x1.5012438fa28dfp+68", "-0x1.1f7ef472774b6p+67", "0x1.5d8cee135b52ep+64",
-            "-0x1.8ac932fb07a18p+60", "0x1.2c382455a8260p+56", "-0x1.df1988aace855p+50",
-            "0x1.6efa8fab94020p+44", "-0x1.ea9cc3b911c88p+36", "0x1.eb9ebbe2f6cecp+27"),
-    }
-    ARRAY_PINNED = {(4.99, 0.17): {1: "-0x1.620e445b00bc9p+64", 3: "-0x1.51460be24a231p+59",
-                                   6: "0x1.002090b09e148p+44", 7: "-0x1.84ea305fb9c9ep+36",
-                                   8: "0x1.a43cb7f409decp+27"}}
+    # (e_tilde, theta) with delta_tilde = D
+    CONFIGS = ((4.99, 0.17), (3.26, 2.2), (5.69, 2.77))
 
-    def test_pinned_bits_as_scalars_and_arrays(self):
-        e, th = (np.array(col) for col in zip(*self.PINNED))
+    def test_scalar_calls_equal_array_rows(self):
+        e, th = (np.array(col) for col in zip(*self.CONFIGS))
         table = g_coefficients(e, D, th)
-        for k, ((ek, tk), want) in enumerate(self.PINNED.items()):
-            assert tuple(float(g).hex() for g in g_coefficients(ek, D, tk)) == want
-            want = list(want)
-            for i, bits in self.ARRAY_PINNED.get((ek, tk), {}).items():
-                want[i] = bits
-            assert [float(g[k]).hex() for g in table] == want
+        for k, (ek, tk) in enumerate(self.CONFIGS):
+            assert ([float(g).hex() for g in g_coefficients(ek, D, tk)]
+                    == [float(g[k]).hex() for g in table])
+
+    def test_within_16_eps_of_the_term_sum(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for ek, tk in self.CONFIGS:
+                y, z = mp.mpf(ek) ** 2, mp.mpf(D) ** 2
+                w = mp.cos(mp.mpf(tk)) ** 2
+                for got, (scale, row) in zip(g_coefficients(ek, D, tk),
+                                             discriminant._OCTIC.rows):
+                    terms = [mp.mpf(scale[0]) / scale[1] * k * y ** b * z ** c * w ** d
+                             for (b, c), ks in row.items() for d, k in enumerate(ks)]
+                    bound = 16 * np.finfo(float).eps * mp.fsum(map(abs, terms))
+                    assert abs(got - mp.fsum(terms)) <= bound
 
     def test_stacked_table_equals_per_slice_tables(self):
         # the audit's one table over main | zero-field | special-angle rows
@@ -276,6 +277,50 @@ class TestTripleAgreement:
                     want *= diff * diff
             one = discriminant_from_eigenvalues(row)
             assert one.tobytes() == got.tobytes() == np.float64(want).tobytes()
+
+
+def exact_rows(table, y, z, w):
+    """The rows of a MonomialTable at rational y, z, w, in exact rationals."""
+    return [Fraction(*scale) * sum(k * y ** b * z ** c * w ** d
+                                  for (b, c), ks in row.items() for d, k in enumerate(ks))
+            for scale, row in table.rows]
+
+
+@pytest.mark.parametrize("cos, sin, b, e", [
+    (Fraction(3, 5), Fraction(4, 5), Fraction(3, 2), Fraction(2, 3)),
+    (Fraction(5, 13), Fraction(12, 13), Fraction(5, 4), Fraction(5, 2)),
+    (Fraction(8, 17), Fraction(15, 17), Fraction(7, 3), Fraction(1, 7))])
+def test_octic_table_factors_the_discriminant_exactly(cos, sin, b, e):
+    # at rational points the discriminant of det(lambda I - H) over
+    # Q(sqrt 3) is f0 f1 f2^2, with f2 from the octic table's integers and
+    # f1 from the closed form of f1_quartic_coefficients, itself 10^8 det H
+    sp = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    d = Fraction(8335, 1000)
+    c, s, bt, et, dt = (sp.Rational(v.numerator, v.denominator) for v in (cos, sin, b, e, d))
+    r = sp.sqrt(3)
+    ang = sp.Matrix([[-3 * c, r * s, 0, 0], [r * s, -c, 2 * s, 0],
+                     [0, 2 * s, c, r * s], [0, 0, r * s, 3 * c]])
+    h = sp.zeros(8, 8)
+    h[:4, :4] = sp.diag(-3, -1, 1, 3) * bt / 10 - sp.eye(4) * dt / 10
+    h[4:, 4:] = sp.diag(-3, -1, 1, 3) * bt / 10 + sp.eye(4) * dt / 10
+    h[:4, 4:] = h[4:, :4] = -ang * et / 10
+    dm = DomainMatrix.from_list_sympy(8, 8, h.tolist(), extension=True)
+    assert dm.domain == sp.QQ.algebraic_field(r)
+    lam = sp.Symbol("lam")
+    disc = sp.discriminant(sp.Poly([dm.domain.to_sympy(k) for k in dm.charpoly()], lam))
+    x, e2, d2 = b * b, e * e, d * d
+    c2t = 2 * cos * cos - 1
+    c4t = 2 * c2t * c2t - 1
+    c6 = -Fraction(20, 9) * d2 - 4 * e2 * c2t
+    c4 = Fraction(118, 81) * d2 * d2 + Fraction(4, 3) * (7 - 2 * c2t) * e2 * d2 + 2 * e2 * e2 * (2 + c4t)
+    c2 = -Fraction(4, 81) * (d2 + 9 * e2) * (5 * d2 * d2 + 9 * c2t * e2 * e2 - 7 * (c2t - 3) * d2 * e2)
+    c0 = (d2 * d2 + 9 * e2 * e2 + 10 * d2 * e2) ** 2 / 81
+    f1 = 81 * (x ** 4 + c6 * x ** 3 + c4 * x ** 2 + c2 * x + c0)
+    assert 10 ** 8 * dm.domain.to_sympy(dm.det()) == sp.Rational(f1.numerator, f1.denominator)
+    f2 = sum(g * x ** k for k, g in enumerate(exact_rows(discriminant._OCTIC, e2, d2, cos * cos)))
+    want = Fraction(81, 2 ** 10 * 5 ** 56) * x ** 4 * f1 * f2 * f2
+    assert disc == sp.Rational(want.numerator, want.denominator)
 
 
 class TestAudit:

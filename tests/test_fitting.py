@@ -80,6 +80,13 @@ class TestFitPowerLaw:
         with pytest.raises(NonPositiveDataError):
             fit_power_law(theta, np.ones_like(theta), "power-in-sin-theta")
 
+    def test_overflowing_coefficient_raises_fit_error(self):
+        # valid data whose intercept is ln 1e320: the coefficient overflows
+        x = np.linspace(1e-10, 2e-10, 8)
+        y = 1e300 * (x / 1e-10) ** 2
+        with pytest.raises(FitError, match=r"fit coefficient exp\(736\.8\d*\) overflows"):
+            fit_power_law(x, y, "power-in-E")
+
     def test_noise_leaves_exponent_close(self):
         rng = np.random.default_rng(5)
         x = np.linspace(2.0, 20.0, 40)

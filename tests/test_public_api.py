@@ -1,10 +1,12 @@
 """The package namespace exports exactly what the documented code imports."""
 
 import ast
+import importlib
 import pathlib
 import re
 
 import ohcross
+from ohcross.algebra import MonomialTable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -104,6 +106,39 @@ def test_one_horner_helper():
                     _is_horner_step(node) for node in ast.walk(func)):
                 found.add((path.stem, func.name))
     assert found == {("algebra", "horner")}
+
+
+# The functions that read the frozen tables, by module.
+TABLE_FORMS = {"discriminant": ("g_coefficients", "_special_angle_quartics")}
+
+
+def test_one_table_evaluator():
+    # each table is a MonomialTable literal, read by one call from its form
+    # function, which only squares its inputs into y, z and w: no ** and no
+    # other arithmetic
+    called = set()
+    for module_name, names in TABLE_FORMS.items():
+        module = importlib.import_module(f"ohcross.{module_name}")
+        tables = {name for name, value in vars(module).items()
+                  if isinstance(value, MonomialTable)}
+        for func in ast.walk(ast.parse((ROOT / "src" / "ohcross" / f"{module_name}.py")
+                                       .read_text())):
+            if not (isinstance(func, ast.FunctionDef) and func.name in names):
+                continue
+            reads = [ast.unparse(node.func) for node in ast.walk(func)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) in tables]
+            assert len(reads) == 1, func.name
+            called.update((module_name, name) for name in reads)
+            for node in ast.walk(func):
+                assert not isinstance(node, ast.AugAssign), func.name
+                if isinstance(node, ast.UnaryOp):  # a negative literal only
+                    assert isinstance(node.operand, ast.Constant), func.name
+                if isinstance(node, ast.BinOp):
+                    assert (isinstance(node.op, ast.Mult)
+                            and ast.unparse(node.left) == ast.unparse(node.right)), (
+                        func.name, ast.unparse(node))
+        assert {name for mod, name in called if mod == module_name} == tables
+    assert len(called) == 2
 
 
 def test_no_array_type_dispatch_outside_cli():
