@@ -10,14 +10,16 @@ perpendicular geometries where it collapses.
 
 Every candidate is validated against the spectrum of one zero-field
 matrix: one stacked eigensolve measures all seeds, then a coarse scan
-around each open seed, pruned to the grid points a Lipschitz bound cannot
-rule out, and lockstep Newton steps on the gap's slope find its interior
-gap minimum. Seeds without such a minimum are discarded.
+around each open seed, pruned in three rounds to the grid points that a
+first-order (Lipschitz) and a second-order (curvature) lower bound on the
+gap cannot rule out, and lockstep Newton steps on the gap's slope find its
+interior gap minimum. Seeds without such a minimum are discarded.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,10 +61,12 @@ SEARCH_HALF_WIDTH_TILDE = 0.15
 DEDUPE_B_TESLA = 1e-6
 
 _COARSE_POINTS = 81
-# _coarse_minimum's first-round spacing, in grid points
-_COARSE_STRIDE = 16
+# _coarse_minimum's spacing per round, in grid points; the last is 1
+_COARSE_STRIDES = (16, 4, 1)
 # Lipschitz constant of a pair gap in b_tilde: the spread of dH/d(b_tilde)
 _GAP_LIPSCHITZ = (ZEEMAN_DIAGONAL.max() - ZEEMAN_DIAGONAL.min()) / 10.0
+# a pair gap's curvature is at least -_CURVATURE (1/s_up + 1/s_down)
+_CURVATURE = _GAP_LIPSCHITZ ** 2 / 2.0
 _NEWTON_TOL_TESLA = 1e-13
 
 # Adjacent same-sign level pairs tracked by the octic factor (1-based).
@@ -374,59 +378,145 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_plan(k: int) -> tuple:
+    """_coarse_minimum's rounds on a row of k grid points, one per stride:
+    the points the round measures (its stride's points not measured
+    before) with the index of the previous round's segment holding each,
+    then the round's segments between its stride's points as (a, l, r, b)
+    index columns (4, m), -1 where a row's edge leaves no outer neighbour,
+    with the index of the previous round's segment holding each. The last
+    round has no segments. The arrays are read-only: the plan is cached."""
+    plan, prev = [], np.array([0, k - 1])
+    outer = np.full((2, 1), -1)  # a and b of the one segment [0, k - 1]
+    for t, stride in enumerate(_COARSE_STRIDES):
+        points = np.append(np.arange(0, k - 1, stride), k - 1)
+        new = points if t == 0 else points[~np.isin(points, prev)]
+        held = np.maximum(np.searchsorted(prev, new) - 1, 0)
+        if stride == 1:
+            plan.append((new, held, None, None))
+            break
+        l, r = points[:-1], points[1:]
+        parent = np.searchsorted(prev, l, side="right") - 1
+        # an end on the previous round's points takes the outer neighbour
+        # of the previous round's segment (the points between may go
+        # unmeasured), any other end the next point of this stride
+        idx = np.arange(len(l))
+        a = np.where(np.isin(l, prev), outer[0, parent], points[idx - 1])
+        b = np.where(np.isin(r, prev), outer[1, parent], np.append(points, -1)[idx + 2])
+        plan.append((new, held, np.stack((a, l, r, b)), parent))
+        prev, outer = points, np.stack((a, b))
+    for array in (v for entry in plan for v in entry if v is not None):
+        array.setflags(write=False)
+    return tuple(plan)
+
+
 def _coarse_minimum(h0, labels, grid):
-    """np.argmin, row by row, of the floored pair gaps (labels (2, n)) at
-    the points of grid (n, k) (internal units) from h0, the zero-field
-    matrix, measuring only the points that could hold the minimum.
+    """np.argmin, row by row, of the floored pair gaps (labels (2, n), i < j)
+    at the points of grid (n, k) (internal units, ascending) from h0, the
+    zero-field matrix, measuring only the points that could hold the minimum.
 
-    For fixed labels the gap g of H0 + (b/10) diag(ZEEMAN_DIAGONAL) is
-    Lipschitz in b with L = (max Z - min Z)/10: by Weyl every level moves
-    by db/10 times a number in [min Z, max Z]. LAPACK's eigenvalues are
-    within a small multiple of eps |H| (64 here, which also covers the
-    matrix build and the subtraction), so a measured floored gap G is
-    within delta = GAP_MEASUREMENT_FLOOR + 64 eps |H| of g. Between
-    measured points l < r every grid point then measures at least
-    (G_l + G_r - L (x_r - x_l)) / 2 - 2 delta. Where that bound is above
-    the best measured gap, no point of the segment can be the minimum or
-    tie with it, and the segment is skipped.
+    Noise. LAPACK's eigenvalues are within a small multiple of eps |H| (64
+    here, which also covers the matrix build and the subtraction), so a
+    measured floored gap G, and a measured level separation, is within
+    delta = GAP_MEASUREMENT_FLOOR + 64 eps |H| of the true one.
 
-    Round one measures the ends and every _COARSE_STRIDE-th point; each
-    later round measures the midpoints of the segments that survive, for
-    all rows in one stacked eigensolve, until no surviving segment has an
-    interior point. Every point that could equal the minimum is measured,
-    so the argmin over the measured points (the rest +inf) is that of the
-    full scan, first index on ties included.
+    First order. For fixed labels the gap g = lambda_i - lambda_j of
+    H0 + b Z' (Z' = diag(ZEEMAN_DIAGONAL)/10) is Lipschitz in b with
+    L = (max Z - min Z)/10: by Weyl every level moves by db times a number
+    in [min Z', max Z']. Between measured points l < r every grid point
+    then measures at least (G_l + G_r - L (x_r - x_l)) / 2 - 2 delta.
+
+    Second order. With v_k the eigenvectors and c_k = v_k^T Z' v_i,
+    lambda_i'' = 2 sum_k c_k^2 / (lambda_i - lambda_k). Its only negative
+    terms couple i to the levels above it, each at least -2 c_k^2 / s_up
+    with s_up = lambda_(i-1) - lambda_i; likewise -lambda_j'' has negative
+    terms only from the levels below j, each at least -2 c_k^2 / s_down
+    with s_down = lambda_j - lambda_(j+1). sum_k c_k^2 is the variance of
+    Z' under |v_i|^2, at most (L/2)^2 by Popoviciu, so
+        g'' >= -(L^2 / 2) (1/s_up + 1/s_down),
+    where a missing neighbour (the end of the spectrum) counts as s = inf.
+    Where i meets j, or a level between them, g has a convex kink, which
+    the bound allows; where i meets i - 1 or j meets j + 1 the bound has no
+    finite value. The separations are L-Lipschitz too, so on [x_a, x_b]
+    they are at least their smallest value measured at x_a, x_l, x_r, x_b,
+    less L (x_b - x_a) + 2 delta. Where both such bounds are positive, take
+    M = (L^2 / 2)(1/s_up + 1/s_down) from them: then
+        phi = g + (M/2) (x - x_l)(x - x_r)
+    is convex on [x_a, x_b] for measured x_a < x_l < x_r < x_b, and
+    phi <= g on [x_l, x_r], where phi equals g at both ends. On [x_l, x_r]
+    phi' is at least the secant slope of phi over [x_a, x_l] and at most
+    that over [x_r, x_b], each known from the measured gaps to within
+    2 delta over its width. So g is at least the larger of the two lines
+    through (x_l, g_l) and (x_r, g_r) with those slopes, and a grid point
+    measures at least that line pair's minimum on [x_l, x_r] less 2 delta.
+    A segment at a row's edge has no outer neighbour and takes the first
+    order bound alone.
+
+    Where the larger bound is above the row's best measured gap, no point
+    of the segment can be the minimum or tie with it, and the segment is
+    skipped. Round one measures every _COARSE_STRIDES[0]-th point and the
+    row's ends; each later round measures, in one stacked eigensolve for
+    all rows, the points of the next stride inside the segments that
+    survive. Every point that could equal the minimum is measured, so the
+    argmin over the measured points (the rest +inf) is that of the full
+    scan, first index on ties included.
     """
     n, k = grid.shape
     norm = np.linalg.norm(h0) + np.abs(ZEEMAN_DIAGONAL).max() / 10.0 * np.max(
         np.abs(grid), initial=0.0)
-    slack = 4.0 * (GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm)
-    # points and segment ends are flat indices into grid; a segment's
-    # midpoint is then (left + right) // 2 and its row left // k
-    x, gaps = grid.ravel(), np.full(n * k, np.inf)
-    firsts = np.append(np.arange(0, k - 1, _COARSE_STRIDE), k - 1)
-    ends = firsts + k * np.arange(n)[:, None]
-    points, left, right = ends.ravel(), ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    while points.size:
-        gaps[points] = _floored_gap(numeric_levels_along_b(h0, x[points]),
-                                    labels[:, points // k])
-        best = gaps.reshape(n, k).min(axis=1)
-        bound = gaps[left] + gaps[right] - _GAP_LIPSCHITZ * (x[right] - x[left])
-        keep = (right - left > 1) & ~(bound > 2.0 * best[left // k] + slack)
-        left, right = left[keep], right[keep]
-        points = (left + right) // 2
-        left, right = np.concatenate((left, points)), np.concatenate((points, right))
-    return np.argmin(gaps.reshape(n, k), axis=1)
+    delta = GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm
+    # points first, rows second; the last point row is NaN and stands for
+    # the missing outer neighbour (index -1)
+    x = np.vstack((grid.T, np.full(n, np.nan)))
+    gaps = np.full((k + 1, n), np.inf)
+    gaps[-1] = np.nan
+    seps = np.full((k + 1, 2, n), np.nan)
+    alive = np.ones((1, n), dtype=bool)
+    for new, held, quad, parent in _scan_plan(k):
+        points, rows = np.nonzero(alive[held])
+        points = new[points]
+        # the levels padded with +inf above and -inf below: separations at
+        # the ends of the spectrum are +inf
+        ends = np.full((len(rows), 1), np.inf)
+        levels = np.hstack((ends, numeric_levels_along_b(h0, x[points, rows]), -ends))
+        i, j = labels[:, rows]
+        at = np.arange(len(rows))
+        gaps[points, rows] = _floored_gap(levels[:, 1:-1], (i, j))
+        seps[points, 0, rows] = levels[at, i - 1] - levels[at, i]
+        seps[points, 1, rows] = levels[at, j] - levels[at, j + 1]
+        if quad is None:
+            break
+        (xa, xl, xr, xb), (ga, gl, gr, gb) = x[quad], gaps[quad]
+        best = gaps[:-1].min(axis=0) + 2.0 * delta
+        h = xr - xl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (seps[quad].min(axis=0)
+                 - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)[:, None])
+            half_m = np.where((s > 0.0).all(axis=1),
+                              _CURVATURE * (1.0 / s).sum(axis=1), np.nan) / 2.0
+            lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_m * (xr - xa)
+            hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_m * (xb - xl)
+            # the minimum on [0, h] of max(gl + lo u, c + hi u), convex and
+            # piecewise linear: at an end or where the lines meet
+            c = gr - hi * h
+            u = np.clip((gl - c) / (hi - lo), 0.0, h)
+            at_ends = np.minimum(np.maximum(gl, c), np.maximum(gl + lo * h, gr))
+            second = np.minimum(at_ends, np.maximum(gl + lo * u, c + hi * u))
+        first = (gl + gr - _GAP_LIPSCHITZ * h) / 2.0
+        alive = alive[parent] & ~(np.fmax(first, second) > best)
+    return np.argmin(gaps[:-1], axis=0)
 
 
 def _refine_gap_minima(h0, labels, lo, hi):
     """Interior minima of the pair gaps (labels (2, n)) in the brackets
     [lo, hi] (internal units) from h0, the zero-field matrix: the minimum
     of an 81-point coarse scan per bracket (_coarse_minimum, which measures
-    only the points that can hold it and returns the full scan's argmin),
-    then lockstep Newton steps on g' = 0 within two scan steps of each
-    coarse minimum (g', g'' from one stacked eigh per step), bisecting
-    where a step leaves the bracket or g'' <= 0. Returns the locations
+    only the points that can hold it, in three stacked eigensolves for all
+    brackets, and returns the full scan's argmin), then lockstep Newton
+    steps on g' = 0 within two scan steps of each coarse minimum (g', g''
+    from one stacked eigh per step), bisecting where a step leaves the
+    bracket or g'' <= 0. Returns the locations
     (tesla) and gaps (bit for bit pair_gap's), NaN where the coarse minimum
     is on the edge: a spurious seed."""
     tesla_per_tilde = b_field_from_tilde(1.0)

@@ -18,6 +18,7 @@ coordinates are formatted once, and each polyline's points are one
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -52,13 +53,24 @@ def _nice_step(span: float) -> float:
     return 10.0 * magnitude
 
 
-def _ticks(lo: float, hi: float) -> list:
-    step = _nice_step(hi - lo)
+def _ticks(lo: float, hi: float, axis: str) -> list:
+    """Tick values at a 1-2-5 step over [lo, hi]. PlotError names the axis
+    where hi - lo overflows, or where the range is too narrow for the step
+    to move a tick (a step below a smallest normal float would underflow)."""
+    span = hi - lo
+    if math.isinf(span):
+        raise PlotError(f"{axis} range {lo!r} to {hi!r} overflows")
+    narrow = PlotError(f"{axis} range {lo!r} to {hi!r} is too narrow to tick")
+    if span < sys.float_info.min:
+        raise narrow
+    step = _nice_step(span)
     first = math.ceil(lo / step - 1e-9) * step
     out = []
     value = first
     while value <= hi + 1e-9 * step:
         out.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:
+            raise narrow
         value += step
     return out
 
@@ -119,7 +131,7 @@ def render_line_plot(x, ys, labels, title: str = "",
     grid_color = "#dddddd"
     x0, x1 = MARGIN_LEFT, MARGIN_LEFT + plot_w
     y0, y1 = MARGIN_TOP, MARGIN_TOP + plot_h
-    for tick in _ticks(x_lo, x_hi):
+    for tick in _ticks(x_lo, x_hi, "x"):
         gx = px(tick)
         parts.append(f'<line x1="{gx:.2f}" y1="{y0}" x2="{gx:.2f}" y2="{y1}" '
                      f'stroke="{grid_color}" stroke-width="1"/>')
@@ -127,7 +139,7 @@ def render_line_plot(x, ys, labels, title: str = "",
                      f'stroke="{axis_color}" stroke-width="1"/>')
         parts.append(f'<text x="{gx:.2f}" y="{y1 + 18}" font-family="sans-serif" '
                      f'font-size="11" text-anchor="middle">{tick:.6g}</text>')
-    for tick in _ticks(y_lo, y_hi):
+    for tick in _ticks(y_lo, y_hi, "y"):
         gy = py(tick)
         parts.append(f'<line x1="{x0}" y1="{gy:.2f}" x2="{x1}" y2="{gy:.2f}" '
                      f'stroke="{grid_color}" stroke-width="1"/>')

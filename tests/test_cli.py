@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -553,12 +556,34 @@ class TestDataFileErrors:
         ("x,y\n0,1\n-inf,2\n", "data contains non-finite values"),
         ("x,y\n1,1\n1,2\n", "x range is singular"),
         ("x\n0\n1\n", "plot needs an x column plus at least one series"),
+        ("x,y\n0,1.7e308\n1,-1.7e308\n", "y range -1.7e+308 to 1.7e+308 overflows"),
+        ("x,y\n0,1\n5e-323,2\n", "x range 0.0 to 5e-323 is too narrow to tick"),
     ])
     def test_plot_messages(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.csv"
         data.write_text(text, encoding="utf-8")
         assert run(["plot", "--in", str(data)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, axis", [
+        ("x,y\n1.0,1\n1.0000000000000002,2\n", "x"),
+        ("x,y\n0,1\n1,1.0000000000000002\n", "y"),
+    ])
+    def test_plot_range_too_narrow_to_tick(self, tmp_path, text, axis):
+        # one ulp wide: a tick step of 5e-17 never moves a tick off 1.0, so
+        # the command runs in a subprocess whose timeout fails a hang
+        data = tmp_path / "d.csv"
+        data.write_text(text, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "ohcross", "plot", "--in", str(data),
+             "--out", str(tmp_path / "d.svg")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == (f"error: {axis} range 1.0 to 1.0000000000000002 "
+                               "is too narrow to tick\n")
+        assert not (tmp_path / "d.svg").exists()
 
     def test_bad_value_before_undecodable_bytes(self, tmp_path, capsys):
         # The bad row is reported although bytes far past it do not decode,

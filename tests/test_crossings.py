@@ -1,6 +1,7 @@
 """Crossing location, classification, and the resolvent machinery."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -275,6 +276,17 @@ class TestPrunedCoarseScan:
             assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
         return k_min
 
+    @staticmethod
+    def real_record_brackets(p):
+        """(h0, labels, lo, hi) of brackets centred on the real records of
+        the catalog at p, clamped at zero field."""
+        cat = crossing_catalog(p)
+        assert all(rec.kind == "real" for rec in cat)
+        labels = np.array([rec.pair for rec in cat]).T
+        centres = np.array([rec.b_location for rec in cat]) / b_field_from_tilde(1.0)
+        half = crossings.SEARCH_HALF_WIDTH_TILDE
+        return build_hamiltonian(p), labels, np.maximum(centres - half, 0.0), centres + half
+
     def test_catalog_pool_brackets(self, monkeypatch):
         edges = clamped = 0
         for (h0, labels, lo, hi), got in self.refinements(monkeypatch,
@@ -291,14 +303,8 @@ class TestPrunedCoarseScan:
         # records, where the grid gap at the centre floors to zero
         for args, got in self.refinements(monkeypatch, [(e_vcm, theta_deg)]):
             self.assert_full_scan_bits(monkeypatch, *args, got=got)
-        p = from_fields(e_vcm, math.radians(theta_deg))
-        cat = crossing_catalog(p)
-        assert all(rec.kind == "real" for rec in cat)
-        labels = np.array([rec.pair for rec in cat]).T
-        seeds = np.array([rec.b_location for rec in cat]) / b_field_from_tilde(1.0)
-        half = crossings.SEARCH_HALF_WIDTH_TILDE
-        lo, hi = np.maximum(seeds - half, 0.0), seeds + half
-        h0 = build_hamiltonian(p)
+        h0, labels, lo, hi = self.real_record_brackets(
+            from_fields(e_vcm, math.radians(theta_deg)))
         self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi)
         grid = np.linspace(lo, hi, crossings._COARSE_POINTS, axis=1)
         assert np.sum(scan_gaps(h0, labels, grid) == 0.0) >= 4
@@ -346,6 +352,66 @@ class TestPrunedCoarseScan:
         k_min = self.assert_full_scan_bits(monkeypatch, h0, labels,
                                            np.array([1.0, 2.0]), np.array([2.0, 3.5]))
         assert k_min[0] == crossings._COARSE_POINTS - 1
+
+    @pytest.mark.parametrize("e_vcm, theta_deg", [(1000.0, 60.0), (4500.0, 90.0),
+                                                  (11245.0, 180.0)])
+    def test_every_grid_size(self, monkeypatch, e_vcm, theta_deg):
+        # 2 to 100 points, so a round's last segment takes every length
+        # short of its stride; at 11245 V/cm antiparallel the brackets are
+        # centred on exact crossings, where odd sizes put a point on them
+        if theta_deg == 180.0:
+            brackets = [self.real_record_brackets(from_fields(e_vcm, math.radians(theta_deg)))]
+        else:
+            brackets = [args for args, _ in self.refinements(monkeypatch, [(e_vcm, theta_deg)])]
+        for h0, labels, lo, hi in brackets:
+            for points in range(2, 101):
+                self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, points)
+
+    def test_curvature_bound(self):
+        # -g'' <= (L^2 / 2)(1/s_up + 1/s_down) for every pair i < j, with
+        # s_up = lambda_(i-1) - lambda_i and s_down = lambda_j - lambda_(j+1)
+        # (+inf at the ends of the spectrum), wherever both sides are finite;
+        # the worst case comes close, so a constant twice too large shows
+        assert crossings._CURVATURE == pytest.approx(0.18)
+        b = np.linspace(0.0, 20.0, 2001)
+        worst = 0.0
+        for e_vcm, theta_deg in itertools.product((0.0, 300.0, 1000.0, 5000.0),
+                                                  (0.0, 30.0, 47.3, 90.0, 123.4, 180.0)):
+            h0 = build_hamiltonian(from_fields(e_vcm, math.radians(theta_deg)))
+            ends = np.full((len(b), 1), np.inf)
+            levels = np.hstack((ends, numeric_levels_along_b(h0, b), -ends))
+            _, curvatures = numeric_level_derivatives_along_b(h0, b)
+            for i, j in itertools.combinations(range(1, 9), 2):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    g2 = curvatures[:, i - 1] - curvatures[:, j - 1]
+                    bound = crossings._CURVATURE * (1.0 / (levels[:, i - 1] - levels[:, i])
+                                                    + 1.0 / (levels[:, j] - levels[:, j + 1]))
+                finite = np.isfinite(g2) & np.isfinite(bound)
+                assert (-g2[finite] <= bound[finite]).all()
+                finite &= bound > 0.0
+                worst = max(worst, np.max(-g2[finite] / bound[finite], initial=0.0))
+        assert 0.9 < worst <= 1.0
+
+    def test_concave_gap_needs_the_curvature_term(self, monkeypatch):
+        # A level of slope 0.1 (state 2) crosses the lower branch of an
+        # avoided crossing between slopes 0.3 and -0.3 (states 3 and 4,
+        # coupled by 0.025) twice, near b = 0.952 and 0.988. The lower
+        # branch bends down, so between the crossings the (4, 5) gap is
+        # concave (g'' down to -3.4 where s_up = 0.05 gives the bound 3.6).
+        # Secant slopes taken as if the gap were convex there overshoot and
+        # prune the point next to the second crossing, the full scan's
+        # minimum. No such bracket exists at zero electric field
+        # or parallel fields, where every level is linear in b and the
+        # separation test alone rules out the concave kinks.
+        h0 = np.diag([5.0, 4.0, 0.176, 0.0, 0.6, -4.0, -5.0, -6.0])
+        h0[3, 4] = h0[4, 3] = 0.025
+        labels = np.array([[4], [5]])
+        lo, hi = np.array([0.95]), np.array([1.25])
+        k_min = self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, 81)
+        assert k_min.tolist() == [10]
+        monkeypatch.setattr(crossings, "_CURVATURE", 0.0)
+        assert crossings._coarse_minimum(
+            h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [1]
 
     @pytest.mark.parametrize("half_width, configs", [(0.6, 20), (1.5, 8)])
     def test_wide_grids_at_todays_spacing(self, monkeypatch, half_width, configs):
@@ -642,15 +708,18 @@ class TestSharedZeroFieldMatrix:
         assert all(want)
 
     @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
-        (1000.0, 60.0, 10, 291), (3000.0, 60.0, 10, 271),
-        (11245.0, 180.0, 37, 204), (4500.0, 90.0, 10, 156),
+        (1000.0, 60.0, 8, 211), (3000.0, 60.0, 8, 137),
+        (11245.0, 180.0, 35, 216), (4500.0, 90.0, 8, 85),
     ])
     def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
                                       matrices):
-        # one seed call, five rounds of the pruned coarse scan (strides 16,
-        # 8, 4, 2, 1), one eigh per Newton step and one final gap call; at
-        # 11245 V/cm antiparallel the four brackets close on exact crossings
-        # by bisection
+        # one seed call, three rounds of the pruned coarse scan (strides 16,
+        # 4, 1), one eigh per Newton step and one final gap call; at 11245
+        # V/cm antiparallel the four brackets close on exact crossings by
+        # bisection, and the scan measures more there than halving did: a
+        # V-shaped gap centred between two stride-16 points keeps the
+        # segments on both sides, and each surviving segment has all three
+        # points of the next stride measured where halving measured one
         sizes = []
         for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
             def counted(h0, b_tilde, solve=globals()[name]):

@@ -63,6 +63,10 @@ def test_constant_series_padded_not_error():
     ([0, 1, math.nan, 3], [[1, 2, 3, 4]], ["a"],
      "data contains non-finite values"),
     ([2, 2, 2, 2], [[1, 2, 3, 4]], ["a"], "x range is singular"),
+    # hi - lo overflows; a span whose 1-2-5 step would underflow
+    (X, [[1.7e308, 0, 0, -1.7e308]], ["a"], "y range -1.7e+308 to 1.7e+308 overflows"),
+    ([0, 1e-323, 2e-323, 3e-323], [[1, 2, 3, 4]], ["a"],
+     "x range 0.0 to 3e-323 is too narrow to tick"),
 ])
 def test_error_messages(x, ys, labels, message):
     with pytest.raises(PlotError) as info:
