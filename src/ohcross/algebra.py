@@ -22,6 +22,8 @@ NUMERIC_RESIDUAL_REL = 1e-8
 
 _CUBE_ROOT_OF_UNITY = complex(-0.5, math.sqrt(3.0) / 2.0)
 _CUBE_ROOT_POWERS = np.array([1.0, _CUBE_ROOT_OF_UNITY, _CUBE_ROOT_OF_UNITY ** 2])
+# the slope of a monic quartic in _monic_rows' layout: a1, 2 a2, 3 a3, 4
+_SLOPE_MULTIPLIERS = np.arange(1.0, 5.0)[:, None, None]
 
 
 class AlgebraError(ValueError):
@@ -73,15 +75,17 @@ class MonomialTable:
         return s.reshape((len(self.rows),) + yzw[0].shape)
 
 
-def residuals(coeffs, roots):
+def residuals(coeffs, roots, value=None):
     """|p(z)| at each root over its coefficient magnitude scale there,
     max(max_k |c_k|, sum_k |c_k| |z|^k), for a coefficient array laid out
-    as in horner. Non-finite input gives NaN."""
+    as in horner; value is horner(coeffs, roots) where the caller already
+    has it. Non-finite input gives NaN."""
     c = np.asarray(coeffs)
     mag = np.abs(c)
     with np.errstate(all="ignore"):
-        return (np.abs(horner(c, roots))
-                / np.maximum(mag.max(axis=0), horner(mag, np.abs(roots))))
+        if value is None:
+            value = horner(c, roots)
+        return np.abs(value) / np.maximum(mag.max(axis=0), horner(mag, np.abs(roots)))
 
 
 def _check(values, bound: float, what: str) -> None:
@@ -104,20 +108,20 @@ def _polish_quartic_roots(c, z):
     """Two guarded complex Newton steps on rows of monic quartics.
 
     c holds the quartics as _monic_rows gives them; z holds each row's root
-    estimates. A root keeps a step only if it lowers |p|, and stops at its
-    first rejected step. Returns the polished roots.
+    estimates and is overwritten. A root keeps a step only if it lowers |p|,
+    and stops at its first rejected step. Returns the polished roots and p
+    at them. The caller sets the floating-point error state.
     """
-    slope_c = c[1:] * np.arange(1.0, 5.0)[:, None, None]  # a1, 2 a2, 3 a3, 4
+    slope_c = c[1:] * _SLOPE_MULTIPLIERS
     value = horner(c, z)
     live = np.ones(z.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(2):
-            step = z - value / horner(slope_c, z)
-            step_value = horner(c, step)
-            live &= np.abs(step_value) < np.abs(value)
-            z = np.where(live, step, z)
-            value = np.where(live, step_value, value)
-    return z
+    for _ in range(2):
+        step = z - value / horner(slope_c, z)
+        step_value = horner(c, step)
+        live &= np.abs(step_value) < np.abs(value)
+        np.copyto(z, step, where=live)
+        np.copyto(value, step_value, where=live)
+    return z, value
 
 
 def _cubic_monic_roots_rows(a2, a1, a0):
@@ -131,9 +135,13 @@ def _cubic_monic_roots_rows(a2, a1, a0):
     u3_minus = -q / 2.0 - sq
     u3 = np.where(np.abs(u3_plus) >= np.abs(u3_minus), u3_plus, u3_minus)
     # u3 vanishes exactly when p = q = 0: a triple root at the shift
-    triple = (u3 == 0)[..., None]
-    uk = (np.where(u3 == 0, 1.0, u3) ** (1.0 / 3.0))[..., None] * _CUBE_ROOT_POWERS
-    return np.where(triple, shift, uk - p[..., None] / (3.0 * uk) + shift)
+    triple = u3 == 0
+    any_triple = triple.any()
+    if any_triple:
+        u3 = np.where(triple, 1.0, u3)
+    uk = (u3 ** (1.0 / 3.0))[..., None] * _CUBE_ROOT_POWERS
+    roots = uk - p[..., None] / (3.0 * uk) + shift
+    return np.where(triple[..., None], shift, roots) if any_triple else roots
 
 
 def solve_monic_quartics(a):
@@ -141,40 +149,47 @@ def solve_monic_quartics(a):
 
     Row i of `a` holds (a0, a1, a2, a3) of z^4 + a3 z^3 + a2 z^2 + a1 z + a0.
     Each row is depressed and solved through all three resolvent branches,
-    keeping the least-residual one (the biquadratic split stands in for a
-    degenerate branch), then gets two guarded complex Newton steps.
+    whose candidates share one (N, 3, 4) array, keeping the least-residual
+    one (the biquadratic split, built only when some branch is degenerate,
+    stands in for it), then gets two guarded complex Newton steps.
     Near-identical roots are not merged. Returns the roots, shape (N, 4),
     and per row the worst of their residuals; rows above 1e-8 fail the
     residual bound, which the caller enforces. Non-finite rows report NaN.
     """
     a = np.asarray(a, dtype=float)
     a0, a1, a2, a3 = a.T
-    q = a2 - 3.0 * a3 * a3 / 8.0
-    r = a1 - a2 * a3 / 2.0 + a3 ** 3 / 8.0
-    s = a0 - a1 * a3 / 4.0 + a2 * a3 * a3 / 16.0 - 3.0 * a3 ** 4 / 256.0
     with np.errstate(all="ignore"):
+        q = a2 - 3.0 * a3 * a3 / 8.0
+        r = a1 - a2 * a3 / 2.0 + a3 ** 3 / 8.0
+        s = a0 - a1 * a3 / 4.0 + a2 * a3 * a3 / 16.0 - 3.0 * a3 ** 4 / 256.0
         zs = _cubic_monic_roots_rows(2.0 * q, q * q - 4.0 * s, -r * r)
-        qscale = np.sqrt(np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))), 1e-300))
         proot = np.sqrt(zs)
-        disc = np.sqrt((q * q - 4.0 * s).astype(complex))
-        ra = np.sqrt((-q + disc) / 2.0)
-        rb = np.sqrt((-q - disc) / 2.0)
-        split = np.stack([ra, -ra, rb, -rb], axis=1)[:, None, :]
+        pp, neg = proot * proot, -proot
+        qz, rp = q[:, None] + zs, r[:, None] / proot
+        b1, b2 = (qz - rp) / 2.0, (qz + rp) / 2.0
+        d1 = np.sqrt(pp - 4.0 * b1)
+        d2 = np.sqrt(pp - 4.0 * b2)
+        # the candidates of each branch; a degenerate branch takes the split
+        cand = np.empty(zs.shape + (4,), dtype=complex)
+        cand[..., 0] = (neg + d1) / 2.0
+        cand[..., 1] = (neg - d1) / 2.0
+        cand[..., 2] = (proot + d2) / 2.0
+        cand[..., 3] = (proot - d2) / 2.0
+        qscale = np.sqrt(np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))), 1e-300))
+        degenerate = np.abs(proot) < 1e-9 * qscale[:, None]
+        if degenerate.any():
+            disc = np.sqrt((q * q - 4.0 * s).astype(complex))
+            ra = np.sqrt((-q + disc) / 2.0)
+            rb = np.sqrt((-q - disc) / 2.0)
+            split = np.stack([ra, -ra, rb, -rb], axis=1)[:, None, :]
+            np.copyto(cand, split, where=degenerate[:, :, None])
         q3, r3, s3 = q[:, None, None], r[:, None, None], s[:, None, None]
-        b1 = (q[:, None] + zs - r[:, None] / proot) / 2.0
-        b2 = (q[:, None] + zs + r[:, None] / proot) / 2.0
-        d1 = np.sqrt(proot * proot - 4.0 * b1)
-        d2 = np.sqrt(proot * proot - 4.0 * b2)
-        ferrari = np.stack([(-proot + d1) / 2.0, (-proot - d1) / 2.0,
-                            (proot + d2) / 2.0, (proot - d2) / 2.0], axis=2)
-        degenerate = (np.abs(proot) < 1e-9 * qscale[:, None])[:, :, None]
-        cand = np.where(degenerate, split, ferrari)
         res = np.abs(horner((s3, r3, q3, 0.0, 1.0), cand)).sum(axis=2)
         best = np.argmin(np.where(np.isnan(res), np.inf, res), axis=1)
-        us = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0, :]
         c = _monic_rows(a)
-        roots = _polish_quartic_roots(c, us - (a3 / 4.0)[:, None])
-    return roots, residuals(c, roots).max(axis=1)
+        roots, value = _polish_quartic_roots(
+            c, cand[np.arange(len(best)), best] - (a3 / 4.0)[:, None])
+    return roots, residuals(c, roots, value).max(axis=1)
 
 
 def solve_monic_cubics(a):

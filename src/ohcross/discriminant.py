@@ -21,6 +21,7 @@ sections, and can localize a corrupted octic coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +52,9 @@ G_NAMES = ("g0", "g2", "g4", "g6", "g8", "g10", "g12", "g14", "g16")
 
 # (i, j) level pairs of discriminant_from_eigenvalues, in its order
 _PAIRS = np.triu_indices(8, k=1)
+
+# the special angles the audit draws from: parallel, perpendicular, antiparallel
+_ANGLES = (0.0, math.pi / 2.0, math.pi)
 
 
 def relative_spread(values):
@@ -307,14 +311,18 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
                             closed forms, same scale convention
 
     The first two sections share n_samples draws, the others take
-    max(1, n_samples // 5) each. All draws form one table of rows main |
-    zero-field | special-angle, scaled in one call, with one octic table
-    and one Horner pass over it; each section is a slice. The matrices,
-    spectra and determinants are of the main rows only. On a failing
-    section the fault localizer runs at the worst breaching configuration
-    and fills `suspects`. `fault` is the self-test hook: a (name, factor)
-    pair multiplies the named octic coefficient wherever the audit
-    evaluates the table, and an unknown name raises ValueError.
+    max(1, n_samples // 5) each. All draws go straight into one table of
+    rows main | zero-field | special-angle, scaled in one call, with one
+    octic table and one Horner pass over it and over its magnitudes; each
+    section is a slice. The matrices, spectra and determinants are of the
+    main rows only, and both spectra's discriminants are one call. On a
+    failing section the fault localizer runs at the worst breaching
+    configuration, then at the other breaching ones in decreasing order of
+    breach until one's best score is within LOCALIZE_CONSISTENCY_TOL (else
+    the worst's result stands), and fills `suspects`. `fault` is the
+    self-test hook: a (name, factor) pair multiplies the named octic
+    coefficient wherever the audit evaluates the table, and an unknown
+    name raises ValueError.
     """
     if n_samples < 1:
         raise ValueError(f"audit samples must be at least 1, got {n_samples}")
@@ -323,28 +331,27 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     mol = molecule if molecule is not None else MoleculeParameters()
     rng = np.random.default_rng(seed)
     n_side = max(1, n_samples // 5)
-    # (E, B, theta) rows, drawn in the order of one call per value: the
-    # main rows, the zero-field (B, theta), then per special sample an
-    # angle draw before (E, B)
-    main = rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n_samples, 3))
-    zero = rng.uniform((0.0, 0.0), (0.3, math.pi), (n_side, 2))
-    special = np.array([
-        [rng.choice([0.0, math.pi / 2.0, math.pi]), *rng.uniform((0.0, 0.0), (5e5, 0.3))]
-        for _ in range(n_side)])
-    p = scale_parameters(mol, FieldConfiguration(*np.concatenate([
-        main, np.insert(zero, 0, 0.0, axis=1), np.roll(special, -1, axis=1)]).T))
+    n, k = n_samples, n_samples + n_side  # main [:n], zero-field [n:k], special [k:]
+    # (E, B, theta) rows main | zero-field | special-angle, drawn in place
+    # in the order of one call per value: the main rows, the zero-field
+    # (B, theta), then per special sample an angle draw before (E, B)
+    rows = np.zeros((k + n_side, 3))
+    rows[:n] = (5e5, 0.3, math.pi) * rng.random((n, 3))
+    rows[n:k, 1:] = (0.3, math.pi) * rng.random((n_side, 2))
+    for row in rows[k:]:
+        row[2] = _ANGLES[rng.integers(3)]
+        row[:2] = (5e5, 0.3) * rng.random(2)
+    p = scale_parameters(mol, FieldConfiguration(*rows.T))
     b, e, d, th = p.b_tilde, p.e_tilde, p.delta_tilde, p.theta
     g = g_coefficients(e, d, th)
     f2 = horner(_faulted(g, fault), b * b)
-    scale = np.maximum(horner([abs(gk) for gk in g], b * b), REL_FLOOR)
+    scale = np.maximum(horner(np.abs(g), b * b), REL_FLOOR)
 
-    n, k = n_samples, n_samples + n_side  # main rows [:n], special [k:]
     h = build_hamiltonian(ScaledParameters(b[:n], e[:n], d, th[:n]))
     lam = analytic_spectrum(b[:n], e[:n], d, th[:n])
     f1 = eval_f1_tilde(b[:n], e[:n], d, th[:n])
-    triple = relative_spread([discriminant_from_eigenvalues(lam),
-                              discriminant_from_eigenvalues(numeric_levels(h)),
-                              eval_f0_tilde(b[:n]) * f1 * f2[:n] * f2[:n]])
+    spectral = discriminant_from_eigenvalues(np.stack([lam, numeric_levels(h)]))
+    triple = relative_spread([*spectral, eval_f0_tilde(b[:n]) * f1 * f2[:n] * f2[:n]])
     # 5^8 times the squared product of the mirror-pair differences
     # (1,8), (2,7), (3,6), (4,5) is 10^8 det H as well
     mirror = np.multiply.reduce(lam[:, :4] - lam[:, 7:3:-1], axis=1)
@@ -365,12 +372,22 @@ def audit_triple(molecule: MoleculeParameters = None, n_samples: int = 1000,
     passed = all(sec.passed for sec in sections)
     suspects, scores = (), {}
     if not passed:
-        # the first worst sample; the special-angle one only when the main
-        # section passed and some special sample disagreed at all
-        worst = int(np.argmax(triple))
+        # the main section's samples; the special-angle ones only when the
+        # main section passed and some special sample disagreed at all
+        rel, tol, first = triple, TRIPLE_TOL, 0
         if sections[0].passed and special_rel.max() > 0.0:
-            worst = k + int(np.argmax(special_rel))
-        suspects, scores = _localize_fault(ScaledParameters(
-            float(b[worst]), float(e[worst]), d, float(th[worst])), fault)
+            rel, tol, first = special_rel, SPECIAL_ANGLE_TOL, k
+        # the first worst sample, then the other breaching ones by breach
+        worst = int(np.argmax(rel))
+        order = [worst] + [i for i in np.argsort(-rel, kind="stable").tolist()
+                           if i != worst and rel[i] > tol]
+        found = (_localize_fault(ScaledParameters(
+            float(b[i]), float(e[i]), d, float(th[i])), fault)
+            for i in first + np.array(order))
+        at_worst = next(found)
+        # the first whose best score fits one coefficient, else the worst's
+        suspects, scores = next(
+            (r for r in itertools.chain([at_worst], found)
+             if min(r[1].values()) <= LOCALIZE_CONSISTENCY_TOL), at_worst)
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)

@@ -6,13 +6,14 @@ small feature set the data files need is supported: one shared x column,
 several y series, linear axes with 1-2-5 ticks, a legend.
 
 Text contract, shared with the CLI that writes and reads the data files:
-CSV cells print as "%.12g", SVG coordinates as "%.2f" and tick labels as
-"%.6g", so identical input gives byte-identical output. Numbers are
-formatted a block at a time. The pixel coordinates of all series are one
-numpy expression, elementwise in the order of operations of the scalar
-formula, so each rounds as a Python float would. The shared x
-coordinates are formatted once, and each polyline's points are one
-%-format.
+CSV cells print as "%.12g", SVG coordinates as "%.2f" and each axis's
+tick labels as "%.6g", or with the fewest more significant digits (up to
+17) that tell adjacent labels apart, so identical input gives
+byte-identical output. Numbers are formatted a block at a time. The
+pixel coordinates of all series are one numpy expression, elementwise in
+the order of operations of the scalar formula, so each rounds as a
+Python float would. The shared x coordinates are formatted once, and
+each polyline's points are one %-format.
 """
 
 from __future__ import annotations
@@ -75,13 +76,24 @@ def _ticks(lo: float, hi: float, axis: str) -> list:
     return out
 
 
+def _tick_labels(ticks) -> list:
+    """The ticks as %g with the fewest significant digits, from 6 to 17,
+    that tell adjacent ticks apart (17 tell any two floats apart)."""
+    for digits in range(6, 18):
+        labels = ["%.*g" % (digits, tick) for tick in ticks]
+        if all(lo != hi for lo, hi in zip(labels, labels[1:])):
+            break
+    return labels
+
+
 def render_line_plot(x, ys, labels, title: str = "",
                      x_label: str = "", y_label: str = "") -> str:
     """Render series against a shared abscissa as a standalone SVG string.
 
     The first series is drawn solid, the rest dashed, colors from a fixed
     palette. Coordinates are emitted with two decimals and tick labels
-    with six significant digits, so equal input gives equal bytes.
+    with six significant digits, more where an axis needs them to tell its
+    ticks apart, so equal input gives equal bytes.
     """
     xs = np.asarray(x, dtype=float)
     if len(xs) < 2:
@@ -131,22 +143,24 @@ def render_line_plot(x, ys, labels, title: str = "",
     grid_color = "#dddddd"
     x0, x1 = MARGIN_LEFT, MARGIN_LEFT + plot_w
     y0, y1 = MARGIN_TOP, MARGIN_TOP + plot_h
-    for tick in _ticks(x_lo, x_hi, "x"):
+    ticks = _ticks(x_lo, x_hi, "x")
+    for tick, label in zip(ticks, _tick_labels(ticks)):
         gx = px(tick)
         parts.append(f'<line x1="{gx:.2f}" y1="{y0}" x2="{gx:.2f}" y2="{y1}" '
                      f'stroke="{grid_color}" stroke-width="1"/>')
         parts.append(f'<line x1="{gx:.2f}" y1="{y1}" x2="{gx:.2f}" y2="{y1 + 5}" '
                      f'stroke="{axis_color}" stroke-width="1"/>')
         parts.append(f'<text x="{gx:.2f}" y="{y1 + 18}" font-family="sans-serif" '
-                     f'font-size="11" text-anchor="middle">{tick:.6g}</text>')
-    for tick in _ticks(y_lo, y_hi, "y"):
+                     f'font-size="11" text-anchor="middle">{label}</text>')
+    ticks = _ticks(y_lo, y_hi, "y")
+    for tick, label in zip(ticks, _tick_labels(ticks)):
         gy = py(tick)
         parts.append(f'<line x1="{x0}" y1="{gy:.2f}" x2="{x1}" y2="{gy:.2f}" '
                      f'stroke="{grid_color}" stroke-width="1"/>')
         parts.append(f'<line x1="{x0 - 5}" y1="{gy:.2f}" x2="{x0}" y2="{gy:.2f}" '
                      f'stroke="{axis_color}" stroke-width="1"/>')
         parts.append(f'<text x="{x0 - 8}" y="{gy + 4:.2f}" font-family="sans-serif" '
-                     f'font-size="11" text-anchor="end">{tick:.6g}</text>')
+                     f'font-size="11" text-anchor="end">{label}</text>')
     parts.append(f'<rect x="{x0}" y="{y0}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="{axis_color}" stroke-width="1"/>')
     if x_label:

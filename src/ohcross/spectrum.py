@@ -152,10 +152,12 @@ def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
         raise ValueError("delta_tilde must be strictly positive")
     half = np.empty((b.size, 4))
     zero = b == 0.0
-    inner = np.hypot(d[zero] / 10.0, e[zero] / 10.0)
-    outer = np.hypot(d[zero] / 10.0, 3.0 * e[zero] / 10.0)
-    half[zero] = np.stack([inner, inner, outer, outer], axis=1)
-    field = ~zero
+    field = slice(None)
+    if zero.any():
+        inner = np.hypot(d[zero] / 10.0, e[zero] / 10.0)
+        outer = np.hypot(d[zero] / 10.0, 3.0 * e[zero] / 10.0)
+        half[zero] = np.stack([inner, inner, outer, outer], axis=1)
+        field = ~zero
     a = shifted_quartic_coefficients(b[field], e[field], d[field], th[field])
     half[field] = np.sqrt(lambda_squared_rows(a, (d[field] / 10.0) ** 2))
     return np.concatenate([half[:, ::-1], -half], axis=1)

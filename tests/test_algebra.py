@@ -11,6 +11,7 @@ from ohcross.algebra import (CUBIC_RESIDUAL_REL, NUMERIC_RESIDUAL_REL,
                              solve_monic_quartics, solve_quartic)
 from ohcross.discriminant import g_coefficients
 from ohcross.model import FieldConfiguration, MoleculeParameters, scale_parameters
+from ohcross.spectrum import shifted_quartic_coefficients
 
 
 def sorted_roots(values):
@@ -228,6 +229,112 @@ class TestQuarticRows:
                                                   [np.nan, 0.0, 1.0, 0.0]]))
         assert resid[0] <= 1e-8
         assert not resid[1] <= 1e-8
+
+
+def reference_solve_monic_quartics(a):
+    """solve_monic_quartics as first written, with its own cubic and polish:
+    all three branches' candidates and the split stacked, a where over them
+    and take_along_axis to select. The kernel must match it bit for bit."""
+    def cubic_roots(a2, a1, a0):
+        p = a1 - a2 * a2 / 3.0
+        q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0
+        shift = (-a2 / 3.0)[..., None]
+        sq = np.sqrt((q * q / 4.0 + p ** 3 / 27.0).astype(complex))
+        u3_plus = -q / 2.0 + sq
+        u3_minus = -q / 2.0 - sq
+        u3 = np.where(np.abs(u3_plus) >= np.abs(u3_minus), u3_plus, u3_minus)
+        triple = (u3 == 0)[..., None]
+        unity = complex(-0.5, math.sqrt(3.0) / 2.0)
+        uk = ((np.where(u3 == 0, 1.0, u3) ** (1.0 / 3.0))[..., None]
+              * np.array([1.0, unity, unity ** 2]))
+        return np.where(triple, shift, uk - p[..., None] / (3.0 * uk) + shift)
+
+    def polish(c, z):
+        slope_c = c[1:] * np.arange(1.0, 5.0)[:, None, None]
+        value = horner(c, z)
+        live = np.ones(z.shape, dtype=bool)
+        for _ in range(2):
+            step = z - value / horner(slope_c, z)
+            step_value = horner(c, step)
+            live &= np.abs(step_value) < np.abs(value)
+            z = np.where(live, step, z)
+            value = np.where(live, step_value, value)
+        return z
+
+    a = np.asarray(a, dtype=float)
+    a0, a1, a2, a3 = a.T
+    with np.errstate(all="ignore"):
+        q = a2 - 3.0 * a3 * a3 / 8.0
+        r = a1 - a2 * a3 / 2.0 + a3 ** 3 / 8.0
+        s = a0 - a1 * a3 / 4.0 + a2 * a3 * a3 / 16.0 - 3.0 * a3 ** 4 / 256.0
+        zs = cubic_roots(2.0 * q, q * q - 4.0 * s, -r * r)
+        qscale = np.sqrt(np.maximum(np.maximum(np.abs(q), np.sqrt(np.abs(s))), 1e-300))
+        proot = np.sqrt(zs)
+        disc = np.sqrt((q * q - 4.0 * s).astype(complex))
+        ra = np.sqrt((-q + disc) / 2.0)
+        rb = np.sqrt((-q - disc) / 2.0)
+        split = np.stack([ra, -ra, rb, -rb], axis=1)[:, None, :]
+        q3, r3, s3 = q[:, None, None], r[:, None, None], s[:, None, None]
+        b1 = (q[:, None] + zs - r[:, None] / proot) / 2.0
+        b2 = (q[:, None] + zs + r[:, None] / proot) / 2.0
+        d1 = np.sqrt(proot * proot - 4.0 * b1)
+        d2 = np.sqrt(proot * proot - 4.0 * b2)
+        ferrari = np.stack([(-proot + d1) / 2.0, (-proot - d1) / 2.0,
+                            (proot + d2) / 2.0, (proot - d2) / 2.0], axis=2)
+        degenerate = (np.abs(proot) < 1e-9 * qscale[:, None])[:, :, None]
+        cand = np.where(degenerate, split, ferrari)
+        res = np.abs(horner((s3, r3, q3, 0.0, 1.0), cand)).sum(axis=2)
+        best = np.argmin(np.where(np.isnan(res), np.inf, res), axis=1)
+        us = np.take_along_axis(cand, best[:, None, None], axis=1)[:, 0, :]
+        c = np.concatenate([a.T, np.ones((1, len(a)))])[:, :, None]
+        roots = polish(c, us - (a3 / 4.0)[:, None])
+    return roots, residuals(c, roots).max(axis=1)
+
+
+class TestQuarticBits:
+    """solve_monic_quartics against its reference, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(rows):
+        roots, resid = solve_monic_quartics(rows)
+        want_roots, want_resid = reference_solve_monic_quartics(rows)
+        assert np.array_equal(roots.view(np.uint64), want_roots.view(np.uint64))
+        assert np.array_equal(resid.view(np.uint64), want_resid.view(np.uint64))
+
+    @staticmethod
+    def audit_domain_rows(n, seed):
+        rng = np.random.default_rng(seed)
+        p = scale_parameters(MoleculeParameters(), FieldConfiguration(
+            *rng.uniform((0.0, 0.0, 0.0), (5e5, 0.3, math.pi), (n, 3)).T))
+        return shifted_quartic_coefficients(p.b_tilde, p.e_tilde,
+                                            p.delta_tilde, p.theta)
+
+    @pytest.mark.parametrize("n", [2, 20, 200, 2000])
+    def test_audit_domain_rows(self, n):
+        self.assert_same_bits(self.audit_domain_rows(n, n))
+
+    def test_one_row_calls(self):
+        rows = self.audit_domain_rows(200, 5)
+        rows[100:] = np.random.default_rng(6).uniform(-4, 4, size=(100, 4))
+        for i in range(len(rows)):
+            self.assert_same_bits(rows[i:i + 1])
+
+    def test_biquadratic_split_rows(self):
+        # a1 = a3 = 0 makes r = 0: a zero resolvent root takes the split
+        rows = np.random.default_rng(7).uniform(-4, 4, size=(100, 4))
+        rows[:, 1] = rows[:, 3] = 0.0
+        rows[0] = (4.0, 0.0, -5.0, 0.0)
+        self.assert_same_bits(rows)
+        for i in range(0, len(rows), 9):
+            self.assert_same_bits(rows[i:i + 1])
+
+    def test_non_finite_rows(self):
+        values = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e300)
+        rows = np.array([(a0, a1, a2, a3) for a0 in values for a1 in values
+                         for a2 in values for a3 in values])
+        self.assert_same_bits(rows)
+        for i in range(0, len(rows), 37):
+            self.assert_same_bits(rows[i:i + 1])
 
 
 class TestNumericRoots:

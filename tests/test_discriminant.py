@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ohcross import discriminant
+from ohcross import discriminant, spectrum
 from ohcross.algebra import horner
-from ohcross.discriminant import (DET_IDENTITY_TOL, F0_CONSTANT, REL_FLOOR,
+from ohcross.discriminant import (DET_IDENTITY_TOL, F0_CONSTANT,
+                                  LOCALIZE_CONSISTENCY_TOL, REL_FLOOR,
                                   SPECIAL_ANGLE_TOL, TRIPLE_TOL, ZERO_FIELD_TOL,
                                   AuditReport, G_NAMES, _faulted,
                                   _localize_fault, _section, audit_triple,
@@ -402,6 +403,14 @@ class TestAudit:
         assert report.suspects == ("g6",)
         assert not report.section("triple-agreement").passed
 
+    def test_sign_flip_fault_is_localized_on_every_seed(self):
+        # at some seeds the worst breaching sample fits no single
+        # coefficient; a later breaching sample then names g6
+        for seed in range(300):
+            report = audit_triple(n_samples=20, seed=seed, fault=("g6", -1.0))
+            assert report.suspects == ("g6",), seed
+            assert min(report.scores.values()) <= LOCALIZE_CONSISTENCY_TOL, seed
+
     @pytest.mark.parametrize("name,factor", [
         ("g4", -1.0), ("g10", 1.05), ("g2", 0.0), ("g16", 0.98)])
     def test_other_faults_localized(self, name, factor):
@@ -456,12 +465,24 @@ def sectionwise_audit(n_samples, seed, fault=None):
     passed = all(sec.passed for sec in sections)
     suspects, scores = (), {}
     if not passed:
-        worst, p = int(np.argmax(triple)), main
+        rel, tol, p = triple, TRIPLE_TOL, main
         if sections[0].passed and special_rel.max() > 0.0:
-            worst, p = int(np.argmax(special_rel)), special
-        suspects, scores = _localize_fault(ScaledParameters(
-            float(p.b_tilde[worst]), float(p.e_tilde[worst]), d,
-            float(p.theta[worst])), fault)
+            rel, tol, p = special_rel, SPECIAL_ANGLE_TOL, special
+        # the worst sample, then the other breaching ones by breach, until
+        # one's best score is consistent; if none is, the worst's result
+        worst = int(np.argmax(rel))
+        tried = []
+        for i in [worst] + sorted((i for i in range(len(rel))
+                                   if i != worst and rel[i] > tol),
+                                  key=lambda i: -rel[i]):
+            tried.append(_localize_fault(ScaledParameters(
+                float(p.b_tilde[i]), float(p.e_tilde[i]), d,
+                float(p.theta[i])), fault))
+            if min(tried[-1][1].values()) <= LOCALIZE_CONSISTENCY_TOL:
+                break
+        else:
+            tried.append(tried[0])
+        suspects, scores = tried[-1]
     return AuditReport(sections=tuple(sections), suspects=suspects,
                        scores=scores, passed=passed)
 
@@ -496,7 +517,16 @@ class TestOnePassAudit:
                 return fn(*args)
             return wrapper
 
-        for fn in (discriminant.g_coefficients, discriminant.scale_parameters):
-            monkeypatch.setattr(discriminant, fn.__name__, counted(fn))
-        assert audit_triple(n_samples=20, seed=1).passed
-        assert sorted(calls) == ["g_coefficients", "scale_parameters"]
+        # one call each per audit, however many samples: a split pass fails
+        for module, fn in ((discriminant, discriminant.g_coefficients),
+                           (discriminant, discriminant.scale_parameters),
+                           (discriminant, discriminant.discriminant_from_eigenvalues),
+                           (discriminant, discriminant.numeric_levels),
+                           (spectrum, spectrum.solve_monic_quartics)):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
+        for n_samples in (1, 20, 100):
+            calls.clear()
+            assert audit_triple(n_samples=n_samples, seed=1).passed
+            assert sorted(calls) == [
+                "discriminant_from_eigenvalues", "g_coefficients",
+                "numeric_levels", "scale_parameters", "solve_monic_quartics"]

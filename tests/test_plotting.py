@@ -120,3 +120,27 @@ def test_rejects_singular_x_range():
 def test_negative_values_plot_fine():
     svg = render_line_plot(X, [[-3.0, -1.0, 1.0, 3.0]], ["signed"])
     assert "<polyline" in svg
+
+
+def tick_labels(svg, anchor):
+    """The tick labels of one axis: x ticks are centred, y ticks end-anchored."""
+    cell = f'font-size="11" text-anchor="{anchor}">'
+    return [part.split("<", 1)[0] for part in svg.split(cell)[1:]]
+
+
+@pytest.mark.parametrize("hi,want", [
+    (1.0000000000000009, ["1", "1.0000000000000002", "1.0000000000000004",
+                          "1.0000000000000007", "1.0000000000000009"]),
+    (1.000001, ["1", "1.0000002", "1.0000004", "1.0000006", "1.0000008",
+                "1.000001"])])
+def test_narrow_range_tick_labels_differ(hi, want):
+    # %.6g would print every one of these ticks as 1
+    svg = render_line_plot([1.0, hi], [[0.0, 1.0]], ["a"])
+    assert tick_labels(svg, "middle") == want
+
+
+def test_six_digit_tick_labels_where_they_suffice():
+    # the x ticks sum 0.1 steps, so the last is 0.30000000000000004
+    svg = render_line_plot([0.0, 0.3], [[-2.5, 7.0]], ["a"])
+    assert tick_labels(svg, "middle") == ["0", "0.1", "0.2", "0.3"]
+    assert tick_labels(svg, "end") == ["-2", "0", "2", "4", "6"]
