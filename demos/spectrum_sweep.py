@@ -9,8 +9,8 @@ import pathlib
 
 import numpy as np
 
-from ohcross import (FieldConfiguration, MoleculeParameters, b1_exact,
-                     analytic_spectrum, b_field_from_tilde,
+from ohcross import (FieldConfiguration, MoleculeParameters,
+                     analytic_spectrum, b1_exact_tilde, b_field_from_tilde,
                      b_tilde_from_field, render_line_plot, scale_parameters)
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -40,5 +40,6 @@ svg = render_line_plot(b_grid, series,
 (OUT / "spectrum_theta60.svg").write_text(svg)
 
 print(f"wrote {csv_path}")
-print("levels 4 and 5 first touch at "
-      f"B = {b_field_from_tilde(b1_exact(p0)):.6f} T")
+# the closed-form first crossing, a one-point call
+b1 = b1_exact_tilde(p0.e_tilde, p0.delta_tilde, theta)
+print(f"levels 4 and 5 first touch at B = {b_field_from_tilde(b1):.6f} T")

@@ -1,7 +1,7 @@
 """Fixed-degree algebra kernels.
 
 Closed-form cubic and quartic solvers (depression plus resolvent cubic)
-that work row-wise over arrays of polynomials, one-row calls into them,
+that work row-wise over arrays of polynomials, one polynomial per row,
 and a companion-matrix numeric root finder. The numeric root finder is
 deliberately independent of the closed forms so each side can serve as an
 oracle for the other. Every polynomial is an array of coefficients in
@@ -203,20 +203,6 @@ def solve_monic_cubics(a):
     with np.errstate(all="ignore"):
         roots = _cubic_monic_roots_rows(a[:, 2], a[:, 1], a[:, 0])
     return roots, residuals(_monic_rows(a), roots)
-
-
-def solve_quartic(coeffs) -> np.ndarray:
-    """Closed-form roots of c0 + c1 z + ... + c4 z^4.
-
-    One row through solve_monic_quartics after scaling to monic. Each
-    root's residual must be within 1e-8, or ResidualError is raised; a zero
-    leading coefficient fails that bound.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    with np.errstate(all="ignore"):
-        roots, resid = solve_monic_quartics((c[:4] / c[4])[None])
-    _check(resid, QUARTIC_RESIDUAL_REL, "quartic")
-    return roots[0]
 
 
 def numeric_roots(coeffs) -> np.ndarray:

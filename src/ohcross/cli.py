@@ -241,12 +241,24 @@ def _sweep_parameters(mol, e_field, theta) -> ScaledParameters:
                             ends.delta_tilde, theta)
 
 
+# the sweep options each --vs leaves unread, in the parser's order
+_UNREAD_FLAGS = {
+    "e": ("e_vcm", "theta_min_deg", "theta_max_deg", "theta_min_rad", "theta_max_rad"),
+    "theta": ("e_min", "e_max", "theta_deg", "theta_rad"),
+}
+
+
 def _sweep_rows(args, mol, value_fn):
     """Rows of (sweep value, value_fn columns) for b1 and gap sweeps.
 
     value_fn takes the whole sweep as one ScaledParameters of arrays, after
-    the sweep's end points have passed their field checks.
+    the sweep's end points have passed their field checks. A flag the
+    sweep variable does not read is an error, before any other check.
     """
+    unread = [f"--{name.replace('_', '-')}" for name in _UNREAD_FLAGS[args.vs]
+              if getattr(args, name) is not None]
+    if unread:
+        raise ValueError(f"--vs {args.vs} does not read {', '.join(unread)}")
     if args.vs == "e":
         _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
         if not math.isfinite(max(abs(args.e_min), abs(args.e_max)) * 100.0):
@@ -263,11 +275,12 @@ def _sweep_rows(args, mol, value_fn):
         lo, hi = _theta_range(args)
         _check_sweep(lo, hi, args.points, "the theta bounds")
         xs = np.linspace(lo, hi, args.points)
-        e_field, theta = args.e_vcm * 100.0, xs
+        e_vcm = 0.0 if args.e_vcm is None else float(args.e_vcm)
+        e_field, theta = e_vcm * 100.0, xs
         x_name = "theta_rad"
         provenance = {
             "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
-            "points": args.points, "e_vcm": float(args.e_vcm),
+            "points": args.points, "e_vcm": e_vcm,
         }
     columns = value_fn(_sweep_parameters(mol, e_field, theta))
     return x_name, np.column_stack([xs] + columns), provenance
@@ -390,8 +403,8 @@ def _add_output_flags(sp, unit: bool = True) -> None:
 def _add_sweep_flags(sp) -> None:
     sp.add_argument("--vs", choices=("e", "theta"), required=True,
                     help="sweep variable")
-    sp.add_argument("--e-vcm", type=float, default=0.0,
-                    help="fixed electric field, V/cm (theta sweeps)")
+    sp.add_argument("--e-vcm", type=float,
+                    help="fixed electric field, V/cm (theta sweeps, default 0)")
     sp.add_argument("--e-min", type=float, help="sweep start, V/cm")
     sp.add_argument("--e-max", type=float, help="sweep end, V/cm")
     _add_angle_flags(sp)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowError,
-                      _check, horner, numeric_roots, solve_monic_cubics, solve_quartic)
+                      _check, horner, numeric_roots, solve_monic_cubics,
+                      solve_monic_quartics)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
@@ -301,11 +302,6 @@ def b1_exact_tilde(e_tilde, delta_tilde, theta):
     return _out(b1, shape)
 
 
-def b1_exact(p: ScaledParameters) -> float:
-    """b1_exact_tilde on a parameter set (its b_tilde plays no role)."""
-    return b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
-
-
 def b1_approx_tilde(e_tilde, delta_tilde, theta):
     """Small-field expansion of the first-crossing location:
     delta/3 + 3 (3 + cos 2 theta) e^2 / (8 delta). Broadcasts."""
@@ -573,24 +569,32 @@ def _factor_roots(p: ScaledParameters) -> list:
     """Each discriminant factor's x-roots with its source name, quartic first:
     the full octic rooted numerically at generic angles, the collapsed closed
     forms (lower degree, exact root structure) at parallel and perpendicular
-    fields. Roots that overflow raise CrossingError naming the fields."""
+    fields. The f1 quartic and a special-angle quartic (made monic) are rows
+    of one closed-form solve, whose residual bound holds in row order.
+    Roots that overflow raise CrossingError naming the fields."""
     e, d, th = p.e_tilde, p.delta_tilde, p.theta
+    parallel = abs(th) <= _SPECIAL_ANGLE_TOL or abs(th - math.pi) <= _SPECIAL_ANGLE_TOL
+    perpendicular = abs(th - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL
     try:
         with np.errstate(all="ignore"):
-            f1 = solve_quartic((*f1_quartic_coefficients(e, d, th), 1.0)), "f1-analytic"
-            if abs(th) <= _SPECIAL_ANGLE_TOL or abs(th - math.pi) <= _SPECIAL_ANGLE_TOL:
-                f2 = solve_quartic(_special_angle_quartics(e, d)[0]), "f2-parallel"
-            elif abs(th - math.pi / 2.0) <= _SPECIAL_ANGLE_TOL:
-                roots = solve_quartic(_special_angle_quartics(e, d)[1])
+            rows = [f1_quartic_coefficients(e, d, th)]
+            if parallel or perpendicular:
+                q = _special_angle_quartics(e, d)[int(perpendicular)]
+                rows.append(q[:4] / q[4])
+            roots, resid = solve_monic_quartics(rows)
+            _check(resid, QUARTIC_RESIDUAL_REL, "quartic")
+            if parallel:
+                f2 = roots[1], "f2-parallel"
+            elif perpendicular:
                 # the squared factors x^2 and (d^2 + 8 e^2 - 4x)^2 add their roots
                 x_lin = (d * d + 8.0 * (e * e)) / 4.0
-                f2 = [complex(0.0), complex(x_lin)] + roots.tolist(), "f2-perpendicular"
+                f2 = [0j, complex(x_lin), *roots[1].tolist()], "f2-perpendicular"
             else:
                 f2 = numeric_roots(g_coefficients(e, d, th)), "f2-octic"
     except RootOverflowError as err:
         raise CrossingError(f"discriminant factors overflow at e_tilde = {e:.6g}, "
                             f"delta_tilde = {d:.6g}, theta = {th:.6g}") from err
-    return [f1, f2]
+    return [(roots[0], "f1-analytic"), f2]
 
 
 def _seeds(xs) -> list:

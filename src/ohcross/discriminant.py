@@ -211,16 +211,6 @@ def _special_angle_forms(b_tilde, e_tilde, delta_tilde) -> tuple:
             512.0 * x * x * d2 * d2 * lin * lin * perp)
 
 
-def f2_parallel_tilde(b_tilde, e_tilde, delta_tilde):
-    """Closed form of f2 for parallel or antiparallel fields."""
-    return _special_angle_forms(b_tilde, e_tilde, delta_tilde)[0]
-
-
-def f2_perpendicular_tilde(b_tilde, e_tilde, delta_tilde):
-    """Closed form of f2 for perpendicular fields."""
-    return _special_angle_forms(b_tilde, e_tilde, delta_tilde)[1]
-
-
 def discriminant_from_eigenvalues(lambdas):
     """Product of squared differences over all pairs of the eight levels
     along the last axis, multiplied in the order (0, 1), (0, 2), ..., (6, 7)."""

@@ -158,11 +158,6 @@ def b_field_from_tilde(b_tilde: float) -> float:
     return b_tilde * 1e9 * PLANCK / (4.0 * BOHR_MAGNETON)
 
 
-def e_field_from_tilde(e_tilde: float, mol: MoleculeParameters) -> float:
-    """Invert the electric-field scaling: GHz variable back to V/m."""
-    return e_tilde * 1e9 * PLANCK / (2.0 * mol.electric_dipole)
-
-
 def molecule_from_config(path) -> MoleculeParameters:
     """Build MoleculeParameters from a JSON config file.
 

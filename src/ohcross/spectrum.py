@@ -19,13 +19,10 @@ for b_tilde >= 0, into one eigvalsh call (eigh for the derivatives too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import QUARTIC_RESIDUAL_REL, ResidualError, solve_monic_quartics
 from .hamiltonian import ZEEMAN_DIAGONAL
-from .model import ScaledParameters
 
 # At a level crossing the quartic has a double root, which backward error
 # of order eps in the coefficients splits into a conjugate pair with
@@ -46,27 +43,6 @@ class HermiticityViolationError(SpectrumError):
     and nonnegative, so a violation indicates corrupted input or a solver
     fault rather than physics.
     """
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """All eight level energies in internal GHz units, sorted descending."""
-
-    lambdas: tuple
-    params: ScaledParameters
-
-    def __post_init__(self) -> None:
-        if len(self.lambdas) != 8:
-            raise SpectrumError("spectrum must hold exactly 8 levels")
-        for lo, hi in zip(self.lambdas[1:], self.lambdas[:-1]):
-            if lo > hi:
-                raise SpectrumError("levels must be sorted descending")
-
-    def level(self, label: int) -> float:
-        """Energy of level `label`, counted 1..8 from the top."""
-        if not 1 <= label <= 8:
-            raise SpectrumError(f"level label must be 1..8, got {label}")
-        return self.lambdas[label - 1]
 
 
 def shifted_quartic_coefficients(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
@@ -161,13 +137,6 @@ def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
     a = shifted_quartic_coefficients(b[field], e[field], d[field], th[field])
     half[field] = np.sqrt(lambda_squared_rows(a, (d[field] / 10.0) ** 2))
     return np.concatenate([half[:, ::-1], -half], axis=1)
-
-
-def analytic_eigenvalues(params: ScaledParameters) -> Spectrum:
-    """Closed-form spectrum at the given scaled field configuration."""
-    lams = analytic_spectrum(params.b_tilde, params.e_tilde,
-                             params.delta_tilde, params.theta)[0]
-    return Spectrum(lambdas=tuple(lams.tolist()), params=params)
 
 
 def numeric_levels(h) -> np.ndarray:

@@ -14,25 +14,24 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 
-from ohcross.algebra import solve_quartic
+from ohcross.algebra import QUARTIC_RESIDUAL_REL, solve_monic_quartics
 from ohcross.crossings import (_refine_gap_minima, b1_approx_tilde,
                                b1_exact_tilde, critical_field_tilde,
                                crossing_catalog, gap_lowest_pair, pair_gap,
                                resolvent_analysis)
-from ohcross.discriminant import (discriminant_from_eigenvalues,
+from ohcross.discriminant import (_special_angle_forms,
+                                  discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
-                                  f2_magnitude_tilde, f2_parallel_tilde,
-                                  f2_perpendicular_tilde,
-                                  f2_zero_field_tilde, relative_spread)
+                                  f2_magnitude_tilde, f2_zero_field_tilde,
+                                  relative_spread)
 from ohcross.fitting import best_shape_exponent, fit_power_law
 from ohcross.model import (BOHR_MAGNETON, REDUCED_PLANCK, FieldConfiguration,
                            MoleculeParameters, ScaledParameters,
-                           b_field_from_tilde, e_field_from_tilde,
+                           b_field_from_tilde, e_tilde_from_field,
                            scale_parameters)
 from ohcross.hamiltonian import build_hamiltonian
-from ohcross.spectrum import (analytic_eigenvalues, analytic_spectrum,
-                              numeric_levels)
+from ohcross.spectrum import analytic_spectrum, numeric_levels
 
 MOL = MoleculeParameters()
 D = scale_parameters(MOL, FieldConfiguration()).delta_tilde
@@ -57,7 +56,8 @@ def thousand_spectra():
         p = params_from_fields(float(rng.uniform(0.0, 5000.0)),
                                float(rng.uniform(0.0, 0.3)),
                                float(rng.uniform(0.0, math.pi)))
-        entries.append((p, analytic_eigenvalues(p),
+        analytic = analytic_spectrum(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
+        entries.append((p, analytic[0].tolist(),
                         numeric_levels(build_hamiltonian(p))))
     elapsed = time.monotonic() - start
     return entries, elapsed
@@ -69,9 +69,10 @@ def test_criterion_01_zero_field_crossing_location():
     closed = (5.0 * REDUCED_PLANCK * MOL.lambda_doubling
               / (12.0 * BOHR_MAGNETON))
     # route 2: smallest positive root of the quartic factor at E = 0
-    quart = tuple(f1_quartic_coefficients(0.0, D, 0.9)) + (1.0,)
+    roots, resid = solve_monic_quartics([f1_quartic_coefficients(0.0, D, 0.9)])
+    assert resid[0] <= QUARTIC_RESIDUAL_REL
     # both roots are double at E = 0, so allow the sqrt(eps) imaginary split
-    xs = [z.real for z in solve_quartic(quart).tolist()
+    xs = [z.real for z in roots[0].tolist()
           if abs(z.imag) <= 1e-6 * max(1.0, abs(z)) and z.real > 0.0]
     from_factor = b_field_from_tilde(math.sqrt(min(xs)))
     # route 3: direct gap minimum of the middle pair
@@ -97,7 +98,7 @@ def test_criterion_02_analytic_matches_iterative(thousand_spectra):
     worst = 0.0
     for p, analytic, numeric in entries:
         scale = max(1e-30, max(abs(v) for v in numeric))
-        for a, n in zip(analytic.lambdas, numeric):
+        for a, n in zip(analytic, numeric):
             worst = max(worst, abs(a - n) / scale)
     assert worst <= 1e-9
     assert elapsed < 5.0
@@ -107,7 +108,7 @@ def test_criterion_02_analytic_matches_iterative(thousand_spectra):
 
 def test_criterion_03_mirror_pairing_and_field_evenness(thousand_spectra):
     entries, _ = thousand_spectra
-    lam = np.array([analytic.lambdas for _, analytic, _ in entries])
+    lam = np.array([analytic for _, analytic, _ in entries])
     b, e, d, th = (np.array([getattr(p, name) for p, _, _ in entries])
                    for name in ("b_tilde", "e_tilde", "delta_tilde", "theta"))
     worst_pair = float(np.abs(lam + lam[:, ::-1]).max())
@@ -173,12 +174,12 @@ def test_criterion_05_reduced_octic_forms():
         mag0 = f2_magnitude_tilde(b, 0.0, D, 0.7)
         worst = max(worst, abs(f2_zero_field_tilde(b, D)
                                - eval_f2_tilde(b, 0.0, D, 0.7)) / mag0)
+        parallel, perpendicular = _special_angle_forms(b, e, D)
         for theta in (0.0, math.pi):
             mag = f2_magnitude_tilde(b, e, D, theta)
-            worst = max(worst, abs(f2_parallel_tilde(b, e, D)
-                                   - eval_f2_tilde(b, e, D, theta)) / mag)
+            worst = max(worst, abs(parallel - eval_f2_tilde(b, e, D, theta)) / mag)
         mag = f2_magnitude_tilde(b, e, D, math.pi / 2.0)
-        worst = max(worst, abs(f2_perpendicular_tilde(b, e, D)
+        worst = max(worst, abs(perpendicular
                                - eval_f2_tilde(b, e, D, math.pi / 2.0)) / mag)
     assert worst <= 1e-8
     record(f"[PASS] criterion 5: zero-field crossings at "
@@ -246,7 +247,7 @@ def test_criterion_09_resolvent_sign_structure():
     at_crit = resolvent_analysis(ec, D, math.pi / 2.0)
     natural = resolvent_analysis(0.0, D, math.pi / 2.0).c_r
     assert abs(at_crit.c_r) <= 1e-8 * natural
-    ec_kvcm = e_field_from_tilde(ec, MOL) / 1e5
+    ec_kvcm = ec / e_tilde_from_field(1.0, MOL) / 1e5
     assert ec_kvcm == pytest.approx(2.880, abs=2e-3)
     record(f"[PASS] criterion 9: cubic discriminant <= 0 and G_c > 0 on "
            f"10000 samples (max {worst_delta:.1e}); confluence at "

@@ -336,6 +336,17 @@ class TestB1AndGap:
          "or --theta-min-rad/--theta-max-rad"),
         ("--theta-min-rad 0.5 --theta-max-rad 1.0 --points 1",
          "sweep needs at least 2 points"),
+        # a flag the theta sweep does not read, named before any range check
+        ("--theta-min-deg 10 --theta-max-deg 80 --theta-deg 30",
+         "--vs theta does not read --theta-deg"),
+        ("--theta-min-rad 0.5 --theta-max-rad 1.0 --theta-rad 0.7",
+         "--vs theta does not read --theta-rad"),
+        ("--theta-min-deg 10 --theta-max-deg 80 --e-max 20 --e-min 10",
+         "--vs theta does not read --e-min, --e-max"),
+        ("--theta-min-deg 10 --theta-deg 30",
+         "--vs theta does not read --theta-deg"),
+        ("--theta-min-rad 0.5 --theta-max-rad 1.0 --points 1 --e-max 5",
+         "--vs theta does not read --e-max"),
     ])
     def test_theta_sweep_flags_rejected(self, flags, message, capsys):
         argv = f"gap --vs theta --e-vcm 1000 --points 3 {flags}".split()
@@ -343,6 +354,30 @@ class TestB1AndGap:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--e-min 10 --e-max 20 --theta-min-deg 5 --theta-max-deg 9 --e-vcm 777",
+         "--vs e does not read --e-vcm, --theta-min-deg, --theta-max-deg"),
+        ("--e-min 10 --e-max 20 --e-vcm 0", "--vs e does not read --e-vcm"),
+        ("--e-min 10 --e-max 20 --theta-min-rad 0.1 --theta-max-rad 0.2",
+         "--vs e does not read --theta-min-rad, --theta-max-rad"),
+        ("--e-min 20 --e-max 10 --e-vcm 5", "--vs e does not read --e-vcm"),
+    ])
+    @pytest.mark.parametrize("command", ["b1", "gap"])
+    def test_e_sweep_flags_rejected(self, command, flags, message, capsys):
+        argv = f"{command} --vs e --theta-deg 30 --points 2 {flags}".split()
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_theta_sweep_field_defaults_to_zero(self, capsys):
+        argv = "b1 --vs theta --theta-min-deg 10 --theta-max-deg 80 --points 3".split()
+        assert run(argv) == 0
+        omitted = capsys.readouterr().out
+        assert run(argv + ["--e-vcm", "0"]) == 0
+        assert capsys.readouterr().out == omitted
+        assert "# e_vcm = 0\n" in omitted
 
 
 class TestFit:

@@ -10,7 +10,7 @@ import pytest
 from ohcross import algebra, crossings
 from ohcross.algebra import QUARTIC_RESIDUAL_REL, ResidualError, numeric_roots
 from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
-                               b1_approx_tilde, b1_exact, b1_exact_tilde,
+                               b1_approx_tilde, b1_exact_tilde,
                                critical_field_tilde, crossing_catalog,
                                gap_lowest_pair, pair_gap, resolvent_analysis)
 from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
@@ -74,9 +74,8 @@ class TestCriticalField:
 
     def test_matches_stated_lab_field(self):
         # about 2.880 kV/cm for the default molecule
-        from ohcross.model import e_field_from_tilde
         ec = critical_field_tilde(D, math.pi / 2.0)
-        kvcm = e_field_from_tilde(ec, MOL) / 1e5
+        kvcm = ec / e_tilde_from_field(1.0, MOL) / 1e5
         assert kvcm == pytest.approx(2.879278176, rel=1e-8)
         assert kvcm == pytest.approx(2.880, abs=1e-3)
 
@@ -108,10 +107,6 @@ class TestFirstCrossing:
         p = from_fields(500.0, math.pi / 3.0)
         b1 = b_field_from_tilde(b1_exact_tilde(p.e_tilde, D, p.theta))
         assert b1 == pytest.approx(0.050982789849686586, abs=1e-7)
-
-    def test_wrapper_uses_params(self):
-        p = from_fields(250.0, 1.0)
-        assert b1_exact(p) == b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
 
     def test_approximation_within_one_percent_below_500_vcm(self):
         for e_vcm in np.linspace(0.0, 500.0, 26):
@@ -569,6 +564,24 @@ class TestSpecialAngleRoutes:
         assert len(hits) == 1
         assert hits[0].kind == "real"
         assert hits[0].pair == (3, 4)
+
+    @pytest.mark.parametrize("theta_deg, octic_calls",
+                             [(60.0, 1), (0.0, 0), (90.0, 0), (180.0, 0)])
+    def test_one_closed_form_call_per_catalog(self, monkeypatch, theta_deg,
+                                              octic_calls):
+        # the f1 quartic and a special-angle quartic are rows of one solve;
+        # only generic angles root the octic
+        calls = {"solve_monic_quartics": 0, "numeric_roots": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(crossings, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(crossings, name, counted)
+        p = from_fields(3000.0, math.radians(theta_deg))
+        for expected in (1, 2):
+            crossing_catalog(p)
+            assert calls == {"solve_monic_quartics": expected,
+                             "numeric_roots": octic_calls * expected}
 
 
 class TestMirror:

@@ -12,12 +12,12 @@ from ohcross.discriminant import (DET_IDENTITY_TOL, F0_CONSTANT,
                                   LOCALIZE_CONSISTENCY_TOL, REL_FLOOR,
                                   SPECIAL_ANGLE_TOL, TRIPLE_TOL, ZERO_FIELD_TOL,
                                   AuditReport, G_NAMES, _faulted,
-                                  _localize_fault, _section, audit_triple,
+                                  _localize_fault, _section,
+                                  _special_angle_forms, audit_triple,
                                   discriminant_from_eigenvalues,
                                   eval_f0_tilde, eval_f1_tilde, eval_f2_tilde,
                                   f1_quartic_coefficients,
-                                  f2_magnitude_tilde, f2_parallel_tilde,
-                                  f2_perpendicular_tilde, f2_zero_field_tilde,
+                                  f2_magnitude_tilde, f2_zero_field_tilde,
                                   g_coefficients, relative_spread)
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
@@ -235,7 +235,7 @@ class TestReducedForms:
                 b = float(rng.uniform(0.0, 17.0))
                 e = float(rng.uniform(0.0, 8.4))
                 general = eval_f2_tilde(b, e, D, th)
-                closed = f2_parallel_tilde(b, e, D)
+                closed = _special_angle_forms(b, e, D)[0]
                 mag = f2_magnitude_tilde(b, e, D, th)
                 assert abs(general - closed) <= 1e-8 * max(mag, 1e-300)
 
@@ -245,7 +245,7 @@ class TestReducedForms:
             b = float(rng.uniform(0.0, 17.0))
             e = float(rng.uniform(0.0, 8.4))
             general = eval_f2_tilde(b, e, D, math.pi / 2.0)
-            closed = f2_perpendicular_tilde(b, e, D)
+            closed = _special_angle_forms(b, e, D)[1]
             mag = f2_magnitude_tilde(b, e, D, math.pi / 2.0)
             assert abs(general - closed) <= 1e-8 * max(mag, 1e-300)
 
@@ -370,8 +370,8 @@ class TestAudit:
         zero_rel = (np.abs(eval_f2_tilde(b, e, d, th) - f2_zero_field_tilde(b, d))
                     / f2_magnitude_tilde(b, e, d, th))
         b, e, d, th = columns(special)
-        closed = np.where(th == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
-                          f2_parallel_tilde(b, e, d))
+        parallel, perpendicular = _special_angle_forms(b, e, d)
+        closed = np.where(th == math.pi / 2.0, perpendicular, parallel)
         special_rel = (np.abs(eval_f2_tilde(b, e, d, th) - closed)
                        / f2_magnitude_tilde(b, e, d, th))
         want = [triple.max(), relative_spread(identity_routes(main)).max(),
@@ -457,8 +457,8 @@ def sectionwise_audit(n_samples, seed, fault=None):
         for _ in range(n_side)]).T
     special = scale_parameters(MOL, FieldConfiguration(e_field, b_field, theta))
     b, e = special.b_tilde, special.e_tilde
-    closed = np.where(theta == math.pi / 2.0, f2_perpendicular_tilde(b, e, d),
-                      f2_parallel_tilde(b, e, d))
+    parallel, perpendicular = _special_angle_forms(b, e, d)
+    closed = np.where(theta == math.pi / 2.0, perpendicular, parallel)
     special_rel = form_error(closed, special)
     sections.append(_section("special-angle-form", special_rel, SPECIAL_ANGLE_TOL))
 

@@ -150,3 +150,29 @@ def test_no_array_type_dispatch_outside_cli():
                     and re.search(r"np\.(ndarray|generic)", ast.unparse(node.args[1]))):
                 found.add(path.stem)
     assert found <= {"cli"}
+
+
+# Public closed forms that no package code calls: the tests check each.
+CHECKED_CLOSED_FORMS = {"resolvent_analysis", "critical_field_tilde",
+                        "eval_f2_tilde", "f2_magnitude_tilde"}
+
+
+def test_every_public_name_has_a_job():
+    # a public module-level function or class is referenced by package code
+    # outside its own definition, exported, or a closed form the tests check
+    trees = [ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "ohcross").glob("*.py"))]
+    public, referenced = set(), set()
+    for tree in trees:
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None and not own.startswith("_"):
+                public.add(own)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    idle = public - referenced - set(ohcross.__all__) - CHECKED_CLOSED_FORMS
+    assert not idle, sorted(idle)
+    assert CHECKED_CLOSED_FORMS <= public

@@ -10,8 +10,8 @@ from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_tilde_from_field,
                            scale_parameters)
-from ohcross.spectrum import (HermiticityViolationError, analytic_eigenvalues,
-                              analytic_spectrum, lambda_squared_rows,
+from ohcross.spectrum import (HermiticityViolationError, analytic_spectrum,
+                              lambda_squared_rows,
                               numeric_level_derivatives_along_b,
                               numeric_levels, numeric_levels_along_b,
                               shifted_quartic_coefficients)
@@ -22,6 +22,12 @@ MOL = MoleculeParameters()
 def params(b_tilde=0.0, e_tilde=0.0, theta=0.0):
     return ScaledParameters(b_tilde=b_tilde, e_tilde=e_tilde,
                             delta_tilde=8.335, theta=theta)
+
+
+def one_point(p):
+    """The closed-form levels at one parameter set, a one-point call."""
+    return tuple(analytic_spectrum(p.b_tilde, p.e_tilde, p.delta_tilde,
+                                   p.theta)[0].tolist())
 
 
 def random_params(rng):
@@ -140,7 +146,7 @@ class TestAnalyticSpectrum:
         rng = np.random.default_rng(14)
         for _ in range(150):
             p = random_params(rng)
-            a = analytic_eigenvalues(p).lambdas
+            a = one_point(p)
             n = numeric_levels(build_hamiltonian(p))
             scale = max(abs(v) for v in n)
             for x, y in zip(a, n):
@@ -159,7 +165,7 @@ class TestAnalyticSpectrum:
                 rad = math.hypot(p.delta_tilde / 10.0, p.e_tilde * m / 10.0)
                 closed += [center - rad, center + rad]
             closed.sort(reverse=True)
-            lam = analytic_eigenvalues(p).lambdas
+            lam = one_point(p)
             scale = max(abs(v) for v in closed)
             for got, want in zip(lam, closed):
                 assert abs(got - want) <= 1e-9 * scale
@@ -168,7 +174,7 @@ class TestAnalyticSpectrum:
         rng = np.random.default_rng(16)
         for _ in range(80):
             p = random_params(rng)
-            lam = analytic_eigenvalues(p).lambdas
+            lam = one_point(p)
             scale = max(abs(v) for v in lam)
             for i in range(8):
                 assert abs(lam[i] + lam[7 - i]) <= 1e-9 * max(scale, 1e-30)
@@ -179,9 +185,9 @@ class TestAnalyticSpectrum:
             b = float(rng.uniform(0, 17))
             e = float(rng.uniform(0, 8.4))
             th = float(rng.uniform(0, math.pi))
-            base = analytic_eigenvalues(params(b, e, th)).lambdas
-            flip_b = analytic_eigenvalues(params(-b, e, th)).lambdas
-            flip_e = analytic_eigenvalues(params(b, -e, th)).lambdas
+            base = one_point(params(b, e, th))
+            flip_b = one_point(params(-b, e, th))
+            flip_e = one_point(params(b, -e, th))
             scale = max(abs(v) for v in base)
             for x, y, z in zip(base, flip_b, flip_e):
                 assert abs(x - y) <= 1e-9 * max(scale, 1e-30)
@@ -192,7 +198,7 @@ class TestAnalyticSpectrum:
         # this exact configuration used to trip the reality check
         p = scale_parameters(MOL, FieldConfiguration(
             b_field=0.05, theta=math.pi / 3.0))
-        lam = analytic_eigenvalues(p).lambdas
+        lam = one_point(p)
         assert lam[3] > 0.0
 
     def test_tiny_smallest_level_is_refined(self):
@@ -201,22 +207,18 @@ class TestAnalyticSpectrum:
         # cancels there, which costs it eps (delta/10)^2 / lambda^2
         b = 8.335 / 3.0 * 1.001
         p = params(b_tilde=b, e_tilde=0.0, theta=0.9)
-        lam4 = analytic_eigenvalues(p).level(4)
+        lam4 = one_point(p)[3]
         exact = (3.0 * b / 10.0) - 8.335 / 10.0
         assert lam4 == pytest.approx(exact, rel=1e-9)
 
     def test_level_labels_descend(self):
         p = params(b_tilde=5.0, e_tilde=1.0, theta=1.0)
-        levels = analytic_eigenvalues(p)
+        lam = one_point(p)
         for label in range(1, 8):
-            assert levels.level(label) >= levels.level(label + 1)
-        with pytest.raises(ValueError):
-            levels.level(0)
-        with pytest.raises(ValueError):
-            levels.level(9)
+            assert lam[label - 1] >= lam[label]
 
     def test_zero_field_spectrum_values(self):
-        lam = analytic_eigenvalues(params()).lambdas
+        lam = one_point(params())
         half = 8.335 / 10.0
         for v in lam[:4]:
             assert v == pytest.approx(half, rel=1e-12)
@@ -232,7 +234,7 @@ class TestAnalyticSpectrum:
         d = 8.335
         p = params(b_tilde=d, theta=0.3)
         want = [2 * d / 5, d / 5, d / 5, 0.0, 0.0, -d / 5, -d / 5, -2 * d / 5]
-        for got, expect in zip(analytic_eigenvalues(p).lambdas, want):
+        for got, expect in zip(one_point(p), want):
             assert got == pytest.approx(expect, abs=2e-7)
         for got, expect in zip(numeric_levels(build_hamiltonian(p)), want):
             assert got == pytest.approx(expect, abs=1e-12)
@@ -291,7 +293,7 @@ class TestBatchedSpectrum:
                                    points[0].delta_tilde,
                                    [p.theta for p in points])
         for p, row in zip(points, levels):
-            assert analytic_eigenvalues(p).lambdas == tuple(row.tolist())
+            assert one_point(p) == tuple(row.tolist())
 
     def test_inputs_broadcast(self):
         assert analytic_spectrum(1.0, 2.0, 8.335, 0.5).shape == (1, 8)
@@ -310,7 +312,7 @@ class TestBatchedSpectrum:
             e_field=1000.0, b_field=0.05, theta=math.pi / 3.0))
         bad = good.with_b_tilde(math.nan)
         with pytest.raises(ResidualError) as alone:
-            analytic_eigenvalues(bad)
+            one_point(bad)
         with pytest.raises(ResidualError) as batched:
             analytic_spectrum([good.b_tilde, bad.b_tilde, good.b_tilde],
                               good.e_tilde, good.delta_tilde, good.theta)
