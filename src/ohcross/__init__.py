@@ -6,25 +6,43 @@ level-crossing discriminant, and locates real and avoided crossings exactly.
 Every closed form is paired with an independent numerical route so the two
 can be audited against each other.
 
-The names below are the documented entry points; everything else is
+The names in ``__all__`` are the documented entry points; everything else is
 importable from its submodule. The closed forms are array entries; one
 field point is a one-point call.
+
+``import ohcross`` loads no submodule: each entry point is imported from its
+submodule on first access (PEP 562), so a command-line launch pays only for
+the modules its command runs.
 """
 
-from .crossings import b1_exact_tilde, crossing_catalog, gap_lowest_pair
-from .discriminant import audit_triple
-from .fitting import best_shape_exponent, fit_power_law
-from .model import (FieldConfiguration, MoleculeParameters, b_field_from_tilde,
-                    b_tilde_from_field, scale_parameters)
-from .plotting import render_line_plot
-from .spectrum import analytic_spectrum
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "FieldConfiguration", "MoleculeParameters", "__version__",
-    "analytic_spectrum", "audit_triple", "b1_exact_tilde",
-    "b_field_from_tilde", "b_tilde_from_field",
-    "best_shape_exponent", "crossing_catalog", "fit_power_law",
-    "gap_lowest_pair", "render_line_plot", "scale_parameters",
-]
+# Each documented entry point and the submodule that defines it.
+_EXPORTS = {
+    "FieldConfiguration": "model", "MoleculeParameters": "model",
+    "b_field_from_tilde": "model", "b_tilde_from_field": "model",
+    "scale_parameters": "model",
+    "analytic_spectrum": "spectrum",
+    "audit_triple": "discriminant",
+    "b1_exact_tilde": "crossings", "crossing_catalog": "crossings",
+    "gap_lowest_pair": "crossings",
+    "best_shape_exponent": "fitting", "fit_power_law": "fitting",
+    "render_line_plot": "plotting",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name):
+    """Import an entry point from its submodule on first access."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,6 +14,10 @@ Exit codes: 0 success, 1 usage or input error, 2 validation failure.
 Every command is deterministic: identical invocations emit identical bytes.
 Data files are UTF-8 CSV with '#' provenance comments echoing all inputs,
 a header row naming columns with units, and 12-significant-digit values.
+
+Each launch is a fresh process, so each command imports only what it runs:
+this module loads numpy, argparse and the model and fitting modules the
+parser reads, and each handler imports the modules of its own command.
 """
 
 from __future__ import annotations
@@ -25,18 +29,11 @@ import sys
 
 import numpy as np
 
-from .algebra import AlgebraError
-from .crossings import (CrossingError, b1_approx_tilde, b1_exact_tilde,
-                        crossing_catalog, gap_lowest_pair)
-from .discriminant import audit_triple
-from .fitting import FIT_MODELS, FitError, fit_power_law
-from .hamiltonian import build_hamiltonian, format_matrix
-from .model import (DEBYE, GHZ_PER_INVERSE_CM, ConfigError, FieldConfiguration,
+from .fitting import FIT_MODELS, fit_power_law
+from .model import (DEBYE, GHZ_PER_INVERSE_CM, FieldConfiguration,
                     MoleculeParameters, ScaledParameters, b_field_from_tilde,
                     b_tilde_from_field, e_tilde_from_field, molecule_from_config,
                     scale_parameters)
-from .plotting import PlotError, render_line_plot
-from .spectrum import SpectrumError, analytic_spectrum
 
 # GHz per output unit: energies print as internal GHz divided by this.
 _GHZ_PER_UNIT = {"percm": GHZ_PER_INVERSE_CM, "ghz": 1.0}
@@ -152,6 +149,8 @@ def _table(header: list, lines: list):
                                len(cells)).reshape(-1, width)
         except ValueError:
             pass
+    from .plotting import PlotError
+
     for line in lines:
         cells = line.split(",")
         if len(cells) != width:
@@ -181,12 +180,16 @@ def _read_data(path) -> tuple:
                 _table(lines[0].split(","), lines[1:])
             raise
     if len(lines) < 2:
+        from .plotting import PlotError
+
         raise PlotError("data file has no rows")
     header = lines[0].split(",")
     return header, _table(header, lines[1:]).T
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import analytic_spectrum
+
     mol = _molecule(args)
     theta = _theta(args)
     _check_sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
@@ -209,6 +212,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_crossings(args) -> int:
+    from .crossings import crossing_catalog
+
     mol = _molecule(args)
     theta = _theta(args)
     p = scale_parameters(mol, FieldConfiguration(
@@ -287,6 +292,8 @@ def _sweep_rows(args, mol, value_fn):
 
 
 def _cmd_b1(args) -> int:
+    from .crossings import b1_approx_tilde, b1_exact_tilde
+
     mol = _molecule(args)
 
     def locate(p) -> list:
@@ -302,6 +309,8 @@ def _cmd_b1(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    from .crossings import b1_exact_tilde, gap_lowest_pair
+
     mol = _molecule(args)
     ghz_per_unit = _GHZ_PER_UNIT[args.unit]
 
@@ -345,6 +354,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .discriminant import audit_triple
+
     mol = _molecule(args)
     fault = ("g6", -1.0) if args.inject_g6_flip else None
     report = audit_triple(molecule=mol, n_samples=args.samples,
@@ -362,6 +373,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .plotting import PlotError, render_line_plot
+
     header, columns = _read_data(args.infile)
     if len(columns) < 2:
         raise PlotError("plot needs an x column plus at least one series")
@@ -375,6 +388,8 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_hamiltonian(args) -> int:
+    from .hamiltonian import build_hamiltonian, format_matrix
+
     mol = _molecule(args)
     theta = _theta(args)
     p = scale_parameters(mol, FieldConfiguration(
@@ -491,6 +506,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The base classes of a failed validation, which exits 2, and their modules.
+_VALIDATION_ERRORS = (("algebra", "AlgebraError"), ("spectrum", "SpectrumError"),
+                      ("crossings", "CrossingError"))
+
+
+def _exit_code(exc) -> int:
+    """2 for a validation failure, 1 for a usage or input error. A module
+    that is not loaded raised nothing, so no module is imported to tell."""
+    for module, name in _VALIDATION_ERRORS:
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return 2
+    return 1
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -499,12 +529,9 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (SpectrumError, CrossingError, AlgebraError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ConfigError, FitError, PlotError, OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _exit_code(exc)
 
 
 def main() -> None:

@@ -13,7 +13,6 @@ in SI joules the same product underflows to zero.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -168,6 +167,8 @@ def molecule_from_config(path) -> MoleculeParameters:
     @param path: path to a JSON file; OSError if it cannot be read
     @return: validated MoleculeParameters
     """
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:

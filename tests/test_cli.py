@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import ast
 import json
 import math
 import os
@@ -815,7 +816,7 @@ class TestConfigAndErrors:
         def never(*args):
             raise AssertionError("the closed form ran")
 
-        monkeypatch.setattr(cli, "b1_exact_tilde", never)
+        monkeypatch.setattr(crossings, "b1_exact_tilde", never)
         assert run(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -886,3 +887,68 @@ def test_sweep_is_one_array_pass(argv, levels_calls, monkeypatch, capsys):
     assert run(argv.split()) == 0
     assert len(capsys.readouterr().out.splitlines()) > 51
     assert calls == {"cubic": 1, "levels": levels_calls}
+
+
+# What a fresh process has loaded: its ohcross modules and whether json is
+# among them, printed before anything else is imported.
+LOADED = ("import sys\n"
+          "print(([m for m in sys.modules if m.startswith('ohcross')],"
+          " 'json' in sys.modules))\n")
+SRC = Path(cli.__file__).parents[1]
+
+
+def _fresh(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
+def _loaded_after(code, cwd):
+    done = _fresh(["-c", code + LOADED], cwd)
+    assert done.returncode == 0, done.stderr
+    modules, json_loaded = ast.literal_eval(done.stdout)
+    return set(modules), json_loaded
+
+
+class TestImportIsolation:
+    """Each launch imports only what its command runs."""
+
+    def test_package_loads_no_submodule(self, tmp_path):
+        assert _loaded_after("import ohcross\n", tmp_path) == ({"ohcross"}, False)
+
+    def test_parser_loads_model_and_fitting_only(self, tmp_path):
+        code = "import ohcross.cli\nohcross.cli.build_parser()\n"
+        assert _loaded_after(code, tmp_path) == (
+            {"ohcross", "ohcross.cli", "ohcross.model", "ohcross.fitting"}, False)
+
+    @pytest.mark.parametrize("argv, unloaded", [
+        ("plot --in d.csv --out d.svg",
+         {"algebra", "spectrum", "hamiltonian", "crossings", "discriminant"}),
+        ("fit --in d.csv --model power-in-E --out fit.txt",
+         {"algebra", "spectrum", "hamiltonian", "crossings", "discriminant"}),
+        ("spectrum --b-max 0.1 --points 3 --out s.csv",
+         {"crossings", "discriminant", "plotting"}),
+        ("hamiltonian --b-tesla 0.1 --out h.txt",
+         {"crossings", "discriminant", "plotting"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv, unloaded, tmp_path):
+        (tmp_path / "d.csv").write_text("e_vcm,gap\n1,2\n2,8\n3,18\n4,32\n5,50\n",
+                                        encoding="utf-8")
+        code = f"import ohcross.cli\nassert ohcross.cli.run({argv.split()!r}) == 0\n"
+        modules, _ = _loaded_after(code, tmp_path)
+        assert not modules & {f"ohcross.{name}" for name in unloaded}, modules
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("crossings --e-vcm 1e200 --theta-deg 60", 2, "discriminant factors overflow "),
+    ("b1 --vs e --e-min 10 --e-max 1e200 --theta-deg 60 --points 3", 2,
+     "resolvent closed form overflows "),
+    (f"plot --in {GOLDEN / 'mol.json'}", 1, "data file has no rows\n"),
+])
+def test_fresh_process_exit_codes(argv, code, message, tmp_path):
+    # the error classes that exit 2 are told apart without importing a
+    # command's modules, so a fresh process keeps each exit code
+    done = _fresh(["-m", "ohcross", *argv.split()], tmp_path)
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1

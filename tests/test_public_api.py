@@ -5,6 +5,8 @@ import importlib
 import pathlib
 import re
 
+import pytest
+
 import ohcross
 from ohcross.algebra import MonomialTable
 
@@ -176,3 +178,27 @@ def test_every_public_name_has_a_job():
     idle = public - referenced - set(ohcross.__all__) - CHECKED_CLOSED_FORMS
     assert not idle, sorted(idle)
     assert CHECKED_CLOSED_FORMS <= public
+
+
+def test_namespace_lists_and_binds_every_export():
+    assert set(ohcross.__all__) <= set(dir(ohcross))
+    namespace = {}
+    exec("from ohcross import *", namespace)
+    for name in ohcross.__all__:
+        assert namespace[name] is getattr(ohcross, name)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError,
+                       match="^module 'ohcross' has no attribute 'no_such_name'$"):
+        ohcross.no_such_name
+    assert not hasattr(ohcross, "no_such_name")
+
+
+def test_all_and_loader_read_one_table():
+    # __all__ is built from the table the lazy loader reads, so every
+    # exported name is the object its submodule defines under that name
+    assert set(ohcross.__all__) == set(ohcross._EXPORTS) | {"__version__"}
+    for name, module in ohcross._EXPORTS.items():
+        assert getattr(ohcross, name) is getattr(
+            importlib.import_module(f"ohcross.{module}"), name)
