@@ -388,13 +388,16 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_hamiltonian(args) -> int:
-    from .hamiltonian import build_hamiltonian, format_matrix
+    from .hamiltonian import build_hamiltonian
 
     mol = _molecule(args)
     theta = _theta(args)
     p = scale_parameters(mol, FieldConfiguration(
         e_field=args.e_vcm * 100.0, b_field=args.b_tesla, theta=theta))
-    _emit(format_matrix(build_hamiltonian(p)), args.out)
+    # + 0.0 turns negative zeros into plain zeros
+    h = build_hamiltonian(p) + 0.0
+    row = " ".join([_NUMBER] * len(h))
+    _emit("\n".join([row] * len(h)) % tuple(h.ravel().tolist()) + "\n", args.out)
     return 0
 
 

@@ -374,43 +374,27 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
-@functools.lru_cache(maxsize=8)
-def _scan_plan(k: int) -> tuple:
-    """_coarse_minimum's rounds on a row of k grid points, one per stride:
-    the points the round measures (its stride's points not measured
-    before) with the index of the previous round's segment holding each,
-    then the round's segments between its stride's points as (a, l, r, b)
-    index columns (4, m), -1 where a row's edge leaves no outer neighbour,
-    with the index of the previous round's segment holding each. The last
-    round has no segments. The arrays are read-only: the plan is cached."""
-    plan, prev = [], np.array([0, k - 1])
-    outer = np.full((2, 1), -1)  # a and b of the one segment [0, k - 1]
-    for t, stride in enumerate(_COARSE_STRIDES):
-        points = np.append(np.arange(0, k - 1, stride), k - 1)
-        new = points if t == 0 else points[~np.isin(points, prev)]
-        held = np.maximum(np.searchsorted(prev, new) - 1, 0)
-        if stride == 1:
-            plan.append((new, held, None, None))
-            break
-        l, r = points[:-1], points[1:]
-        parent = np.searchsorted(prev, l, side="right") - 1
-        # an end on the previous round's points takes the outer neighbour
-        # of the previous round's segment (the points between may go
-        # unmeasured), any other end the next point of this stride
-        idx = np.arange(len(l))
-        a = np.where(np.isin(l, prev), outer[0, parent], points[idx - 1])
-        b = np.where(np.isin(r, prev), outer[1, parent], np.append(points, -1)[idx + 2])
-        plan.append((new, held, np.stack((a, l, r, b)), parent))
-        prev, outer = points, np.stack((a, b))
-    for array in (v for entry in plan for v in entry if v is not None):
-        array.setflags(write=False)
-    return tuple(plan)
+@functools.lru_cache(maxsize=32)
+def _scan_segments(k: int, stride: int, outer: int) -> np.ndarray:
+    """_coarse_minimum's segments between consecutive points of the stride
+    on a row of k grid points as index columns (a, l, r, b), a and b one
+    stride out, stacked on the same columns with a and b the nearest points
+    of the outer stride beyond l and r: (2, 4, segments), -1 where a row's
+    edge leaves none. The table is read-only: it is cached."""
+    l = np.arange(0, k - 1, stride)
+    r = l + stride
+    table = np.stack(((l - stride, l, r, r + stride),
+                      ((l - 1) // outer * outer, l, r, (r // outer + 1) * outer)))
+    table[(table < 0) | (table >= k)] = -1
+    table.setflags(write=False)
+    return table
 
 
 def _coarse_minimum(h0, labels, grid):
     """np.argmin, row by row, of the floored pair gaps (labels (2, n), i < j)
-    at the points of grid (n, k) (internal units, ascending) from h0, the
-    zero-field matrix, measuring only the points that could hold the minimum.
+    at the points of grid (n, k) (internal units, ascending, k = 16 m + 1)
+    from h0, the zero-field matrix, measuring only the points that could
+    hold the minimum.
 
     Noise. LAPACK's eigenvalues are within a small multiple of eps |H| (64
     here, which also covers the matrix build and the subtraction), so a
@@ -420,8 +404,8 @@ def _coarse_minimum(h0, labels, grid):
     First order. For fixed labels the gap g = lambda_i - lambda_j of
     H0 + b Z' (Z' = diag(ZEEMAN_DIAGONAL)/10) is Lipschitz in b with
     L = (max Z - min Z)/10: by Weyl every level moves by db times a number
-    in [min Z', max Z']. Between measured points l < r every grid point
-    then measures at least (G_l + G_r - L (x_r - x_l)) / 2 - 2 delta.
+    in [min Z', max Z']. Between measured points l < r a grid point x then
+    measures at least G_l - L (x - x_l) and G_r - L (x_r - x), less 2 delta.
 
     Second order. With v_k the eigenvectors and c_k = v_k^T Z' v_i,
     lambda_i'' = 2 sum_k c_k^2 / (lambda_i - lambda_k). Its only negative
@@ -443,35 +427,39 @@ def _coarse_minimum(h0, labels, grid):
     phi <= g on [x_l, x_r], where phi equals g at both ends. On [x_l, x_r]
     phi' is at least the secant slope of phi over [x_a, x_l] and at most
     that over [x_r, x_b], each known from the measured gaps to within
-    2 delta over its width. So g is at least the larger of the two lines
-    through (x_l, g_l) and (x_r, g_r) with those slopes, and a grid point
-    measures at least that line pair's minimum on [x_l, x_r] less 2 delta.
-    A segment at a row's edge has no outer neighbour and takes the first
-    order bound alone.
+    2 delta over its width. So on [x_l, x_r] g is at least each of the two
+    lines through (x_l, g_l) and (x_r, g_r) with those slopes, and a grid
+    point measures at least either line's value there less 2 delta. A
+    segment at a row's edge has no outer neighbour and takes the first
+    order lines alone.
 
-    Where the larger bound is above the row's best measured gap, no point
-    of the segment can be the minimum or tie with it, and the segment is
-    skipped. Round one measures every _COARSE_STRIDES[0]-th point and the
-    row's ends; each later round measures, in one stacked eigensolve for
-    all rows, the points of the next stride inside the segments that
-    survive. Every point that could equal the minimum is measured, so the
-    argmin over the measured points (the rest +inf) is that of the full
-    scan, first index on ties included.
+    Round one measures every _COARSE_STRIDES[0]-th point, the row's ends
+    among them. After each round but the last, each point strictly inside
+    a segment of the round's stride with measured ends raises its bound to
+    the largest of the four lines there (outer neighbours one stride out
+    if measured, else the previous round's stops). The next round measures,
+    in one stacked eigensolve for all rows, the points of its stride whose
+    bound is at most the row's best measured gap plus 2 delta. No other
+    point can be the minimum or tie with it, so the argmin over the measured
+    points (the rest +inf) is the full scan's, first index on ties included.
     """
     n, k = grid.shape
+    if (k - 1) % _COARSE_STRIDES[0]:
+        raise ValueError(f"the coarse scan takes 16 m + 1 grid points, not {k}")
     norm = np.linalg.norm(h0) + np.abs(ZEEMAN_DIAGONAL).max() / 10.0 * np.max(
         np.abs(grid), initial=0.0)
     delta = GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm
     # points first, rows second; the last point row is NaN and stands for
     # the missing outer neighbour (index -1)
     x = np.vstack((grid.T, np.full(n, np.nan)))
-    gaps = np.full((k + 1, n), np.inf)
-    gaps[-1] = np.nan
-    seps = np.full((k + 1, 2, n), np.nan)
-    alive = np.ones((1, n), dtype=bool)
-    for new, held, quad, parent in _scan_plan(k):
-        points, rows = np.nonzero(alive[held])
-        points = new[points]
+    gaps = np.vstack((np.full((k, n), np.inf), np.full(n, np.nan)))
+    seps = np.full((2, k + 1, n), np.nan)
+    bound = np.full((k, n), -np.inf)
+    cols = np.arange(n)
+    for t, stride in enumerate(_COARSE_STRIDES):
+        best = gaps[:-1].min(axis=0) + 2.0 * delta
+        points, rows = np.nonzero(np.isinf(gaps[:-1:stride]) & ~(bound[::stride] > best))
+        points *= stride
         # the levels padded with +inf above and -inf below: separations at
         # the ends of the spectrum are +inf
         ends = np.full((len(rows), 1), np.inf)
@@ -479,28 +467,24 @@ def _coarse_minimum(h0, labels, grid):
         i, j = labels[:, rows]
         at = np.arange(len(rows))
         gaps[points, rows] = _floored_gap(levels[:, 1:-1], (i, j))
-        seps[points, 0, rows] = levels[at, i - 1] - levels[at, i]
-        seps[points, 1, rows] = levels[at, j] - levels[at, j + 1]
-        if quad is None:
+        seps[:, points, rows] = levels[at, (i - 1, j)] - levels[at, (i, j + 1)]
+        if stride == 1:
             break
-        (xa, xl, xr, xb), (ga, gl, gr, gb) = x[quad], gaps[quad]
-        best = gaps[:-1].min(axis=0) + 2.0 * delta
-        h = xr - xl
+        near, far = _scan_segments(k, stride, _COARSE_STRIDES[max(t - 1, 0)])
+        quad = np.where(np.isinf(gaps[near]), far[..., None], near[..., None])
+        (xa, xl, xr, xb), (ga, gl, gr, gb) = x[quad, cols], gaps[quad, cols]
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = (seps[quad].min(axis=0)
-                 - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)[:, None])
-            half_m = np.where((s > 0.0).all(axis=1),
-                              _CURVATURE * (1.0 / s).sum(axis=1), np.nan) / 2.0
+            s = seps[:, quad, cols].min(axis=1) - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)
+            half_m = np.where((s > 0.0).all(axis=0),
+                              _CURVATURE * (1.0 / s).sum(axis=0), np.nan) / 2.0
             lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_m * (xr - xa)
             hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_m * (xb - xl)
-            # the minimum on [0, h] of max(gl + lo u, c + hi u), convex and
-            # piecewise linear: at an end or where the lines meet
-            c = gr - hi * h
-            u = np.clip((gl - c) / (hi - lo), 0.0, h)
-            at_ends = np.minimum(np.maximum(gl, c), np.maximum(gl + lo * h, gr))
-            second = np.minimum(at_ends, np.maximum(gl + lo * u, c + hi * u))
-        first = (gl + gr - _GAP_LIPSCHITZ * h) / 2.0
-        alive = alive[parent] & ~(np.fmax(first, second) > best)
+            # the four lines at the points strictly inside each segment
+            p = near[1] + np.arange(1, stride)[:, None]
+            u, w = x[p] - xl, xr - x[p]
+            lines = functools.reduce(np.fmax, (gl - _GAP_LIPSCHITZ * u, gr - _GAP_LIPSCHITZ * w,
+                                               gl + lo * u, gr - hi * w))
+        bound[p] = np.maximum(bound[p], np.where(np.isfinite(gl + gr), lines, -np.inf))
     return np.argmin(gaps[:-1], axis=0)
 
 

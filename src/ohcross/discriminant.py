@@ -276,9 +276,7 @@ def _localize_fault(p: ScaledParameters, fault) -> tuple:
     amps = np.median(resid / powers, axis=1, keepdims=True)
     miss = np.median(np.abs(resid - amps * powers), axis=1)
     scores = dict(zip(G_NAMES, (miss / max(resid_scale, REL_FLOOR)).tolist()))
-    best = min(scores.values())
-    suspects = tuple(sorted(n for n, s in scores.items()
-                            if s <= max(LOCALIZE_CONSISTENCY_TOL, best)))
+    suspects = tuple(sorted(n for n, s in scores.items() if s <= LOCALIZE_CONSISTENCY_TOL))
     return suspects, scores
 
 

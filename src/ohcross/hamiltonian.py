@@ -70,14 +70,3 @@ def build_hamiltonian(p: ScaledParameters) -> np.ndarray:
     h.setflags(write=False)
     return h
 
-
-def format_matrix(h: np.ndarray) -> str:
-    """Plain-text dump: one row per line, entries space separated.
-
-    Values are printed with 12 significant digits in the internal unit.
-    """
-    lines = []
-    for row in np.asarray(h):
-        # v + 0.0 turns negative zeros into plain zeros before printing
-        lines.append(" ".join(format(float(v) + 0.0, ".12g") for v in row))
-    return "\n".join(lines) + "\n"

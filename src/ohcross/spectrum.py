@@ -31,6 +31,11 @@ from .hamiltonian import ZEEMAN_DIAGONAL
 IMAG_ROOT_REL = 1e-6
 NEGATIVE_ROOT_REL = 1e-6
 
+# Added to the level splittings lambda_i - lambda_k, the infinite diagonal
+# drops the k = i term of the curvature sums
+_NO_SELF_TERM = np.diag(np.full(8, np.inf))
+_NO_SELF_TERM.setflags(write=False)
+
 
 class SpectrumError(ValueError):
     """Raised when spectrum computation breaks one of its contracts."""
@@ -160,8 +165,7 @@ def numeric_level_derivatives_along_b(h0, b_tilde) -> tuple:
     >= 0 from h0 by one stacked eigh; (..., 8) each, not finite where levels meet."""
     levels, v = (a[..., ::-1] for a in np.linalg.eigh(_along_b(h0, b_tilde)))
     couplings = np.swapaxes(v, -1, -2) @ (ZEEMAN_DIAGONAL[:, None] / 10.0 * v)
-    # the infinite diagonal drops the k = i term
-    splits = levels[..., None, :] - levels[..., :, None] + np.diag(np.full(8, np.inf))
+    splits = levels[..., None, :] - levels[..., :, None] + _NO_SELF_TERM
     with np.errstate(divide="ignore", invalid="ignore"):
         curvatures = 2.0 * (couplings ** 2 / splits).sum(axis=-2)
     return np.diagonal(couplings, axis1=-2, axis2=-1), curvatures

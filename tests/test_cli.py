@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ohcross import algebra, cli, crossings
+from ohcross import algebra, cli, crossings, discriminant
 from ohcross.cli import build_parser, run
 from ohcross.hamiltonian import build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
@@ -449,6 +449,26 @@ class TestAudit:
         assert "[FAIL] triple-agreement" in out
         assert "suspects: g6" in out
         assert out.strip().endswith("audit: FAIL")
+
+    def test_no_suspect_when_no_coefficient_explains_the_breach(self, monkeypatch,
+                                                                capsys):
+        # the triple-agreement breach at this seed comes from the closed-form
+        # spectrum, not from one octic coefficient: every coefficient scores
+        # far above LOCALIZE_CONSISTENCY_TOL, so none is named
+        reports, audit = [], discriminant.audit_triple
+
+        def spy(**kwargs):
+            reports.append(audit(**kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(discriminant, "audit_triple", spy)
+        assert run(["audit", "--samples", "20", "--seed", "454419505"]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] triple-agreement" in out
+        assert "suspects:" not in out
+        (report,) = reports
+        assert report.scores and report.suspects == ()
+        assert min(report.scores.values()) > discriminant.LOCALIZE_CONSISTENCY_TOL
 
     @pytest.mark.parametrize("samples", ["0", "-4"])
     def test_rejects_sample_count_below_one(self, samples, capsys):

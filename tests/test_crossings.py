@@ -306,18 +306,18 @@ class TestPrunedCoarseScan:
 
     def test_mirror_points_tie_at_zero_field(self, monkeypatch):
         # at zero electric field the (4, 5) gap is 0.6 |b - d/3|, the same at
-        # mirror points of a bracket centred on the crossing: with 81 points
-        # the centre floors to zero, with 80 the two central points tie as
-        # the minimum and the first one wins
+        # mirror points of d/3: on a bracket centred on the crossing the
+        # centre floors to zero; shifted by half a grid step, the two
+        # central points tie as the minimum and the first one wins
         h0 = build_hamiltonian(from_fields(0.0, 0.9))
         labels = np.array([[4], [5]])
-        lo, hi = np.array([D / 3.0 - 0.15]), np.array([D / 3.0 + 0.15])
-        for points, minima in ((81, [40]), (80, [39, 40])):
-            gaps = scan_gaps(h0, labels, np.linspace(lo, hi, points, axis=1))[0]
+        half_step = crossings.SEARCH_HALF_WIDTH_TILDE / (crossings._COARSE_POINTS - 1)
+        for shift, minima in ((0.0, [40]), (half_step, [40, 41])):
+            lo, hi = np.array([D / 3.0 - 0.15 - shift]), np.array([D / 3.0 + 0.15 - shift])
+            gaps = scan_gaps(h0, labels, np.linspace(lo, hi, 81, axis=1))[0]
             assert np.flatnonzero(gaps == gaps.min()).tolist() == minima
-            assert self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi,
-                                              points).tolist() == minima[:1]
-        self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi)
+            assert self.assert_full_scan_bits(monkeypatch, h0, labels, lo,
+                                              hi).tolist() == minima[:1]
 
     @pytest.mark.parametrize("e_vcm, theta_deg", [(0.0, 50.0), (1500.0, 0.0),
                                                   (11245.0, 180.0)])
@@ -348,19 +348,51 @@ class TestPrunedCoarseScan:
                                            np.array([1.0, 2.0]), np.array([2.0, 3.5]))
         assert k_min[0] == crossings._COARSE_POINTS - 1
 
-    @pytest.mark.parametrize("e_vcm, theta_deg", [(1000.0, 60.0), (4500.0, 90.0),
+    @pytest.mark.parametrize("e_vcm, theta_deg", [(0.0, 50.0), (1500.0, 0.0),
                                                   (11245.0, 180.0)])
-    def test_every_grid_size(self, monkeypatch, e_vcm, theta_deg):
-        # 2 to 100 points, so a round's last segment takes every length
-        # short of its stride; at 11245 V/cm antiparallel the brackets are
-        # centred on exact crossings, where odd sizes put a point on them
-        if theta_deg == 180.0:
-            brackets = [self.real_record_brackets(from_fields(e_vcm, math.radians(theta_deg)))]
-        else:
-            brackets = [args for args, _ in self.refinements(monkeypatch, [(e_vcm, theta_deg)])]
-        for h0, labels, lo, hi in brackets:
-            for points in range(2, 101):
-                self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, points)
+    def test_every_bracket_offset(self, monkeypatch, e_vcm, theta_deg):
+        # 81-point brackets around exact crossings, shifted in quarter grid
+        # steps so the zero gap, and the two points that straddle it, land
+        # at every lattice position from one edge to the other; all rows in
+        # one call
+        p = from_fields(e_vcm, math.radians(theta_deg))
+        step = 2.0 * crossings.SEARCH_HALF_WIDTH_TILDE / (crossings._COARSE_POINTS - 1)
+        cat = [rec for rec in crossing_catalog(p)
+               if rec.b_location / b_field_from_tilde(1.0) >= 80.0 * step]
+        centres = np.array([rec.b_location for rec in cat]) / b_field_from_tilde(1.0)
+        shifts = np.arange(4 * 80 + 1) / 4.0
+        lo = (centres[:, None] - shifts * step).ravel()
+        labels = np.repeat(np.array([rec.pair for rec in cat]).T, len(shifts), axis=1)
+        k_min = self.assert_full_scan_bits(monkeypatch, build_hamiltonian(p), labels,
+                                           lo, lo + 80.0 * step, 81)
+        assert set(k_min.tolist()) == set(range(81))
+
+    @pytest.mark.parametrize("points", [0, 2, 16, 18, 80, 82, 100])
+    def test_grids_of_16m_plus_1_points_only(self, points):
+        h0 = build_hamiltonian(from_fields(0.0, 0.9))
+        grid = np.linspace(np.array([1.0]), np.array([2.0]), points, axis=1)
+        with pytest.raises(ValueError, match=r"16 m \+ 1 grid points, not %d" % points):
+            crossings._coarse_minimum(h0, np.array([[4], [5]]), grid)
+
+    def test_v_shaped_gaps_measure_few_points(self, monkeypatch):
+        # the four brackets at 11245 V/cm antiparallel close on exact
+        # crossings: each point's bound from the lines of the segments
+        # holding it leaves only the points near each V's kink to measure
+        sizes, scan = [], crossings._coarse_minimum
+
+        def counted(h0, b_tilde):
+            sizes.append(np.size(b_tilde))
+            return numeric_levels_along_b(h0, b_tilde)
+
+        def coarse(*args):
+            with monkeypatch.context() as m:
+                m.setattr(crossings, "numeric_levels_along_b", counted)
+                return scan(*args)
+
+        monkeypatch.setattr(crossings, "_coarse_minimum", coarse)
+        assert crossing_catalog(from_fields(11245.0, math.pi))
+        assert len(sizes) == 3
+        assert sum(sizes) <= 40
 
     def test_curvature_bound(self):
         # -g'' <= (L^2 / 2)(1/s_up + 1/s_down) for every pair i < j, with
@@ -721,18 +753,17 @@ class TestSharedZeroFieldMatrix:
         assert all(want)
 
     @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
-        (1000.0, 60.0, 8, 211), (3000.0, 60.0, 8, 137),
-        (11245.0, 180.0, 35, 216), (4500.0, 90.0, 8, 85),
+        (1000.0, 60.0, 8, 174), (3000.0, 60.0, 8, 130),
+        (11245.0, 180.0, 35, 170), (4500.0, 90.0, 8, 81),
     ])
     def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
                                       matrices):
         # one seed call, three rounds of the pruned coarse scan (strides 16,
         # 4, 1), one eigh per Newton step and one final gap call; at 11245
         # V/cm antiparallel the four brackets close on exact crossings by
-        # bisection, and the scan measures more there than halving did: a
-        # V-shaped gap centred between two stride-16 points keeps the
-        # segments on both sides, and each surviving segment has all three
-        # points of the next stride measured where halving measured one
+        # bisection. A V-shaped gap centred between two stride-16 points
+        # bounds every point by the lines of the segments holding it, so
+        # only the points near the kink are measured, on both sides of it
         sizes = []
         for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
             def counted(h0, b_tilde, solve=globals()[name]):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from ohcross.cli import run
 from ohcross.hamiltonian import (ZEEMAN_DIAGONAL, angular_coupling,
-                                 build_hamiltonian, format_matrix)
-from ohcross.model import ScaledParameters
+                                 build_hamiltonian)
+from ohcross.model import ScaledParameters, b_field_from_tilde
 
 
 def params(b=1.0, e=1.0, theta=0.5):
@@ -72,8 +73,10 @@ def test_trace_is_zero():
     assert build_hamiltonian(p).trace() == pytest.approx(0.0, abs=1e-14)
 
 
-def test_format_matrix_layout():
-    text = format_matrix(build_hamiltonian(params(b=1.0, e=0.0, theta=0.0)))
+def test_hamiltonian_command_layout(capsys):
+    # b_tilde = 1 at zero electric field, theta = 0
+    assert run(["hamiltonian", "--b-tesla", repr(b_field_from_tilde(1.0))]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert len(lines) == 8
     assert all(len(line.split()) == 8 for line in lines)
