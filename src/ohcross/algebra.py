@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .model import ValidationError
+
 CUBIC_RESIDUAL_REL = 1e-9
 QUARTIC_RESIDUAL_REL = 1e-8
 NUMERIC_RESIDUAL_REL = 1e-8
@@ -26,7 +28,7 @@ _CUBE_ROOT_POWERS = np.array([1.0, _CUBE_ROOT_OF_UNITY, _CUBE_ROOT_OF_UNITY ** 2
 _SLOPE_MULTIPLIERS = np.arange(1.0, 5.0)[:, None, None]
 
 
-class AlgebraError(ValueError):
+class AlgebraError(ValidationError):
     """Base class for kernel failures."""
 
 

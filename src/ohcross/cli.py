@@ -31,9 +31,9 @@ import numpy as np
 
 from .fitting import FIT_MODELS, fit_power_law
 from .model import (DEBYE, GHZ_PER_INVERSE_CM, FieldConfiguration,
-                    MoleculeParameters, ScaledParameters, b_field_from_tilde,
-                    b_tilde_from_field, e_tilde_from_field, molecule_from_config,
-                    scale_parameters)
+                    MoleculeParameters, ScaledParameters, ValidationError,
+                    b_field_from_tilde, b_tilde_from_field, e_tilde_from_field,
+                    molecule_from_config, scale_parameters)
 
 # GHz per output unit: energies print as internal GHz divided by this.
 _GHZ_PER_UNIT = {"percm": GHZ_PER_INVERSE_CM, "ghz": 1.0}
@@ -509,21 +509,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-# The base classes of a failed validation, which exits 2, and their modules.
-_VALIDATION_ERRORS = (("algebra", "AlgebraError"), ("spectrum", "SpectrumError"),
-                      ("crossings", "CrossingError"))
-
-
-def _exit_code(exc) -> int:
-    """2 for a validation failure, 1 for a usage or input error. A module
-    that is not loaded raised nothing, so no module is imported to tell."""
-    for module, name in _VALIDATION_ERRORS:
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return 2
-    return 1
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -534,7 +519,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return _exit_code(exc)
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 def main() -> None:

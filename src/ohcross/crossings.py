@@ -10,10 +10,10 @@ perpendicular geometries where it collapses.
 
 Every candidate is validated against the spectrum of one zero-field
 matrix: one stacked eigensolve measures all seeds, then a coarse scan
-around each open seed, pruned in three rounds to the grid points that a
-first-order (Lipschitz) and a second-order (curvature) lower bound on the
-gap cannot rule out, and lockstep Newton steps on the gap's slope find its
-interior gap minimum. Seeds without such a minimum are discarded.
+around each open seed measures every 10th grid point and then only the
+points that a first-order (Lipschitz) and a second-order (curvature) lower
+bound on the gap cannot rule out, and lockstep Newton steps on the gap's
+slope find its interior gap minimum. Seeds without such a minimum are discarded.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowErro
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
-from .model import ScaledParameters, b_field_from_tilde
+from .model import ScaledParameters, ValidationError, b_field_from_tilde
 from .spectrum import (numeric_level_derivatives_along_b, numeric_levels,
                        numeric_levels_along_b)
 
@@ -62,8 +62,8 @@ SEARCH_HALF_WIDTH_TILDE = 0.15
 DEDUPE_B_TESLA = 1e-6
 
 _COARSE_POINTS = 81
-# _coarse_minimum's spacing per round, in grid points; the last is 1
-_COARSE_STRIDES = (16, 4, 1)
+# _coarse_minimum's first round measures every _SCAN_STRIDE-th grid point
+_SCAN_STRIDE = 10
 # Lipschitz constant of a pair gap in b_tilde: the spread of dH/d(b_tilde)
 _GAP_LIPSCHITZ = (ZEEMAN_DIAGONAL.max() - ZEEMAN_DIAGONAL.min()) / 10.0
 # a pair gap's curvature is at least -_CURVATURE (1/s_up + 1/s_down)
@@ -76,7 +76,7 @@ _ADJACENT_PAIRS = ((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8))
 _SPECIAL_ANGLE_TOL = 1e-12
 
 
-class CrossingError(ValueError):
+class CrossingError(ValidationError):
     """Base class for crossing-analysis failures."""
 
 
@@ -374,27 +374,11 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
-@functools.lru_cache(maxsize=32)
-def _scan_segments(k: int, stride: int, outer: int) -> np.ndarray:
-    """_coarse_minimum's segments between consecutive points of the stride
-    on a row of k grid points as index columns (a, l, r, b), a and b one
-    stride out, stacked on the same columns with a and b the nearest points
-    of the outer stride beyond l and r: (2, 4, segments), -1 where a row's
-    edge leaves none. The table is read-only: it is cached."""
-    l = np.arange(0, k - 1, stride)
-    r = l + stride
-    table = np.stack(((l - stride, l, r, r + stride),
-                      ((l - 1) // outer * outer, l, r, (r // outer + 1) * outer)))
-    table[(table < 0) | (table >= k)] = -1
-    table.setflags(write=False)
-    return table
-
-
 def _coarse_minimum(h0, labels, grid):
     """np.argmin, row by row, of the floored pair gaps (labels (2, n), i < j)
-    at the points of grid (n, k) (internal units, ascending, k = 16 m + 1)
-    from h0, the zero-field matrix, measuring only the points that could
-    hold the minimum.
+    at the points of grid (n, k) (internal units, ascending, k = 10 m + 1,
+    m >= 1) from h0, the zero-field matrix, measuring only the points that
+    could hold the minimum.
 
     Noise. LAPACK's eigenvalues are within a small multiple of eps |H| (64
     here, which also covers the matrix build and the subtraction), so a
@@ -433,66 +417,63 @@ def _coarse_minimum(h0, labels, grid):
     segment at a row's edge has no outer neighbour and takes the first
     order lines alone.
 
-    Round one measures every _COARSE_STRIDES[0]-th point, the row's ends
-    among them. After each round but the last, each point strictly inside
-    a segment of the round's stride with measured ends raises its bound to
-    the largest of the four lines there (outer neighbours one stride out
-    if measured, else the previous round's stops). The next round measures,
-    in one stacked eigensolve for all rows, the points of its stride whose
-    bound is at most the row's best measured gap plus 2 delta. No other
-    point can be the minimum or tie with it, so the argmin over the measured
-    points (the rest +inf) is the full scan's, first index on ties included.
+    Round one measures every _SCAN_STRIDE-th point, the row's ends among
+    them, so each segment's outer neighbours are one stride out. Each point
+    strictly inside a segment is bounded by the largest of the four lines
+    there. Round two measures, in one stacked eigensolve for all rows, the
+    points whose bound is at most the row's best measured gap plus 2 delta,
+    if any. No other point can be the minimum or tie with it, so the argmin
+    over the measured points (the rest +inf) is the full scan's, first
+    index on ties included.
     """
     n, k = grid.shape
-    if (k - 1) % _COARSE_STRIDES[0]:
-        raise ValueError(f"the coarse scan takes 16 m + 1 grid points, not {k}")
+    m = (k - 1) // _SCAN_STRIDE
+    if m < 1 or (k - 1) % _SCAN_STRIDE:
+        raise ValueError(f"the coarse scan takes {_SCAN_STRIDE} m + 1 grid points, not {k}")
     norm = np.linalg.norm(h0) + np.abs(ZEEMAN_DIAGONAL).max() / 10.0 * np.max(
         np.abs(grid), initial=0.0)
     delta = GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm
-    # points first, rows second; the last point row is NaN and stands for
-    # the missing outer neighbour (index -1)
-    x = np.vstack((grid.T, np.full(n, np.nan)))
-    gaps = np.vstack((np.full((k, n), np.inf), np.full(n, np.nan)))
-    seps = np.full((2, k + 1, n), np.nan)
-    bound = np.full((k, n), -np.inf)
-    cols = np.arange(n)
-    for t, stride in enumerate(_COARSE_STRIDES):
-        best = gaps[:-1].min(axis=0) + 2.0 * delta
-        points, rows = np.nonzero(np.isinf(gaps[:-1:stride]) & ~(bound[::stride] > best))
-        points *= stride
-        # the levels padded with +inf above and -inf below: separations at
-        # the ends of the spectrum are +inf
-        ends = np.full((len(rows), 1), np.inf)
-        levels = np.hstack((ends, numeric_levels_along_b(h0, x[points, rows]), -ends))
-        i, j = labels[:, rows]
-        at = np.arange(len(rows))
-        gaps[points, rows] = _floored_gap(levels[:, 1:-1], (i, j))
-        seps[:, points, rows] = levels[at, (i - 1, j)] - levels[at, (i, j + 1)]
-        if stride == 1:
-            break
-        near, far = _scan_segments(k, stride, _COARSE_STRIDES[max(t - 1, 0)])
-        quad = np.where(np.isinf(gaps[near]), far[..., None], near[..., None])
-        (xa, xl, xr, xb), (ga, gl, gr, gb) = x[quad, cols], gaps[quad, cols]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = seps[:, quad, cols].min(axis=1) - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)
-            half_m = np.where((s > 0.0).all(axis=0),
-                              _CURVATURE * (1.0 / s).sum(axis=0), np.nan) / 2.0
-            lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_m * (xr - xa)
-            hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_m * (xb - xl)
-            # the four lines at the points strictly inside each segment
-            p = near[1] + np.arange(1, stride)[:, None]
-            u, w = x[p] - xl, xr - x[p]
-            lines = functools.reduce(np.fmax, (gl - _GAP_LIPSCHITZ * u, gr - _GAP_LIPSCHITZ * w,
-                                               gl + lo * u, gr - hi * w))
-        bound[p] = np.maximum(bound[p], np.where(np.isfinite(gl + gr), lines, -np.inf))
-    return np.argmin(gaps[:-1], axis=0)
+    # round one; the levels padded with +inf above and -inf below:
+    # separations at the ends of the spectrum are +inf
+    stops = grid[:, ::_SCAN_STRIDE]
+    ends = np.full((stops.size, 1), np.inf)
+    levels = np.hstack((ends, numeric_levels_along_b(h0, stops.ravel()), -ends))
+    i, j = np.repeat(labels, m + 1, axis=1)
+    at = np.arange(stops.size)
+    # x, the floored gap, s_up and s_down at each stop
+    measured = np.vstack((stops.ravel(), _floored_gap(levels[:, 1:-1], (i, j)),
+                          levels[at, (i - 1, j)] - levels[at, (i, j + 1)]))
+    gaps = np.full((n, k), np.inf)
+    gaps[:, ::_SCAN_STRIDE] = measured[1].reshape(n, m + 1)
+    # each segment's (a, l, r, b) stops, NaN beyond a row's edge
+    padded = np.full((4, n, m + 3), np.nan)
+    padded[..., 1:-1] = measured.reshape(4, n, m + 1)
+    quad = np.stack([padded[..., t:t + m, None] for t in range(4)], axis=1)
+    (xa, xl, xr, xb), (ga, gl, gr, gb) = quad[:2]
+    inner = grid[:, :-1].reshape(n, m, _SCAN_STRIDE)[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = quad[2:].min(axis=1) - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)
+        half_m = np.where((s > 0.0).all(axis=0), _CURVATURE * (1.0 / s).sum(axis=0),
+                          np.nan) / 2.0
+        lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_m * (xr - xa)
+        hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_m * (xb - xl)
+        # the four lines at the points strictly inside each segment
+        u, w = inner - xl, xr - inner
+        bound = functools.reduce(np.fmax, (gl - _GAP_LIPSCHITZ * u, gr - _GAP_LIPSCHITZ * w,
+                                           gl + lo * u, gr - hi * w))
+    rows, segments, points = np.nonzero(~(bound > gaps.min(axis=1)[:, None, None]
+                                          + 2.0 * delta))
+    if rows.size:
+        gaps[rows, segments * _SCAN_STRIDE + points + 1] = _floored_gap(
+            numeric_levels_along_b(h0, inner[rows, segments, points]), labels[:, rows])
+    return np.argmin(gaps, axis=1)
 
 
 def _refine_gap_minima(h0, labels, lo, hi):
     """Interior minima of the pair gaps (labels (2, n)) in the brackets
     [lo, hi] (internal units) from h0, the zero-field matrix: the minimum
     of an 81-point coarse scan per bracket (_coarse_minimum, which measures
-    only the points that can hold it, in three stacked eigensolves for all
+    only the points that can hold it, in two stacked eigensolves for all
     brackets, and returns the full scan's argmin), then lockstep Newton
     steps on g' = 0 within two scan steps of each coarse minimum (g', g''
     from one stacked eigh per step), bisecting where a step leaves the

@@ -36,6 +36,11 @@ class ConfigError(ValueError):
     """Raised for malformed molecule configuration input."""
 
 
+class ValidationError(ValueError):
+    """Base class of the run-time checks a result fails: the command line
+    exits 2 for these, and 1 for every other input error."""
+
+
 @dataclass(frozen=True)
 class MoleculeParameters:
     """Molecular inputs for the two-doublet model.

@@ -23,6 +23,7 @@ import numpy as np
 
 from .algebra import QUARTIC_RESIDUAL_REL, ResidualError, solve_monic_quartics
 from .hamiltonian import ZEEMAN_DIAGONAL
+from .model import ValidationError
 
 # At a level crossing the quartic has a double root, which backward error
 # of order eps in the coefficients splits into a conjugate pair with
@@ -37,7 +38,7 @@ _NO_SELF_TERM = np.diag(np.full(8, np.inf))
 _NO_SELF_TERM.setflags(write=False)
 
 
-class SpectrumError(ValueError):
+class SpectrumError(ValidationError):
     """Raised when spectrum computation breaks one of its contracts."""
 
 

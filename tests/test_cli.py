@@ -847,6 +847,12 @@ class TestConfigAndErrors:
         assert run(["spectrum", "--b-max", "0.1", "--config", str(cfg)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "mol.json"
+        cfg.write_text("[1, 2]")
+        assert run(["spectrum", "--b-max", "0.1", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config root must be a JSON object\n"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
@@ -959,6 +965,30 @@ class TestImportIsolation:
         assert not modules & {f"ohcross.{name}" for name in unloaded}, modules
 
 
+def test_package_errors_exit_2_for_validation_only(monkeypatch, capsys):
+    # every exception class the package defines: the three validation
+    # families exit 2, malformed input (config, fit and plot data) exits 1
+    from ohcross import fitting, hamiltonian, model, plotting, spectrum
+    modules = (algebra, crossings, discriminant, fitting, hamiltonian, model,
+               plotting, spectrum)
+    classes = {cls.__name__: cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, BaseException)
+               and cls.__module__ == module.__name__}
+    exit_2 = {"ValidationError", "AlgebraError", "ResidualError", "RootOverflowError",
+              "SpectrumError", "HermiticityViolationError", "CrossingError",
+              "NoCriticalFieldError", "BranchError", "ResolventMismatchError"}
+    exit_1 = {"ConfigError", "FitError", "InsufficientDataError",
+              "NonPositiveDataError", "PlotError"}
+    assert set(classes) == exit_2 | exit_1
+    for name, cls in classes.items():
+        def fail(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_molecule", fail)
+        assert run(["hamiltonian"]) == (2 if name in exit_2 else 1), name
+        assert capsys.readouterr().err == "error: boom\n"
+
+
 @pytest.mark.parametrize("argv, code, message", [
     ("crossings --e-vcm 1e200 --theta-deg 60", 2, "discriminant factors overflow "),
     ("b1 --vs e --e-min 10 --e-max 1e200 --theta-deg 60 --points 3", 2,
@@ -966,8 +996,8 @@ class TestImportIsolation:
     (f"plot --in {GOLDEN / 'mol.json'}", 1, "data file has no rows\n"),
 ])
 def test_fresh_process_exit_codes(argv, code, message, tmp_path):
-    # the error classes that exit 2 are told apart without importing a
-    # command's modules, so a fresh process keeps each exit code
+    # the error classes that exit 2 share a base class in model, which
+    # every launch loads, so a fresh process keeps each exit code
     done = _fresh(["-m", "ohcross", *argv.split()], tmp_path)
     assert done.returncode == code
     assert done.stdout == ""

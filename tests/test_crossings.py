@@ -367,32 +367,57 @@ class TestPrunedCoarseScan:
                                            lo, lo + 80.0 * step, 81)
         assert set(k_min.tolist()) == set(range(81))
 
-    @pytest.mark.parametrize("points", [0, 2, 16, 18, 80, 82, 100])
-    def test_grids_of_16m_plus_1_points_only(self, points):
+    @pytest.mark.parametrize("points", [0, 1, 2, 16, 17, 18, 33, 80, 82, 100])
+    def test_grids_of_10m_plus_1_points_only(self, points):
         h0 = build_hamiltonian(from_fields(0.0, 0.9))
         grid = np.linspace(np.array([1.0]), np.array([2.0]), points, axis=1)
-        with pytest.raises(ValueError, match=r"16 m \+ 1 grid points, not %d" % points):
+        with pytest.raises(ValueError, match=r"10 m \+ 1 grid points, not %d" % points):
             crossings._coarse_minimum(h0, np.array([[4], [5]]), grid)
 
-    def test_v_shaped_gaps_measure_few_points(self, monkeypatch):
-        # the four brackets at 11245 V/cm antiparallel close on exact
-        # crossings: each point's bound from the lines of the segments
-        # holding it leaves only the points near each V's kink to measure
+    @staticmethod
+    def scan_calls(monkeypatch) -> list:
+        """The matrices of each eigensolve, one list per _coarse_minimum
+        call from here on."""
         sizes, scan = [], crossings._coarse_minimum
 
         def counted(h0, b_tilde):
-            sizes.append(np.size(b_tilde))
+            sizes[-1].append(np.size(b_tilde))
             return numeric_levels_along_b(h0, b_tilde)
 
         def coarse(*args):
+            sizes.append([])
             with monkeypatch.context() as m:
                 m.setattr(crossings, "numeric_levels_along_b", counted)
                 return scan(*args)
 
         monkeypatch.setattr(crossings, "_coarse_minimum", coarse)
+        return sizes
+
+    def test_v_shaped_gaps_measure_few_points(self, monkeypatch):
+        # the four brackets at 11245 V/cm antiparallel close on exact
+        # crossings, where the gaps are V-shaped: round one's 36 stops
+        # bound away every other point but the two beside the kink in each
+        # bracket at 0.367 T, where the gap's slope is a third of L and the
+        # curvature allowance leaves them open; round two measures those 4
+        sizes = self.scan_calls(monkeypatch)
         assert crossing_catalog(from_fields(11245.0, math.pi))
-        assert len(sizes) == 3
-        assert sum(sizes) <= 40
+        assert len(sizes) == 1 and len(sizes[0]) == 2
+        assert sum(sizes[0]) <= 40
+
+    def test_two_nonempty_eigensolves_per_scan(self, monkeypatch):
+        sizes = self.scan_calls(monkeypatch)
+        for e, theta in catalog_pool(60, 1):
+            crossing_catalog(from_fields(e, math.radians(theta)))
+        assert sizes and all(1 <= len(calls) <= 2 and min(calls) > 0 for calls in sizes)
+        # at zero electric field the (4, 5) gap 0.6 |b - d/3| has slope L:
+        # on a bracket centred on its zero, round one's stops rule out every
+        # other point, and round two is not called
+        sizes.clear()
+        lo = np.array([D / 3.0 - 0.15])
+        k_min = crossings._coarse_minimum(build_hamiltonian(from_fields(0.0, 0.9)),
+                                          np.array([[4], [5]]),
+                                          np.linspace(lo, lo + 0.3, 81, axis=1))
+        assert k_min.tolist() == [40] and sizes == [[9]]
 
     def test_curvature_bound(self):
         # -g'' <= (L^2 / 2)(1/s_up + 1/s_down) for every pair i < j, with
@@ -422,23 +447,25 @@ class TestPrunedCoarseScan:
     def test_concave_gap_needs_the_curvature_term(self, monkeypatch):
         # A level of slope 0.1 (state 2) crosses the lower branch of an
         # avoided crossing between slopes 0.3 and -0.3 (states 3 and 4,
-        # coupled by 0.025) twice, near b = 0.952 and 0.988. The lower
+        # coupled by 0.025) twice, near b = 0.953 and 0.987. The lower
         # branch bends down, so between the crossings the (4, 5) gap is
         # concave (g'' down to -3.4 where s_up = 0.05 gives the bound 3.6).
-        # Secant slopes taken as if the gap were convex there overshoot and
-        # prune the point next to the second crossing, the full scan's
-        # minimum. No such bracket exists at zero electric field
-        # or parallel fields, where every level is linear in b and the
-        # separation test alone rules out the concave kinks.
+        # On [0.81, 1.01] the stops 60 and 70 straddle that stretch: their
+        # secant slope, taken as if the gap were convex there, overshoots
+        # and prunes point 57 next to the first crossing, the full scan's
+        # minimum, so the scan returns 71 next to the second. No such
+        # bracket exists at zero electric field or parallel fields, where
+        # every level is linear in b and the separation test alone rules
+        # out the concave kinks.
         h0 = np.diag([5.0, 4.0, 0.176, 0.0, 0.6, -4.0, -5.0, -6.0])
         h0[3, 4] = h0[4, 3] = 0.025
         labels = np.array([[4], [5]])
-        lo, hi = np.array([0.95]), np.array([1.25])
+        lo, hi = np.array([0.81]), np.array([1.01])
         k_min = self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, 81)
-        assert k_min.tolist() == [10]
+        assert k_min.tolist() == [57]
         monkeypatch.setattr(crossings, "_CURVATURE", 0.0)
         assert crossings._coarse_minimum(
-            h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [1]
+            h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [71]
 
     @pytest.mark.parametrize("half_width, configs", [(0.6, 20), (1.5, 8)])
     def test_wide_grids_at_todays_spacing(self, monkeypatch, half_width, configs):
@@ -753,17 +780,16 @@ class TestSharedZeroFieldMatrix:
         assert all(want)
 
     @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
-        (1000.0, 60.0, 8, 174), (3000.0, 60.0, 8, 130),
-        (11245.0, 180.0, 35, 170), (4500.0, 90.0, 8, 81),
+        (1000.0, 60.0, 7, 246), (3000.0, 60.0, 7, 170),
+        (11245.0, 180.0, 34, 172), (4500.0, 90.0, 7, 108),
     ])
     def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
                                       matrices):
-        # one seed call, three rounds of the pruned coarse scan (strides 16,
-        # 4, 1), one eigh per Newton step and one final gap call; at 11245
-        # V/cm antiparallel the four brackets close on exact crossings by
-        # bisection. A V-shaped gap centred between two stride-16 points
-        # bounds every point by the lines of the segments holding it, so
-        # only the points near the kink are measured, on both sides of it
+        # one seed call, two rounds of the pruned coarse scan (every 10th
+        # point, then the points the bounds keep), one eigh per Newton step
+        # and one final gap call; at 11245 V/cm antiparallel the four
+        # brackets close on exact crossings by bisection, and round one's
+        # stops rule out all but 4 points of their V-shaped gaps
         sizes = []
         for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
             def counted(h0, b_tilde, solve=globals()[name]):

@@ -130,6 +130,10 @@ class TestShapeMetrics:
         with pytest.raises(FitError):
             shape_rms_scaled([1.0, 2.0], [0.0, 0.0])
 
+    def test_zero_data_rejected(self):
+        with pytest.raises(FitError, match="data values are identically zero"):
+            shape_rms_scaled([0.0, 0.0], [1.0, 2.0])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(FitError):
             shape_rms_scaled([1.0, 2.0, 3.0], [1.0, 2.0])

@@ -200,10 +200,20 @@ def test_molecule_from_config_partial_keeps_defaults(tmp_path):
     assert mol.electric_dipole == MoleculeParameters().electric_dipole
 
 
+@pytest.mark.parametrize("field", ["lambda_doubling", "electric_dipole"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_molecule_parameters_must_be_positive(field, value):
+    # the config loader rejects such keys first, so only a direct
+    # construction reaches these checks
+    with pytest.raises(ValueError, match=f"{field} must be strictly positive"):
+        MoleculeParameters(**{field: value})
+
+
 def test_molecule_from_config_rejects_garbage(tmp_path):
     for text in ('{"delta_ghz": -1.0, "mu_e_debye": 1.0}',
                  '{"delta_ghz": 1.0, "mu_e_debye": 1.0, "extra": 2}',
                  "{not json",
+                 "[1, 2]",
                  '{"delta_ghz": "x", "mu_e_debye": 1.0}'):
         with pytest.raises(ConfigError):
             molecule_from_config(write_config(tmp_path, text))
