@@ -30,10 +30,9 @@ from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowErro
                       solve_monic_quartics)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
-from .hamiltonian import ZEEMAN_DIAGONAL, build_hamiltonian
+from .hamiltonian import DH_DB_TILDE, along_b, build_hamiltonian
 from .model import ScaledParameters, ValidationError, b_field_from_tilde
-from .spectrum import (numeric_level_derivatives_along_b, numeric_levels,
-                       numeric_levels_along_b)
+from .spectrum import numeric_level_derivatives, numeric_levels
 
 # Measured pair gap below this (internal GHz) classifies a crossing as exact.
 GAP_CLASSIFICATION_THRESHOLD = 1e-7
@@ -65,7 +64,7 @@ _COARSE_POINTS = 81
 # _coarse_minimum's first round measures every _SCAN_STRIDE-th grid point
 _SCAN_STRIDE = 10
 # Lipschitz constant of a pair gap in b_tilde: the spread of dH/d(b_tilde)
-_GAP_LIPSCHITZ = (ZEEMAN_DIAGONAL.max() - ZEEMAN_DIAGONAL.min()) / 10.0
+_GAP_LIPSCHITZ = DH_DB_TILDE.max() - DH_DB_TILDE.min()
 # a pair gap's curvature is at least -_CURVATURE (1/s_up + 1/s_down)
 _CURVATURE = _GAP_LIPSCHITZ ** 2 / 2.0
 _NEWTON_TOL_TESLA = 1e-13
@@ -386,8 +385,8 @@ def _coarse_minimum(h0, labels, grid):
     delta = GAP_MEASUREMENT_FLOOR + 64 eps |H| of the true one.
 
     First order. For fixed labels the gap g = lambda_i - lambda_j of
-    H0 + b Z' (Z' = diag(ZEEMAN_DIAGONAL)/10) is Lipschitz in b with
-    L = (max Z - min Z)/10: by Weyl every level moves by db times a number
+    H0 + b Z' (Z' = diag(DH_DB_TILDE), dH/db) is Lipschitz in b with
+    L = max Z' - min Z': by Weyl every level moves by db times a number
     in [min Z', max Z']. Between measured points l < r a grid point x then
     measures at least G_l - L (x - x_l) and G_r - L (x_r - x), less 2 delta.
 
@@ -430,14 +429,14 @@ def _coarse_minimum(h0, labels, grid):
     m = (k - 1) // _SCAN_STRIDE
     if m < 1 or (k - 1) % _SCAN_STRIDE:
         raise ValueError(f"the coarse scan takes {_SCAN_STRIDE} m + 1 grid points, not {k}")
-    norm = np.linalg.norm(h0) + np.abs(ZEEMAN_DIAGONAL).max() / 10.0 * np.max(
+    norm = np.linalg.norm(h0) + np.abs(DH_DB_TILDE).max() * np.max(
         np.abs(grid), initial=0.0)
     delta = GAP_MEASUREMENT_FLOOR + 64.0 * np.finfo(float).eps * norm
     # round one; the levels padded with +inf above and -inf below:
     # separations at the ends of the spectrum are +inf
     stops = grid[:, ::_SCAN_STRIDE]
     ends = np.full((stops.size, 1), np.inf)
-    levels = np.hstack((ends, numeric_levels_along_b(h0, stops.ravel()), -ends))
+    levels = np.hstack((ends, numeric_levels(along_b(h0, stops.ravel())), -ends))
     i, j = np.repeat(labels, m + 1, axis=1)
     at = np.arange(stops.size)
     # x, the floored gap, s_up and s_down at each stop
@@ -465,7 +464,7 @@ def _coarse_minimum(h0, labels, grid):
                                           + 2.0 * delta))
     if rows.size:
         gaps[rows, segments * _SCAN_STRIDE + points + 1] = _floored_gap(
-            numeric_levels_along_b(h0, inner[rows, segments, points]), labels[:, rows])
+            numeric_levels(along_b(h0, inner[rows, segments, points])), labels[:, rows])
     return np.argmin(gaps, axis=1)
 
 
@@ -489,7 +488,7 @@ def _refine_gap_minima(h0, labels, lo, hi):
     b_min, gap = np.full((2, len(lo)), np.nan)
     tol = _NEWTON_TOL_TESLA / tesla_per_tilde
     while live.size:
-        slopes, curvatures = numeric_level_derivatives_along_b(h0, x)
+        slopes, curvatures = numeric_level_derivatives(along_b(h0, x))
         rows = np.arange(live.size)
         # g'' is not finite where a third level meets level i or j
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -503,7 +502,7 @@ def _refine_gap_minima(h0, labels, lo, hi):
         done = abs(moved - x) <= tol
         b_min[live[done]] = moved[done]
         live, a, x, b, i, j = (v[~done] for v in (live, a, moved, b, i, j))
-    gap[found] = _floored_gap(numeric_levels_along_b(h0, b_min[found]), labels[:, found])
+    gap[found] = _floored_gap(numeric_levels(along_b(h0, b_min[found])), labels[:, found])
     return b_min * tesla_per_tilde, gap
 
 
@@ -606,7 +605,7 @@ def crossing_catalog(p: ScaledParameters, include_mirror: bool = False) -> tuple
     h0 = build_hamiltonian(p.with_b_tilde(0.0))
     found = [(seed, source) for xs, source in _factor_roots(p) for seed in _seeds(xs)]
     seeds = np.array([seed for seed, _ in found])
-    levels = numeric_levels_along_b(h0, seeds)
+    levels = numeric_levels(along_b(h0, seeds))
     pairs = [(4, 5) if source == "f1-analytic" else _minimal_adjacent_pair(row)
              for (_, source), row in zip(found, levels)]
     labels = np.array(pairs, dtype=int).reshape(-1, 2).T

@@ -31,7 +31,7 @@ from .algebra import MonomialTable, horner
 from .hamiltonian import build_hamiltonian
 from .model import (FieldConfiguration, MoleculeParameters, ScaledParameters,
                     scale_parameters)
-from .spectrum import analytic_spectrum, numeric_levels, numeric_levels_along_b
+from .spectrum import analytic_spectrum, numeric_levels
 
 # Leading constant of the pure-power factor f0 = F0_CONSTANT * b_tilde^8.
 F0_CONSTANT = 81.0 / (2 ** 10 * 5 ** 56)
@@ -82,7 +82,8 @@ def f1_quartic_coefficients(e_tilde, delta_tilde, theta) -> tuple:
           + 2.0 * e2 * e2 * (2.0 + c4t))
     c2 = -4.0 / 81.0 * (d2 + 9.0 * e2) * (5.0 * d2 * d2 + 9.0 * c2t * e2 * e2
                                           - 7.0 * (c2t - 3.0) * d2 * e2)
-    c0 = (d2 * d2 + 9.0 * e2 * e2 + 10.0 * d2 * e2) ** 2 / 81.0
+    t = d2 * d2 + 9.0 * e2 * e2 + 10.0 * d2 * e2
+    c0 = t * t / 81.0
     return c0, c2, c4, c6
 
 
@@ -264,7 +265,7 @@ def _localize_fault(p: ScaledParameters, fault) -> tuple:
     x_center = max(p.b_tilde * p.b_tilde, 1e-3 * d * d)
     nodes = np.array([x_center * 2.0 ** ((k - 4) / 4.0) for k in range(9)])
     bt = np.sqrt(nodes)
-    levels = numeric_levels_along_b(build_hamiltonian(p.with_b_tilde(0.0)), bt)
+    levels = numeric_levels(build_hamiltonian(p.with_b_tilde(bt)))
     d_total = discriminant_from_eigenvalues(levels)
     denom = eval_f0_tilde(bt) * eval_f1_tilde(bt, e, d, th)
     with np.errstate(divide="ignore", invalid="ignore"):

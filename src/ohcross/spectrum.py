@@ -11,18 +11,18 @@ independent numeric route, used both as the oracle for the closed form and
 to measure gaps near crossings.
 
 Both routes run on whole arrays of field points. The closed form evaluates
-the frozen coefficients and solves the quartics row-wise. Along B the
-numeric route stacks H = H0 + (b_tilde/10) Z, with H0 the matrix at
-b_tilde = 0 and Z the fixed Zeeman diagonal, bit for bit build_hamiltonian's
-for b_tilde >= 0, into one eigvalsh call (eigh for the derivatives too).
+the frozen coefficients and solves the quartics row-wise. The numeric
+route only measures: it takes a stack of matrices, formed by the
+hamiltonian module, into one eigvalsh call (eigh for the derivatives).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import QUARTIC_RESIDUAL_REL, ResidualError, solve_monic_quartics
-from .hamiltonian import ZEEMAN_DIAGONAL
+from .algebra import (QUARTIC_RESIDUAL_REL, ResidualError, RootOverflowError,
+                      solve_monic_quartics)
+from .hamiltonian import DH_DB_TILDE
 from .model import ValidationError
 
 # At a level crossing the quartic has a double root, which backward error
@@ -82,10 +82,11 @@ def lambda_squared_rows(a, shift) -> np.ndarray:
 
     Row i of `a` holds (a0, a1, a2, a3); `shift` broadcasts against the
     rows. Roots come from the closed-form quartic and must meet its 1e-8
-    residual bound; each lambda^2 must be real and nonnegative to 1e-6 of
-    the largest. They are then clamped at zero and returned ascending,
-    shape (N, 4). If any row fails, the lowest failing row raises, as it
-    would alone: the residual bound before the reality and sign checks.
+    residual bound (RootOverflowError where the residual is not finite);
+    each lambda^2 must be real and nonnegative to 1e-6 of the largest.
+    They are then clamped at zero and returned ascending, shape (N, 4). If
+    any row fails, the lowest failing row raises, as it would alone: the
+    residual bound before the reality and sign checks.
     """
     roots, resid = solve_monic_quartics(a)
     m = roots + np.reshape(shift, (-1, 1))
@@ -97,6 +98,8 @@ def lambda_squared_rows(a, shift) -> np.ndarray:
     failing = np.flatnonzero(off_residual | (imag | negative).any(axis=1))
     if failing.size:
         i = failing[0]
+        if not np.isfinite(resid[i]):
+            raise RootOverflowError("lambda^2 quartic overflows in double precision")
         if off_residual[i]:
             raise ResidualError(f"lambda^2 root residual {resid[i]:.3e} is above "
                                 f"{QUARTIC_RESIDUAL_REL:.1e} of its scale")
@@ -105,16 +108,6 @@ def lambda_squared_rows(a, shift) -> np.ndarray:
         raise HermiticityViolationError(
             f"lambda^2 root {complex(m[i, j])} {what} beyond tolerance")
     return np.sort(np.maximum(m.real, 0.0), axis=1)
-
-
-def _along_b(h0, b_tilde) -> np.ndarray:
-    """H0 + (b_tilde/10) Z stacked over b_tilde. Below b_tilde = 0 it writes
-    +0.0 where build_hamiltonian has -0.0."""
-    b = np.asarray(b_tilde, dtype=float)
-    h = np.empty(b.shape + (8, 8))
-    h[...] = h0
-    h.reshape(b.shape + (64,))[..., ::9] += (b / 10.0)[..., None] * ZEEMAN_DIAGONAL
-    return h
 
 
 def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
@@ -140,7 +133,9 @@ def analytic_spectrum(b_tilde, e_tilde, delta_tilde, theta) -> np.ndarray:
         outer = np.hypot(d[zero] / 10.0, 3.0 * e[zero] / 10.0)
         half[zero] = np.stack([inner, inner, outer, outer], axis=1)
         field = ~zero
-    a = shifted_quartic_coefficients(b[field], e[field], d[field], th[field])
+    # coefficients past the float range fail lambda_squared_rows' residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = shifted_quartic_coefficients(b[field], e[field], d[field], th[field])
     half[field] = np.sqrt(lambda_squared_rows(a, (d[field] / 10.0) ** 2))
     return np.concatenate([half[:, ::-1], -half], axis=1)
 
@@ -153,19 +148,13 @@ def numeric_levels(h) -> np.ndarray:
     return np.linalg.eigvalsh(h)[..., ::-1]
 
 
-def numeric_levels_along_b(h0, b_tilde) -> np.ndarray:
-    """numeric_levels at an array of b_tilde >= 0 from h0 (the matrix at
-    b_tilde = 0), bit for bit as on build_hamiltonian's matrices; shape
-    (..., 8)."""
-    return numeric_levels(_along_b(h0, b_tilde))
-
-
-def numeric_level_derivatives_along_b(h0, b_tilde) -> tuple:
+def numeric_level_derivatives(h) -> tuple:
     """b_tilde slopes v_i^T Z' v_i and curvatures 2 sum_{k!=i} (v_k^T Z' v_i)^2
-    / (lambda_i - lambda_k) (Z' = Z/10) of the levels, descending, at b_tilde
-    >= 0 from h0 by one stacked eigh; (..., 8) each, not finite where levels meet."""
-    levels, v = (a[..., ::-1] for a in np.linalg.eigh(_along_b(h0, b_tilde)))
-    couplings = np.swapaxes(v, -1, -2) @ (ZEEMAN_DIAGONAL[:, None] / 10.0 * v)
+    / (lambda_i - lambda_k) (Z' = diag(DH_DB_TILDE)) of the levels, descending,
+    of one matrix or a stack (..., 8, 8) by one stacked eigh; (..., 8) each,
+    not finite where levels meet."""
+    levels, v = (a[..., ::-1] for a in np.linalg.eigh(h))
+    couplings = np.swapaxes(v, -1, -2) @ (DH_DB_TILDE[:, None] * v)
     splits = levels[..., None, :] - levels[..., :, None] + _NO_SELF_TERM
     with np.errstate(divide="ignore", invalid="ignore"):
         curvatures = 2.0 * (couplings ** 2 / splits).sum(axis=-2)

@@ -784,13 +784,29 @@ class TestConfigAndErrors:
                               "e_tilde = ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        "spectrum --b-max 1e37 --points 3",
+        "spectrum --b-max 1e150 --points 3",
+        "spectrum --e-vcm 1e30 --b-max 1e3",
+    ])
+    def test_spectrum_overflow_is_a_validation_failure(self, argv, capsys):
+        # the fields pass their scaling, but the lambda^2 quartic does not
+        # fit in double precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: lambda^2 quartic overflows in double precision\n"
+
     @pytest.mark.parametrize("e_vcm, theta_deg", [
         (e, theta) for e in ("1e20", "1e90", "1e200") for theta in ("0", "60", "90")
-    ] + [("1e16", "0"), ("1e16", "180")])
+    ] + [("1e16", "0"), ("1e16", "180"), ("1e50", "60"), ("1e70", "0"), ("1e78", "90")])
     def test_catalog_overflow_is_a_validation_failure(self, e_vcm, theta_deg, capsys):
         # the field passes its scaling, but a discriminant factor's roots do
         # not fit in double precision (at 1e16 V/cm and parallel fields only
-        # the special-angle quartic's)
+        # the special-angle quartic's; from about 1e42 to 1e79 V/cm only the
+        # quartic factor's c0, the square of a finite float, overflows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["crossings", "--e-vcm", e_vcm, "--theta-deg", theta_deg]) == 2
@@ -991,6 +1007,7 @@ def test_package_errors_exit_2_for_validation_only(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, code, message", [
     ("crossings --e-vcm 1e200 --theta-deg 60", 2, "discriminant factors overflow "),
+    ("crossings --e-vcm 1e50 --theta-deg 60", 2, "discriminant factors overflow "),
     ("b1 --vs e --e-min 10 --e-max 1e200 --theta-deg 60 --points 3", 2,
      "resolvent closed form overflows "),
     (f"plot --in {GOLDEN / 'mol.json'}", 1, "data file has no rows\n"),

@@ -14,12 +14,11 @@ from ohcross.crossings import (CrossingRecord, NoCriticalFieldError,
                                critical_field_tilde, crossing_catalog,
                                gap_lowest_pair, pair_gap, resolvent_analysis)
 from ohcross.discriminant import f1_quartic_coefficients, g_coefficients
-from ohcross.hamiltonian import build_hamiltonian
+from ohcross.hamiltonian import along_b, build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_field_from_tilde,
                            e_tilde_from_field, scale_parameters)
-from ohcross.spectrum import (numeric_level_derivatives_along_b,
-                              numeric_levels_along_b)
+from ohcross.spectrum import numeric_level_derivatives, numeric_levels
 
 D = 8.335
 MOL = MoleculeParameters()
@@ -213,7 +212,7 @@ class TestGapMinimumRefinement:
 def scan_gaps(h0, labels, grid):
     """Floored pair gaps (labels (2, n)) at every point of grid (n, k), from
     one stacked eigensolve."""
-    gaps = crossings._floored_gap(numeric_levels_along_b(h0, grid.ravel()),
+    gaps = crossings._floored_gap(numeric_levels(along_b(h0, grid.ravel())),
                                   np.repeat(labels, grid.shape[1], axis=1))
     return gaps.reshape(grid.shape)
 
@@ -380,14 +379,14 @@ class TestPrunedCoarseScan:
         call from here on."""
         sizes, scan = [], crossings._coarse_minimum
 
-        def counted(h0, b_tilde):
-            sizes[-1].append(np.size(b_tilde))
-            return numeric_levels_along_b(h0, b_tilde)
+        def counted(h):
+            sizes[-1].append(h.size // 64)
+            return numeric_levels(h)
 
         def coarse(*args):
             sizes.append([])
             with monkeypatch.context() as m:
-                m.setattr(crossings, "numeric_levels_along_b", counted)
+                m.setattr(crossings, "numeric_levels", counted)
                 return scan(*args)
 
         monkeypatch.setattr(crossings, "_coarse_minimum", coarse)
@@ -431,8 +430,8 @@ class TestPrunedCoarseScan:
                                                   (0.0, 30.0, 47.3, 90.0, 123.4, 180.0)):
             h0 = build_hamiltonian(from_fields(e_vcm, math.radians(theta_deg)))
             ends = np.full((len(b), 1), np.inf)
-            levels = np.hstack((ends, numeric_levels_along_b(h0, b), -ends))
-            _, curvatures = numeric_level_derivatives_along_b(h0, b)
+            levels = np.hstack((ends, numeric_levels(along_b(h0, b)), -ends))
+            _, curvatures = numeric_level_derivatives(along_b(h0, b))
             for i, j in itertools.combinations(range(1, 9), 2):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     g2 = curvatures[:, i - 1] - curvatures[:, j - 1]
@@ -791,10 +790,10 @@ class TestSharedZeroFieldMatrix:
         # brackets close on exact crossings by bisection, and round one's
         # stops rule out all but 4 points of their V-shaped gaps
         sizes = []
-        for name in ("numeric_levels_along_b", "numeric_level_derivatives_along_b"):
-            def counted(h0, b_tilde, solve=globals()[name]):
-                sizes.append(np.size(b_tilde))
-                return solve(h0, b_tilde)
+        for name in ("numeric_levels", "numeric_level_derivatives"):
+            def counted(h, solve=globals()[name]):
+                sizes.append(h.size // 64)
+                return solve(h)
 
             monkeypatch.setattr(crossings, name, counted)
         assert crossing_catalog(from_fields(e_vcm, math.radians(theta_deg)))

@@ -80,6 +80,21 @@ def test_constants_live_in_model_only():
         assert counts == {"model.py": 1}, literal
 
 
+def test_one_matrix_construction():
+    # every 8x8 matrix is formed in hamiltonian.py: no other module reads
+    # the Zeeman diagonal or allocates a (..., 8, 8) array
+    found = set()
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "ZEEMAN_DIAGONAL":
+                found.add((path.stem, "ZEEMAN_DIAGONAL"))
+            if isinstance(node, ast.Tuple) and ast.unparse(node) == "(8, 8)":
+                found.add((path.stem, "(8, 8)"))
+    assert found == {("hamiltonian", "ZEEMAN_DIAGONAL"), ("hamiltonian", "(8, 8)")}
+
+
 def _is_horner_step(node) -> bool:
     """An accumulator step `acc = acc * x + c`, or a hand-unrolled Horner
     `(a * x + b) * x + c` (either sum may be a difference)."""

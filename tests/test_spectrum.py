@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from ohcross.algebra import ResidualError
-from ohcross.hamiltonian import build_hamiltonian
+from ohcross.hamiltonian import along_b, build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
                            ScaledParameters, b_tilde_from_field,
                            scale_parameters)
 from ohcross.spectrum import (HermiticityViolationError, analytic_spectrum,
                               lambda_squared_rows,
-                              numeric_level_derivatives_along_b,
-                              numeric_levels, numeric_levels_along_b,
+                              numeric_level_derivatives, numeric_levels,
                               shifted_quartic_coefficients)
 
 MOL = MoleculeParameters()
@@ -389,7 +388,7 @@ class TestLevelsAlongB:
             p = random_params(rng)
             h0 = build_hamiltonian(p.with_b_tilde(0.0))
             bs = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 40)])
-            rows = numeric_levels_along_b(h0, bs)
+            rows = numeric_levels(along_b(h0, bs))
             assert rows.shape == (41, 8)
             for b, row in zip(bs, rows):
                 want = numeric_levels(build_hamiltonian(p.with_b_tilde(float(b))))
@@ -401,7 +400,7 @@ class TestLevelsAlongB:
         p = random_params(rng)
         h0 = build_hamiltonian(p.with_b_tilde(0.0))
         bs = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 23)]).reshape(4, 6)
-        rows = numeric_levels_along_b(h0, bs)
+        rows = numeric_levels(along_b(h0, bs))
         assert rows.shape == (4, 6, 8)
         for b, row in zip(bs.ravel(), rows.reshape(-1, 8)):
             want = numeric_levels(build_hamiltonian(p.with_b_tilde(float(b))))
@@ -410,7 +409,7 @@ class TestLevelsAlongB:
     def test_scalar_field_gives_one_row(self):
         p = params(b_tilde=1.3, e_tilde=0.4, theta=1.0)
         h0 = build_hamiltonian(p.with_b_tilde(0.0))
-        got = numeric_levels_along_b(h0, 1.3)
+        got = numeric_levels(along_b(h0, 1.3))
         assert got.shape == (8,)
         assert got.tobytes() == numeric_levels(build_hamiltonian(p)).tobytes()
 
@@ -422,15 +421,15 @@ class TestLevelsAlongB:
         p = random_params(rng)
         h0 = build_hamiltonian(p.with_b_tilde(0.0))
         bs = rng.uniform(0.5, 20.0, 25)
-        got = numeric_level_derivatives_along_b(h0, bs)
+        got = numeric_level_derivatives(along_b(h0, bs))
         slopes, curvatures = got
         step = 1e-4
-        up, mid, down = (numeric_levels_along_b(h0, bs + s) for s in (step, 0.0, -step))
+        up, mid, down = (numeric_levels(along_b(h0, bs + s)) for s in (step, 0.0, -step))
         assert np.abs((up - down) / (2.0 * step) - slopes).max() <= 1e-7
         fd = (up - 2.0 * mid + down) / step ** 2
         assert (np.abs(fd - curvatures) <= 1e-5 * np.maximum(1.0, np.abs(fd))).all()
         for k, b in enumerate(bs):
-            for whole, one in zip(got, numeric_level_derivatives_along_b(h0, b)):
+            for whole, one in zip(got, numeric_level_derivatives(along_b(h0, b))):
                 assert one.shape == (8,)
                 assert whole[k].tobytes() == one.tobytes()
 
