@@ -31,8 +31,7 @@ import numpy as np
 
 from .fitting import FIT_MODELS, fit_power_law
 from .model import (DEBYE, GHZ_PER_INVERSE_CM, FieldConfiguration,
-                    MoleculeParameters, ScaledParameters, ValidationError,
-                    b_field_from_tilde, b_tilde_from_field, e_tilde_from_field,
+                    MoleculeParameters, ValidationError, b_field_from_tilde,
                     molecule_from_config, scale_parameters)
 
 # GHz per output unit: energies print as internal GHz divided by this.
@@ -46,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
+
+    def _parse_optional(self, arg_string):
+        # every token float() reads is a value: -2e-2 and -inf, not only -0.02
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
 
 # Every number in a data file or fit report prints with this format:
@@ -193,12 +200,10 @@ def _cmd_spectrum(args) -> int:
     mol = _molecule(args)
     theta = _theta(args)
     _check_sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
-    b_tilde_from_field(np.array([args.b_min, args.b_max]))  # overflow names a bound
     b = np.linspace(args.b_min, args.b_max, args.points)
     p = scale_parameters(mol, FieldConfiguration(
-        e_field=args.e_vcm * 100.0, theta=theta))
-    lams = analytic_spectrum(b_tilde_from_field(b), p.e_tilde,
-                             p.delta_tilde, theta)
+        e_field=args.e_vcm * 100.0, b_field=b, theta=theta))
+    lams = analytic_spectrum(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
     rows = np.column_stack([b, lams / _GHZ_PER_UNIT[args.unit]])
     provenance = {
         "b_min_tesla": float(args.b_min), "b_max_tesla": float(args.b_max),
@@ -232,20 +237,6 @@ def _cmd_crossings(args) -> int:
     return 0
 
 
-def _sweep_parameters(mol, e_field, theta) -> ScaledParameters:
-    """ScaledParameters over a sweep from its e_field (V/m) and theta, each
-    a float or an array along the sweep.
-
-    Both run monotonically along a sweep and their accepted values form
-    intervals, so FieldConfiguration and the field scaling check the two
-    end points only, in one call: when both pass, every point does.
-    """
-    ends = scale_parameters(mol, FieldConfiguration(
-        e_field=np.ravel(e_field)[[0, -1]], theta=np.ravel(theta)[[0, -1]]))
-    return ScaledParameters(0.0, e_tilde_from_field(e_field, mol),
-                            ends.delta_tilde, theta)
-
-
 # the sweep options each --vs leaves unread, in the parser's order
 _UNREAD_FLAGS = {
     "e": ("e_vcm", "theta_min_deg", "theta_max_deg", "theta_min_rad", "theta_max_rad"),
@@ -256,9 +247,9 @@ _UNREAD_FLAGS = {
 def _sweep_rows(args, mol, value_fn):
     """Rows of (sweep value, value_fn columns) for b1 and gap sweeps.
 
-    value_fn takes the whole sweep as one ScaledParameters of arrays, after
-    the sweep's end points have passed their field checks. A flag the
-    sweep variable does not read is an error, before any other check.
+    value_fn takes the whole sweep as one ScaledParameters of arrays, whose
+    every point has passed FieldConfiguration. A flag the sweep variable
+    does not read is an error, before any other check.
     """
     unread = [f"--{name.replace('_', '-')}" for name in _UNREAD_FLAGS[args.vs]
               if getattr(args, name) is not None]
@@ -287,7 +278,8 @@ def _sweep_rows(args, mol, value_fn):
             "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
             "points": args.points, "e_vcm": e_vcm,
         }
-    columns = value_fn(_sweep_parameters(mol, e_field, theta))
+    columns = value_fn(scale_parameters(mol, FieldConfiguration(
+        e_field=e_field, theta=theta)))
     return x_name, np.column_stack([xs] + columns), provenance
 
 

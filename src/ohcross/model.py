@@ -134,14 +134,14 @@ def scale_parameters(mol: MoleculeParameters,
 
 def _scaled(scale, field, name: str, unit: str):
     """scale(field) as one array pass, a float for a scalar; ValueError
-    names the first field value whose scaled value is not finite."""
+    names the overflowing field value farthest from zero, a sweep's bound."""
     field = np.asarray(field, dtype=float)
     with np.errstate(over="ignore"):
         value = scale(field)
     finite = np.isfinite(value)
     if not finite.all():
-        raise ValueError(f"{name} {field[~finite].flat[0]:.6g} {unit} overflows "
-                         "its scaled GHz variable")
+        raise ValueError(f"{name} {max(field[~finite].flat, key=abs):.6g} {unit} "
+                         "overflows its scaled GHz variable")
     return float(value) if value.ndim == 0 else value
 
 

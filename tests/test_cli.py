@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -739,6 +740,7 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv, message", [
         (["crossings", "--e-vcm=-1"], "e_field must be >= 0"),
         (["crossings", "--e-vcm=-inf"], "e_field must be >= 0"),
+        (["crossings", "--e-vcm", "-inf"], "e_field must be >= 0"),
         (["spectrum", "--b-min", "0.2", "--b-max", "0.1"],
          "sweep range must satisfy min < max"),
     ])
@@ -839,16 +841,22 @@ class TestConfigAndErrors:
          "e_field 1e+308 V/m overflows"),
         ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
          "--e-vcm 1000 --points 7", "theta must lie in [0, pi]"),
-        # both end points are checked in one call, every rule over both
+        # every point is checked in one call, every rule over all points
         # before any scaling: the theta bound before the overflowing E
         ("b1 --vs theta --theta-min-deg 10 --theta-max-deg 200 "
          "--e-vcm 1e303 --points 3", "theta must lie in [0, pi]"),
         # the typed B bound, not the linspace midpoint 5e+307
         ("spectrum --b-min 0 --b-max 1e308 --points 3",
          "b_field 1e+308 T overflows"),
+        # of the overflowing points, the one farthest from zero
+        ("spectrum --b-min=-5e307 --b-max 1e308 --points 3",
+         "b_field 1e+308 T overflows"),
+        # the B sweep is a field too: every rule before any scaling
+        ("spectrum --b-max 1e308 --e-vcm -1 --points 3",
+         "e_field must be >= 0"),
     ])
-    def test_sweep_checks_its_end_points_first(self, argv, message, capsys,
-                                               monkeypatch):
+    def test_sweep_checks_every_point_before_scaling(self, argv, message, capsys,
+                                                     monkeypatch):
         def never(*args):
             raise AssertionError("the closed form ran")
 
@@ -889,6 +897,26 @@ class TestConfigAndErrors:
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
         assert "spectrum" in capsys.readouterr().out
+        assert run(["hamiltonian", "-h"]) == 0
+        assert "--b-tesla" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spaced", [
+        "hamiltonian --b-tesla -2e-2",
+        "spectrum --b-min -1e-3 --b-max 1e-3 --points 3",
+        "fit --in cube.csv --model power-in-E --window-min -1e3 --window-max 5",
+    ])
+    def test_negative_exponent_form_is_a_value(self, spaced, tmp_path,
+                                               monkeypatch, capsys):
+        # argparse alone reads -0.02 as a value but -2e-2 as an option; a
+        # value float() reads prints as it does in the --flag=value form
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cube.csv").write_text(
+            "x,y\n" + "".join(f"{x},{2 * x ** 3}\n" for x in range(1, 6)))
+        joined = re.sub(r" (-[\d.])", r"=\1", spaced)
+        assert run(joined.split()) == 0
+        want = capsys.readouterr()
+        assert run(spaced.split()) == 0
+        assert capsys.readouterr() == want
 
 
 class TestParserReuse:
@@ -1011,6 +1039,7 @@ def test_package_errors_exit_2_for_validation_only(monkeypatch, capsys):
     ("b1 --vs e --e-min 10 --e-max 1e200 --theta-deg 60 --points 3", 2,
      "resolvent closed form overflows "),
     (f"plot --in {GOLDEN / 'mol.json'}", 1, "data file has no rows\n"),
+    ("crossings --e-vcm -inf", 1, "e_field must be >= 0\n"),
 ])
 def test_fresh_process_exit_codes(argv, code, message, tmp_path):
     # the error classes that exit 2 share a base class in model, which

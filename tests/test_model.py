@@ -88,8 +88,11 @@ def test_field_too_large_to_scale_rejected():
     mol = MoleculeParameters()
     with pytest.raises(ValueError, match="b_field 1e\\+308 T overflows"):
         scale_parameters(mol, FieldConfiguration(b_field=1e308))
-    with pytest.raises(ValueError, match="e_field 5e\\+307 V/m overflows"):
+    # of the overflowing entries, the one farthest from zero: a sweep's bound
+    with pytest.raises(ValueError, match="e_field 1e\\+308 V/m overflows"):
         e_tilde_from_field(np.array([0.0, 5e307, 1e308]), mol)
+    with pytest.raises(ValueError, match="b_field -1e\\+308 T overflows"):
+        b_tilde_from_field(np.array([0.0, -5e307, -1e308]))
     with pytest.raises(ValueError, match="b_field -1e\\+308 T"):
         b_tilde_from_field(np.float64(-1e308))
 

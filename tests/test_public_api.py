@@ -95,6 +95,18 @@ def test_one_matrix_construction():
     assert found == {("hamiltonian", "ZEEMAN_DIAGONAL"), ("hamiltonian", "(8, 8)")}
 
 
+def test_cli_scales_fields_one_way():
+    # every command gets its scaled fields from scale_parameters on a
+    # FieldConfiguration, so every field value passes the field rules
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "ohcross" / "cli.py").read_text())):
+        names.add(node.id if isinstance(node, ast.Name)
+                  else node.name if isinstance(node, ast.alias)
+                  else node.attr if isinstance(node, ast.Attribute) else None)
+    assert {"FieldConfiguration", "scale_parameters"} <= names
+    assert not names & {"ScaledParameters", "b_tilde_from_field", "e_tilde_from_field"}
+
+
 def _is_horner_step(node) -> bool:
     """An accumulator step `acc = acc * x + c`, or a hand-unrolled Horner
     `(a * x + b) * x + c` (either sum may be a difference)."""
