@@ -13,21 +13,18 @@ import numpy as np
 from ohcross import (FieldConfiguration, MoleculeParameters,
                      b1_exact_tilde, best_shape_exponent, fit_power_law,
                      gap_lowest_pair, render_line_plot, scale_parameters)
-from ohcross.model import ScaledParameters, e_tilde_from_field
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 mol = MoleculeParameters()
-delta_tilde = scale_parameters(mol, FieldConfiguration()).delta_tilde
 theta = math.pi / 3.0
 
 
 def gaps_at(e_vcm, th):
     """Gaps at the first crossing along a sweep of E (V/cm) or theta: one
     b1 call and one stacked gap measurement for the whole sweep."""
-    p = ScaledParameters(0.0, e_tilde_from_field(e_vcm * 100.0, mol),
-                         delta_tilde, th)
+    p = scale_parameters(mol, FieldConfiguration(e_field=e_vcm * 100.0, theta=th))
     b1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
     return gap_lowest_pair(p.with_b_tilde(b1))
 

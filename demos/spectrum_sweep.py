@@ -11,7 +11,7 @@ import numpy as np
 
 from ohcross import (FieldConfiguration, MoleculeParameters,
                      analytic_spectrum, b1_exact_tilde, b_field_from_tilde,
-                     b_tilde_from_field, render_line_plot, scale_parameters)
+                     render_line_plot, scale_parameters)
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -20,10 +20,9 @@ mol = MoleculeParameters()
 theta = math.radians(60.0)
 b_grid = np.linspace(0.0, 0.2, 401)
 
-p0 = scale_parameters(mol, FieldConfiguration(theta=theta))
+p = scale_parameters(mol, FieldConfiguration(b_field=b_grid, theta=theta))
 # one closed-form call for the whole grid: rows are points, columns levels
-rows = analytic_spectrum(b_tilde_from_field(b_grid), p0.e_tilde,
-                         p0.delta_tilde, theta)
+rows = analytic_spectrum(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
 
 csv_path = OUT / "spectrum_theta60.csv"
 with open(csv_path, "w") as fh:
@@ -41,5 +40,5 @@ svg = render_line_plot(b_grid, series,
 
 print(f"wrote {csv_path}")
 # the closed-form first crossing, a one-point call
-b1 = b1_exact_tilde(p0.e_tilde, p0.delta_tilde, theta)
+b1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
 print(f"levels 4 and 5 first touch at B = {b_field_from_tilde(b1):.6f} T")

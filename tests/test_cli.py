@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import ast
+import errno
 import json
 import math
 import os
@@ -686,6 +687,73 @@ class TestHamiltonian:
         for i in range(8):
             for j in range(8):
                 assert values[i][j] == values[j][i]
+
+
+class TestOutputFile:
+    """--out rewrites a file in place, without O_TRUNC, and cuts it to length."""
+
+    ARGV = ["hamiltonian", "--b-tesla", "0.1", "--e-vcm", "1000", "--theta-deg", "60"]
+
+    def test_shorter_rewrite_leaves_new_bytes_in_same_inode(self, tmp_path, capsys):
+        out = tmp_path / "h.txt"
+        out.write_bytes(b"x" * 20000)
+        inode = out.stat().st_ino
+        assert run(self.ARGV + ["--out", str(out)]) == 0
+        assert run(self.ARGV) == 0
+        want = capsys.readouterr().out.encode()
+        assert len(want) < 20000
+        assert out.read_bytes() == want
+        assert out.stat().st_ino == inode
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null(self, capsys):
+        assert run(self.ARGV + ["--out", "/dev/null"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX errno texts")
+    @pytest.mark.parametrize("target, code", [("adir", errno.EISDIR),
+                                              ("missing/h.txt", errno.ENOENT)])
+    def test_unwritable_target_keeps_its_error_line(self, target, code, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        assert run(self.ARGV + ["--out", target]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n")
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.skipif(os.name != "posix", reason="RLIMIT_FSIZE")
+    def test_failed_write_cuts_the_file(self, tmp_path):
+        # a file-size limit below the output's length fails the write part
+        # way: the file is cut to zero, never new bytes followed by old ones
+        out = tmp_path / "h.txt"
+        out.write_bytes(b"x" * 20000)
+        code = ("import resource, sys\n"
+                "from ohcross.cli import run\n"
+                "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+                "resource.setrlimit(resource.RLIMIT_FSIZE, (256, hard))\n"
+                f"sys.exit(run({self.ARGV + ['--out', str(out)]!r}))\n")
+        done = _fresh(["-c", code], tmp_path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert out.read_bytes() == b""
+
+    def test_emit_never_passes_o_trunc(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "h.txt")
+        flags = []
+        real_open = os.open
+
+        def spy(path, flag, *rest, **kwargs):
+            if path == out:
+                flags.append(flag)
+            return real_open(path, flag, *rest, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run(self.ARGV + ["--out", out]) == 0  # creates the file
+        assert run(self.ARGV + ["--out", out]) == 0  # rewrites it
+        assert len(flags) == 2
+        assert all(flag & os.O_WRONLY and flag & os.O_CREAT
+                   and not flag & os.O_TRUNC for flag in flags)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))

@@ -137,6 +137,28 @@ def test_one_horner_helper():
     assert found == {("algebra", "horner")}
 
 
+def _opens_to_write(node):
+    """os.open, or open() with a literal mode holding w, a, x or +."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func)
+    modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+    return name == "os.open" or name == "open" and any(
+        isinstance(mode, ast.Constant) and set(mode.value) & set("wax+") for mode in modes)
+
+
+def test_one_file_writer():
+    # every output file is written by cli._emit (through its opener), the
+    # one in-place rewrite it documents
+    found = set()
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                    _opens_to_write(node) for node in ast.walk(func)):
+                found.add((path.stem, func.name))
+    assert found == {("cli", "_emit"), ("cli", "_open_in_place")}
+
+
 # The functions that read the frozen tables, by module.
 TABLE_FORMS = {"discriminant": ("g_coefficients", "_special_angle_quartics")}
 
