@@ -18,6 +18,16 @@ a header row naming columns with units, and 12-significant-digit values.
 Each launch is a fresh process, so each command imports only what it runs:
 this module loads numpy, argparse and the model and fitting modules the
 parser reads, and each handler imports the modules of its own command.
+
+argv is read in one pass when it is well formed: a command, then exact
+long options, none repeated, each with a value its type and choices
+accept (or none, for a flag). The pass reads the option table, defaults,
+required options and exclusive groups of the command's own argparse
+parser, and returns the Namespace argparse would. Everything else (-h,
+--opt=value, abbreviations, unknown, repeated or malformed options) goes
+to argparse unchanged, so help, usage, messages and exit codes are
+argparse's. Both read every token float() reads as a value, so -2e-2 and
+-inf are values and not options.
 """
 
 from __future__ import annotations
@@ -40,6 +50,14 @@ from .model import (DEBYE, GHZ_PER_INVERSE_CM, FieldConfiguration,
 _GHZ_PER_UNIT = {"percm": GHZ_PER_INVERSE_CM, "ghz": 1.0}
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with status 1."""
 
@@ -50,11 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
     def _parse_optional(self, arg_string):
         # every token float() reads is a value: -2e-2 and -inf, not only -0.02
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        if _is_number(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 # Every number in a data file or fit report prints with this format:
@@ -541,10 +557,80 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _commands() -> dict:
+    """Per command: its parser's option table, the Namespace values before
+    any option is read, its required actions and its exclusive groups,
+    read off build_parser() on first use."""
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    commands = {}
+    for name, sp in subs.choices.items():
+        # parse_known_args' order: action defaults, then set_defaults
+        values = {}
+        for action in sp._actions:
+            if (action.dest is not argparse.SUPPRESS
+                    and action.default is not argparse.SUPPRESS):
+                values.setdefault(action.dest, action.default)
+        for dest, value in sp._defaults.items():
+            values.setdefault(dest, value)
+        commands[name] = (
+            sp._option_string_actions, {subs.dest: name, **values},
+            frozenset(action for action in sp._actions if action.required),
+            [frozenset(group._group_actions)
+             for group in sp._mutually_exclusive_groups])
+    return commands
+
+
+def _read_argv(argv):
+    """The Namespace build_parser().parse_args(argv) returns, read in one
+    pass, or None when argv is not of the one form read here: a command
+    name, then exact long options, none repeated, each followed by a value
+    its type and choices accept (a value may start with '-' only when
+    float() reads it) or, for a store_true flag, by nothing. Every required
+    option is given and at most one flag of each exclusive group. argparse
+    reads whatever returns None, with its own help, messages and exit codes.
+    """
+    command = _commands().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options, values, required, groups = command
+    values = dict(values)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        kind = type(action)
+        if kind is argparse._StoreTrueAction:
+            values[action.dest] = action.const
+            continue
+        if kind is not argparse._StoreAction or action.nargs is not None:
+            return None
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not _is_number(value):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= seen or any(len(group & seen) > 1 for group in groups):
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
     try:
-        args = parser.parse_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -1,7 +1,10 @@
 """End-to-end checks of the command line interface."""
 
+import argparse
 import ast
+import contextlib
 import errno
+import io
 import json
 import math
 import os
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohcross import algebra, cli, crossings, discriminant
 from ohcross.cli import build_parser, run
@@ -999,6 +1004,145 @@ class TestParserReuse:
         assert "error:" in capsys.readouterr().err
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+
+def _command_parsers():
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return subs.choices
+
+
+def _argparse_result(argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of
+    build_parser().parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    args = code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+def _values(args) -> dict:
+    # repr, so that NaN equals NaN and -0.0 differs from 0.0
+    return {key: repr(value) for key, value in vars(args).items()}
+
+
+# Values the property test draws besides each command's choices and its
+# option strings: number forms float() reads, and text no option takes
+_NUMBER_LIKE = ["60", "1_0", "-2e-2", "-inf", "nan"]
+_MALFORMED = ["-", "", "x"]
+
+
+@st.composite
+def _argvs(draw, command):
+    """A command's argv: its options in any order, each with a value from
+    its choices or from number-like text, then up to two tokens inserted
+    anywhere from its option strings, their prefixes, their --opt=value
+    forms, number-like and malformed text."""
+    parser = _command_parsers()[command]
+    options = sorted(parser._option_string_actions)
+    values = st.sampled_from(
+        [choice for action in parser._actions if action.choices
+         for choice in action.choices] + _NUMBER_LIKE + _MALFORMED + options)
+    chunks = []
+    for action in parser._actions:
+        forms = [[name] if action.nargs == 0 else [name, value]
+                 for name in action.option_strings
+                 for value in action.choices or _NUMBER_LIKE]
+        # an optional action is left out about half the time, help mostly
+        help_ = isinstance(action, argparse._HelpAction)
+        left_out = 0 if action.required else len(forms) * (9 if help_ else 1)
+        chunks.append(draw(st.sampled_from([[]] * left_out + forms)))
+    draw(st.randoms(use_true_random=False)).shuffle(chunks)
+    argv = [command] + [token for chunk in chunks for token in chunk]
+    option = st.sampled_from(options)
+    token = st.one_of(
+        option, values,
+        st.tuples(option, st.integers(1, 6)).map(lambda t: t[0][:t[1]]),
+        st.tuples(option, values).map("=".join))
+    for extra in draw(st.lists(token, max_size=2)):
+        argv.insert(draw(st.integers(1, len(argv))), extra)
+    return argv
+
+
+class TestOnePassReader:
+    @pytest.mark.parametrize("command", sorted(_command_parsers()))
+    def test_reads_what_argparse_reads(self, command):
+        @settings(derandomize=True, max_examples=40, deadline=None,
+                  database=None)
+        @given(_argvs(command))
+        def check(argv):
+            args, code, _, _ = _argparse_result(argv)
+            got = cli._read_argv(argv)
+            if code is not None:
+                assert got is None
+            elif got is not None:
+                assert _values(got) == _values(args)
+
+        check()
+
+    def test_every_action_is_one_the_reader_reads(self):
+        # the reader takes only the command name from the top-level parser
+        top = build_parser()
+        assert [type(action) for action in top._actions] == [
+            argparse._HelpAction, argparse._SubParsersAction]
+        assert top._defaults == {}
+        for name, parser in _command_parsers().items():
+            for action in parser._actions:
+                assert action.option_strings, (name, action.dest)
+                kind = type(action)
+                assert (kind in (argparse._StoreTrueAction, argparse._HelpAction)
+                        or kind is argparse._StoreAction and action.nargs is None), \
+                    (name, action.dest, kind)
+                if isinstance(action.default, str):
+                    assert action.type is None, (name, action.dest)
+            assert not any(group.required
+                           for group in parser._mutually_exclusive_groups), name
+
+    @pytest.mark.parametrize("line", list(GOLDEN_COMMANDS.values()) + re.findall(
+        r"^ohcross (.+)$", (Path(__file__).parents[1] / "README.md").read_text(),
+        flags=re.M))
+    def test_golden_and_readme_commands_are_read_in_one_pass(self, line):
+        argv = line.split()
+        got = cli._read_argv(argv)
+        assert got is not None
+        assert _values(got) == _values(_argparse_result(argv)[0])
+
+    @pytest.mark.parametrize("line, same_as", [
+        ("--help", None),
+        ("spectrum -h", None),
+        ("crossings --e-vcm=-1", "crossings --e-vcm -1"),
+        ("crossings --e-v 100", "crossings --e-vcm 100"),
+        ("spectrum --b-max 1 --points 3 --points 5", "spectrum --b-max 1 --points 5"),
+        ("crossings --theta-deg 1 --theta-rad 1", None),
+        ("spectrum --points 3", None),
+        ("spectrum --b-max 1 --unit GHZ", None),
+        ("spectrum --b-max 1 --points x", None),
+        ("audit --foo 1", None),
+        ("audit --out", None),
+        ("hamiltonian --b-tesla -x", None),
+        ("crossings --out --include-mirror", None),
+        ("spectrum --help 1 --b-max 1", None),
+    ])
+    def test_other_forms_go_to_argparse(self, line, same_as, capsys):
+        """argparse reads these: where it exits, run() exits with its code
+        and output; where it reads them, run() prints what the one-pass
+        form of the same Namespace prints."""
+        argv = line.split()
+        assert cli._read_argv(argv) is None
+        args, code, out, err = _argparse_result(argv)
+        got = run(argv)
+        if same_as is None:
+            assert code is not None
+            assert (got, *capsys.readouterr()) == (code, out, err)
+            return
+        assert code is None
+        assert _values(args) == _values(cli._read_argv(same_as.split()))
+        printed = capsys.readouterr()
+        assert (run(same_as.split()), capsys.readouterr()) == (got, printed)
 
 
 @pytest.mark.parametrize("argv, levels_calls", [

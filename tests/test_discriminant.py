@@ -308,8 +308,9 @@ def test_octic_table_factors_the_discriminant_exactly(cos, sin, b, e):
     h[:4, 4:] = h[4:, :4] = -ang * et / 10
     dm = DomainMatrix.from_list_sympy(8, 8, h.tolist(), extension=True)
     assert dm.domain == sp.QQ.algebraic_field(r)
-    lam = sp.Symbol("lam")
-    disc = sp.discriminant(sp.Poly([dm.domain.to_sympy(k) for k in dm.charpoly()], lam))
+    lam, m = sp.Symbol("lam"), sp.Symbol("m")
+    charpoly = [dm.domain.to_sympy(k) for k in dm.charpoly()]
+    disc = sp.discriminant(sp.Poly(charpoly, lam))
     x, e2, d2 = b * b, e * e, d * d
     c2t = 2 * cos * cos - 1
     c4t = 2 * c2t * c2t - 1
@@ -322,6 +323,14 @@ def test_octic_table_factors_the_discriminant_exactly(cos, sin, b, e):
     f2 = sum(g * x ** k for k, g in enumerate(exact_rows(discriminant._OCTIC, e2, d2, cos * cos)))
     want = Fraction(81, 2 ** 10 * 5 ** 56) * x ** 4 * f1 * f2 * f2
     assert disc == sp.Rational(want.numerator, want.denominator)
+    # det(lambda I - H) = Q(lambda^2), and f2 = (2^5 5^24 / 9) disc_m(Q) / b^4,
+    # where disc_m(Q) = prod (m_k - m_l)^2 over Q's real roots m = lambda^2:
+    # the identity that keeps f2 >= 0 on the real B axis
+    assert charpoly[1::2] == [0] * 4
+    disc_q = sp.discriminant(sp.Poly(charpoly[::2], m))
+    assert disc_q > 0
+    assert sp.Rational(f2.numerator, f2.denominator) == \
+        sp.Rational(2 ** 5 * 5 ** 24, 9) * disc_q / bt ** 4
 
 
 class TestAudit:
