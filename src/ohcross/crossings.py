@@ -401,24 +401,28 @@ def _coarse_minimum(h0, labels, grid):
     where a missing neighbour (the end of the spectrum) counts as s = inf.
     Where i meets j, or a level between them, g has a convex kink, which
     the bound allows; where i meets i - 1 or j meets j + 1 the bound has no
-    finite value. The separations are L-Lipschitz too, so on [x_a, x_b]
-    they are at least their smallest value measured at x_a, x_l, x_r, x_b,
-    less L (x_b - x_a) + 2 delta. Where both such bounds are positive, take
-    M = (L^2 / 2)(1/s_up + 1/s_down) from them: then
-        phi = g + (M/2) (x - x_l)(x - x_r)
-    is convex on [x_a, x_b] for measured x_a < x_l < x_r < x_b, and
-    phi <= g on [x_l, x_r], where phi equals g at both ends. On [x_l, x_r]
-    phi' is at least the secant slope of phi over [x_a, x_l] and at most
-    that over [x_r, x_b], each known from the measured gaps to within
-    2 delta over its width. So on [x_l, x_r] g is at least each of the two
-    lines through (x_l, g_l) and (x_r, g_r) with those slopes, and a grid
-    point measures at least either line's value there less 2 delta. A
-    segment at a row's edge has no outer neighbour and takes the first
-    order lines alone.
+    finite value. The separations are L-Lipschitz too, so on a window of
+    three measured stops they are at least their smallest value measured
+    there, less L times the window's width plus 2 delta. For measured
+    x_a < x_l < x_r < x_b, the left bound needs a window [x_a, x_r] and
+    the right one [x_l, x_b]. Where both separation bounds of a window are
+    positive, take M = (L^2 / 2)(1/s_up + 1/s_down) from them: then
+        phi = g + (M/2) (x - x_l)^2
+    is convex on [x_a, x_r], and on [x_l, x_r] phi' is at least phi's
+    secant slope over [x_a, x_l],
+        S = (g_l - g_a) / (x_l - x_a) - (M/2) (x_l - x_a),
+    known from the measured gaps to within 2 delta over x_l - x_a. So at
+    x = x_l + u in the segment g >= g_l + S u - (M/2) u^2. The right bound
+    is the mirror image: phi = g + (M/2) (x - x_r)^2 on [x_l, x_b], with
+    phi's secant slope over [x_r, x_b], from (x_r, g_r). A grid point
+    measures at least either bound's value there less 2 delta. A segment
+    at a row's edge has no outer neighbour on that side and takes its
+    inner bound alone; a row of one segment takes the first order ones
+    alone.
 
     Round one measures every _SCAN_STRIDE-th point, the row's ends among
     them, so each segment's outer neighbours are one stride out. Each point
-    strictly inside a segment is bounded by the largest of the four lines
+    strictly inside a segment is bounded by the largest of the four bounds
     there. Round two measures, in one stacked eigensolve for all rows, the
     points whose bound is at most the row's best measured gap plus 2 delta,
     if any. No other point can be the minimum or tie with it, so the argmin
@@ -451,15 +455,18 @@ def _coarse_minimum(h0, labels, grid):
     (xa, xl, xr, xb), (ga, gl, gr, gb) = quad[:2]
     inner = grid[:, :-1].reshape(n, m, _SCAN_STRIDE)[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = quad[2:].min(axis=1) - (_GAP_LIPSCHITZ * (xb - xa) + 2.0 * delta)
-        half_m = np.where((s > 0.0).all(axis=0), _CURVATURE * (1.0 / s).sum(axis=0),
-                          np.nan) / 2.0
-        lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_m * (xr - xa)
-        hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_m * (xb - xl)
-        # the four lines at the points strictly inside each segment
+        # M / 2 of the left bound over [x_a, x_r] and of the right one over [x_l, x_b]
+        half_lo, half_hi = (
+            np.where((s > 0.0).all(axis=0), _CURVATURE * (1.0 / s).sum(axis=0), np.nan) / 2.0
+            for s in (quad[2:, :3].min(axis=1) - (_GAP_LIPSCHITZ * (xr - xa) + 2.0 * delta),
+                      quad[2:, 1:].min(axis=1) - (_GAP_LIPSCHITZ * (xb - xl) + 2.0 * delta)))
+        lo = (gl - ga - 2.0 * delta) / (xl - xa) - half_lo * (xl - xa)
+        hi = (gb - gr + 2.0 * delta) / (xb - xr) + half_hi * (xb - xr)
+        # the four bounds at the points strictly inside each segment
         u, w = inner - xl, xr - inner
         bound = functools.reduce(np.fmax, (gl - _GAP_LIPSCHITZ * u, gr - _GAP_LIPSCHITZ * w,
-                                           gl + lo * u, gr - hi * w))
+                                           gl + (lo - half_lo * u) * u,
+                                           gr - (hi + half_hi * w) * w))
     rows, segments, points = np.nonzero(~(bound > gaps.min(axis=1)[:, None, None]
                                           + 2.0 * delta))
     if rows.size:

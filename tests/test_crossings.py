@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohcross import algebra, crossings
 from ohcross.algebra import QUARTIC_RESIDUAL_REL, ResidualError, numeric_roots
@@ -466,6 +468,50 @@ class TestPrunedCoarseScan:
         assert crossings._coarse_minimum(
             h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [71]
 
+    def test_edge_segment_line_needs_the_curvature_term(self, monkeypatch):
+        # The gap of test_concave_gap_needs_the_curvature_term on [0.94, 1.14]:
+        # the full scan's minimum, point 5, lies in the first segment, which
+        # has no left neighbour and so only its right line. That line takes
+        # its slope from stops 10 and 20, across the concave stretch between
+        # the two crossings; taken as if the gap were convex there, it
+        # prunes point 5, and the scan returns 19 next to the second crossing.
+        h0 = np.diag([5.0, 4.0, 0.176, 0.0, 0.6, -4.0, -5.0, -6.0])
+        h0[3, 4] = h0[4, 3] = 0.025
+        labels = np.array([[4], [5]])
+        lo, hi = np.array([0.94]), np.array([1.14])
+        k_min = self.assert_full_scan_bits(monkeypatch, h0, labels, lo, hi, 81)
+        assert k_min.tolist() == [5]
+        monkeypatch.setattr(crossings, "_CURVATURE", 0.0)
+        assert crossings._coarse_minimum(
+            h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [19]
+
+    def test_catalog_pool_measures_few_points_per_bracket(self, monkeypatch):
+        # round one's 9 stops and round two's points, over the pool's 1,078
+        # brackets: 20.6 per bracket; a scan whose curvature bounds take
+        # four-stop windows, and none at a row's edges, measures 29.2
+        sizes = self.scan_calls(monkeypatch)
+        brackets = sum(len(args[2]) for args, _ in
+                       self.refinements(monkeypatch, catalog_pool(200, 18)))
+        assert sum(map(sum, sizes)) / brackets <= 21.0
+
+    def test_whole_domain_scans_equal_full_scans(self, monkeypatch):
+        # E log-uniform over 1 V/cm - 100 kV/cm; theta uniform, or within
+        # 1e-9 - 1e-3 of an angle where the levels or the factors change form
+        special = st.sampled_from([0.0, math.pi / 6.0, math.pi / 2.0,
+                                   5.0 * math.pi / 6.0, math.pi])
+        shift = st.builds(lambda sign, power: sign * 10.0 ** power,
+                          st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -3.0))
+        near = st.builds(lambda a, d: min(max(a + d, 0.0), math.pi), special, shift)
+
+        @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+        @given(st.floats(0.0, 5.0), st.one_of(st.floats(0.0, math.pi), near))
+        def check(log_e, theta):
+            for args, got in self.refinements(monkeypatch,
+                                              [(10.0 ** log_e, math.degrees(theta))]):
+                self.assert_full_scan_bits(monkeypatch, *args, got=got)
+
+        check()
+
     @pytest.mark.parametrize("half_width, configs", [(0.6, 20), (1.5, 8)])
     def test_wide_grids_at_todays_spacing(self, monkeypatch, half_width, configs):
         step = 2.0 * crossings.SEARCH_HALF_WIDTH_TILDE / (crossings._COARSE_POINTS - 1)
@@ -779,8 +825,8 @@ class TestSharedZeroFieldMatrix:
         assert all(want)
 
     @pytest.mark.parametrize("e_vcm, theta_deg, calls, matrices", [
-        (1000.0, 60.0, 7, 246), (3000.0, 60.0, 7, 170),
-        (11245.0, 180.0, 34, 172), (4500.0, 90.0, 7, 108),
+        (1000.0, 60.0, 7, 185), (3000.0, 60.0, 7, 110),
+        (11245.0, 180.0, 34, 172), (4500.0, 90.0, 7, 71),
     ])
     def test_catalog_eigensolve_count(self, monkeypatch, e_vcm, theta_deg, calls,
                                       matrices):
