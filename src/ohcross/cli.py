@@ -201,35 +201,48 @@ def _check_sweep(lo, hi, points: int, bounds: str) -> None:
 
 
 def _table(header: list, lines: list):
-    """The data lines as one (row, column) float array: all cells split in
-    one pass and parsed by float() in one numpy call. Otherwise PlotError
-    names the first bad line, as a row-by-row parse would."""
+    """The data lines as one (row, column) float array from one np.loadtxt
+    call, whose C reader gives float()'s value bit for bit. Rows it refuses
+    or skips, and lines holding U+001C..U+001F (it strips them around a
+    cell, float() refuses them), take the row-by-row pass of _float_rows."""
     width = len(header)
-    if all(line.count(",") == width - 1 for line in lines):
-        cells = ",".join(lines).split(",")
+    text = "\n".join(lines)
+    # all-blank input would make loadtxt warn that it holds no data
+    if text.strip("\n") and not any(c in text for c in "\x1c\x1d\x1e\x1f"):
         try:
-            return np.fromiter(map(float, cells), float,
-                               len(cells)).reshape(-1, width)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
+        else:
+            if table.shape == (len(lines), width):
+                return table
+    return _float_rows(width, lines)
+
+
+def _float_rows(width: int, lines: list):
+    """The data lines parsed row by row with float(): the (row, column)
+    table, or PlotError naming the first bad line."""
     from .plotting import PlotError
 
+    rows = []
     for line in lines:
         cells = line.split(",")
         if len(cells) != width:
             raise PlotError(f"row has {len(cells)} cells, header has {width}")
         try:
-            list(map(float, cells))
+            rows.append(list(map(float, cells)))
         except ValueError as exc:
             raise PlotError(f"non-numeric value in data row: {line}") from exc
-    raise AssertionError("the one-call parse failed on rows that parse")
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
 def _read_data(path) -> tuple:
     """Parse a CSV data file: ('#' comments skipped) header + float rows.
 
-    Returns the header and a (column, row) float array. Bytes that do not
-    decode raise as the file is read, after any bad row before them.
+    Returns the header and a (column, row) float array, the rows parsed
+    by _table in one np.loadtxt call. The file is read line by line, so
+    bytes that do not decode raise as they are read, after any bad row
+    before them.
     """
     lines = []
     with open(path, "r", encoding="utf-8") as fh:

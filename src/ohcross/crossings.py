@@ -373,11 +373,15 @@ def _minimal_adjacent_pair(levels) -> tuple:
     return best[1]
 
 
-def _coarse_minimum(h0, labels, grid):
-    """np.argmin, row by row, of the floored pair gaps (labels (2, n), i < j)
-    at the points of grid (n, k) (internal units, ascending, k = 10 m + 1,
-    m >= 1) from h0, the zero-field matrix, measuring only the points that
-    could hold the minimum.
+def _coarse_bounds(h0, labels, grid):
+    """Round one of _coarse_minimum on the floored pair gaps (labels (2, n),
+    i < j) at the points of grid (n, k) (internal units, ascending,
+    k = 10 m + 1, m >= 1) from h0, the zero-field matrix. Returns gaps
+    (n, k), measured at every _SCAN_STRIDE-th point (the rows' ends among
+    them) and +inf elsewhere; inner (n, m, _SCAN_STRIDE - 1), the points
+    strictly inside each segment between those stops; bound, of inner's
+    shape, where the floored gap measured at each of those points is at
+    least bound - 2 delta; and delta.
 
     Noise. LAPACK's eigenvalues are within a small multiple of eps |H| (64
     here, which also covers the matrix build and the subtraction), so a
@@ -420,14 +424,9 @@ def _coarse_minimum(h0, labels, grid):
     inner bound alone; a row of one segment takes the first order ones
     alone.
 
-    Round one measures every _SCAN_STRIDE-th point, the row's ends among
-    them, so each segment's outer neighbours are one stride out. Each point
+    Each segment's outer neighbours are one stride out, and each point
     strictly inside a segment is bounded by the largest of the four bounds
-    there. Round two measures, in one stacked eigensolve for all rows, the
-    points whose bound is at most the row's best measured gap plus 2 delta,
-    if any. No other point can be the minimum or tie with it, so the argmin
-    over the measured points (the rest +inf) is the full scan's, first
-    index on ties included.
+    there.
     """
     n, k = grid.shape
     m = (k - 1) // _SCAN_STRIDE
@@ -467,6 +466,23 @@ def _coarse_minimum(h0, labels, grid):
         bound = functools.reduce(np.fmax, (gl - _GAP_LIPSCHITZ * u, gr - _GAP_LIPSCHITZ * w,
                                            gl + (lo - half_lo * u) * u,
                                            gr - (hi + half_hi * w) * w))
+    return gaps, inner, bound, delta
+
+
+def _coarse_minimum(h0, labels, grid):
+    """np.argmin, row by row, of the floored pair gaps (labels (2, n), i < j)
+    at the points of grid (n, k) (internal units, ascending, k = 10 m + 1,
+    m >= 1) from h0, the zero-field matrix, measuring only the points that
+    could hold the minimum.
+
+    Round one (_coarse_bounds) measures every _SCAN_STRIDE-th point and
+    bounds the gap at each point between them. Round two measures, in one
+    stacked eigensolve for all rows, the points whose bound is at most the
+    row's best measured gap plus 2 delta, if any. No other point can be the
+    minimum or tie with it, so the argmin over the measured points (the
+    rest +inf) is the full scan's, first index on ties included.
+    """
+    gaps, inner, bound, delta = _coarse_bounds(h0, labels, grid)
     rows, segments, points = np.nonzero(~(bound > gaps.min(axis=1)[:, None, None]
                                           + 2.0 * delta))
     if rows.size:

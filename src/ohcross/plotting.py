@@ -177,8 +177,7 @@ def render_line_plot(x, ys, labels, title: str = "",
 
     # Every polyline shares the x coordinates: they are formatted once and
     # set into the points format, which then takes one series' y values.
-    x_cells = (" ".join(["%.2f"] * len(xs)) % tuple(px(xs).tolist())).split()
-    points_fmt = " ".join([cell + ",%.2f" for cell in x_cells])
+    points_fmt = " ".join(["%.2f,%%.2f"] * len(xs)) % tuple(px(xs).tolist())
     for k, ys_px in enumerate(py(series).tolist()):
         color = PALETTE[k % len(PALETTE)]
         dash = DASHES[k % len(DASHES)]

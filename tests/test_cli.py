@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ohcross import algebra, cli, crossings, discriminant
@@ -573,7 +573,9 @@ class TestTextEquivalences:
         "1_000", " 1.5 ", "infinity", "-Infinity", "NaN", "-nan", "inf ",
         "\uff11\uff12", "\u0661.5", "1e400", "-1e-400", "+.5", "5.", "\xa02",
         "0x10", "1__0", "_1", "1_", "nan(1)", "snan", "1e", ".", "", " ",
-        "1 2", "1d5", "0b1", "\uff11\uff0e5"])
+        "1 2", "1d5", "0b1", "\uff11\uff0e5",
+        # numpy's reader strips U+001C..U+001F around a cell; float() does not
+        "\x1c1", "1\x1d", "\x1e2.5", "2.5\x1f"])
     def test_parse_accepts_and_rejects_like_float(self, cell):
         try:
             want = float(cell)
@@ -584,6 +586,81 @@ class TestTextEquivalences:
             got = cli._table(["a", "b"], ["0,1", f"0,{cell}"])[1, 1]
             assert np.array([got]).view(np.uint64) == \
                 np.array([want]).view(np.uint64)
+
+    def test_parse_matches_row_by_row_float(self):
+        # tables of 1-3 columns and 1-3 rows, a row now and then a cell
+        # short or long, cells from float()'s syntax, the whitespace that
+        # float() and numpy's reader strip, U+001C..U+001F (which only
+        # numpy's reader strips), non-ASCII digits, NUL, quotes and '#':
+        # the same bits as float() per cell, or the same PlotError message
+        def float_rows(width, lines):
+            rows = []
+            for line in lines:
+                cells = line.split(",")
+                if len(cells) != width:
+                    return f"row has {len(cells)} cells, header has {width}"
+                try:
+                    rows.append([float(cell) for cell in cells])
+                except ValueError:
+                    return f"non-numeric value in data row: {line}"
+            return np.array(rows, dtype=float).reshape(-1, width)
+
+        pads = " \t\x0b\x0c\x85\xa0\u3000\x00\x1c\x1d\x1e\x1f"
+        alphabet = "0123456789+-.eE_infa\uff11\u0661\"'#" + pads
+        cell = st.one_of(
+            st.text(alphabet, max_size=6),
+            st.builds(lambda pre, v, post: pre + v + post,
+                      st.text(pads, max_size=2),
+                      st.one_of(st.floats().map(repr), st.integers().map(str)),
+                      st.text(pads, max_size=2)))
+
+        @st.composite
+        def tables(draw):
+            width = draw(st.integers(1, 3))
+            lines = []
+            for _ in range(draw(st.integers(1, 3))):
+                size = width + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+                lines.append(",".join(draw(st.lists(cell, min_size=size,
+                                                    max_size=size))))
+            return width, lines
+
+        @settings(derandomize=True, max_examples=200, deadline=None,
+                  database=None)
+        @given(tables())
+        @example((1, ["1", ""]))  # numpy's reader skips blank lines
+        @example((1, [""]))  # and warns when no line is left
+        @example((2, ["0,1", "\x1c1,2"]))
+        def check(table):
+            width, lines = table
+            want = float_rows(width, lines)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = cli._table(["c"] * width, lines)
+            except PlotError as exc:
+                assert str(exc) == want
+            else:
+                assert not isinstance(want, str), want
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+        check()
+
+    def test_golden_data_files_take_the_one_call_parse(self, monkeypatch):
+        # every numeric data file the golden outputs read parses without
+        # the row-by-row pass, so the timed path is the one call
+        def refuse(width, lines):
+            raise AssertionError("row-by-row parse")
+
+        monkeypatch.setattr(cli, "_float_rows", refuse)
+        files = {prefix: sorted(GOLDEN.glob(f"{prefix}_*.csv"))
+                 for prefix in ("b1", "gap", "spectrum")}
+        assert {k: len(v) for k, v in files.items()} == {
+            "b1": 3, "gap": 4, "spectrum": 3}
+        for paths in files.values():
+            for path in paths:
+                header, columns = cli._read_data(path)
+                assert columns.shape[0] == len(header) >= 2
 
 
 # Data file text -> the one line that `plot` and `fit` print on stderr;

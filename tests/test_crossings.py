@@ -485,6 +485,28 @@ class TestPrunedCoarseScan:
         assert crossings._coarse_minimum(
             h0, labels, np.linspace(lo, hi, 81, axis=1)).tolist() == [19]
 
+    def test_bounds_below_every_inner_gap(self, monkeypatch):
+        # the per-point bounds of round one, checked where they come close
+        # (the concave brackets of the two curvature tests) and on the
+        # catalog pool's brackets: at every point strictly inside a
+        # segment, bound <= the full scan's floored gap + 2 delta. The
+        # argmin tests cannot tell a too-tight bound, as long as no point
+        # it prunes is the minimum.
+        h0 = np.diag([5.0, 4.0, 0.176, 0.0, 0.6, -4.0, -5.0, -6.0])
+        h0[3, 4] = h0[4, 3] = 0.025
+        brackets = [(h0, np.array([[4], [5]]), np.array([lo]), np.array([lo + 0.2]))
+                    for lo in (0.81, 0.94)]
+        brackets += [args for args, _ in
+                     self.refinements(monkeypatch, catalog_pool(200, 18))]
+        stride = crossings._SCAN_STRIDE
+        for h0, labels, lo, hi in brackets:
+            grid = np.linspace(lo, hi, crossings._COARSE_POINTS, axis=1)
+            _, inner, bound, delta = crossings._coarse_bounds(h0, labels, grid)
+            n, m = bound.shape[:2]
+            gaps = scan_gaps(h0, labels, grid)[:, :-1].reshape(n, m, stride)[..., 1:]
+            assert (grid[:, :-1].reshape(n, m, stride)[..., 1:] == inner).all()
+            assert (bound <= gaps + 2.0 * delta).all()
+
     def test_catalog_pool_measures_few_points_per_bracket(self, monkeypatch):
         # round one's 9 stops and round two's points, over the pool's 1,078
         # brackets: 20.6 per bracket; a scan whose curvature bounds take
