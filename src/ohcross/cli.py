@@ -12,6 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage or input error, 2 validation failure.
 Every command is deterministic: identical invocations emit identical bytes.
+Each handler returns its text and exit code; run writes the text (to
+--out or stdout) and maps errors to exit codes.
 Data files are UTF-8 CSV with '#' provenance comments echoing all inputs,
 a header row naming columns with units, and 12-significant-digit values.
 
@@ -149,7 +151,7 @@ def _csv(command: str, provenance: dict, header, rows) -> str:
 
 
 def _molecule(args) -> MoleculeParameters:
-    if getattr(args, "config", None):
+    if args.config:
         return molecule_from_config(args.config)
     return MoleculeParameters()
 
@@ -161,12 +163,10 @@ def _molecule_provenance(mol: MoleculeParameters) -> dict:
     }
 
 
-def _theta(args, default: float = 0.0) -> float:
-    if getattr(args, "theta_deg", None) is not None:
+def _theta(args) -> float:
+    if args.theta_deg is not None:
         return math.radians(args.theta_deg)
-    if getattr(args, "theta_rad", None) is not None:
-        return args.theta_rad
-    return default
+    return 0.0 if args.theta_rad is None else args.theta_rad
 
 
 def _theta_range(args) -> tuple:
@@ -183,11 +183,11 @@ def _theta_range(args) -> tuple:
     return float(rad[0]), float(rad[1])
 
 
-def _check_sweep(lo, hi, points: int, bounds: str) -> None:
-    """Reject a missing, non-finite (NaN included) or unordered sweep
-    range, one whose span max - min overflows, or too few points; `bounds`
-    names the bound options in the messages. All checks run on Python
-    floats, before any array is built."""
+def _sweep(lo, hi, points: int, bounds: str):
+    """np.linspace(lo, hi, points), after rejecting a missing, non-finite
+    (NaN included) or unordered sweep range, one whose span max - min
+    overflows, or too few points; `bounds` names the bound options in the
+    messages. All checks run on Python floats, before the array is built."""
     if lo is None or hi is None:
         raise ValueError(f"sweep needs both {bounds}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -198,6 +198,7 @@ def _check_sweep(lo, hi, points: int, bounds: str) -> None:
         raise ValueError(f"{bounds} span max - min overflows")
     if points < 2:
         raise ValueError("sweep needs at least 2 points")
+    return np.linspace(lo, hi, points)
 
 
 def _table(header: list, lines: list):
@@ -240,9 +241,9 @@ def _read_data(path) -> tuple:
     """Parse a CSV data file: ('#' comments skipped) header + float rows.
 
     Returns the header and a (column, row) float array, the rows parsed
-    by _table in one np.loadtxt call. The file is read line by line, so
-    bytes that do not decode raise as they are read, after any bad row
-    before them.
+    by _table in one np.loadtxt call. The file is decoded a block (8 KiB)
+    at a time, so bytes that do not decode raise as their block is read:
+    a bad row before them wins only when it ends in an earlier block.
     """
     lines = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -263,13 +264,12 @@ def _read_data(path) -> tuple:
     return header, _table(header, lines[1:]).T
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple:
     from .spectrum import analytic_spectrum
 
     mol = _molecule(args)
     theta = _theta(args)
-    _check_sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
-    b = np.linspace(args.b_min, args.b_max, args.points)
+    b = _sweep(args.b_min, args.b_max, args.points, "--b-min/--b-max")
     p = scale_parameters(mol, FieldConfiguration(
         e_field=args.e_vcm * 100.0, b_field=b, theta=theta))
     lams = analytic_spectrum(p.b_tilde, p.e_tilde, p.delta_tilde, p.theta)
@@ -281,11 +281,10 @@ def _cmd_spectrum(args) -> int:
     }
     provenance.update(_molecule_provenance(mol))
     header = ["b_tesla"] + [f"lambda_{k}_{args.unit}" for k in range(1, 9)]
-    _emit(_csv("spectrum", provenance, header, rows), args.out)
-    return 0
+    return _csv("spectrum", provenance, header, rows), 0
 
 
-def _cmd_crossings(args) -> int:
+def _cmd_crossings(args) -> tuple:
     from .crossings import crossing_catalog
 
     mol = _molecule(args)
@@ -302,8 +301,7 @@ def _cmd_crossings(args) -> int:
     }
     provenance.update(_molecule_provenance(mol))
     header = ["b_tesla", "kind", "pair", f"gap_{args.unit}", "source"]
-    _emit(_csv("crossings", provenance, header, rows), args.out)
-    return 0
+    return _csv("crossings", provenance, header, rows), 0
 
 
 # the sweep options each --vs leaves unread, in the parser's order
@@ -313,11 +311,10 @@ _UNREAD_FLAGS = {
 }
 
 
-def _sweep_rows(args, mol, value_fn):
-    """Rows of (sweep value, value_fn columns) for b1 and gap sweeps.
-
-    value_fn takes the whole sweep as one ScaledParameters of arrays, whose
-    every point has passed FieldConfiguration. A flag the sweep variable
+def _sweep_fields(args, mol):
+    """The b1 and gap sweep: its column name, its grid, the whole sweep as
+    one ScaledParameters of arrays, whose every point has passed
+    FieldConfiguration, and its provenance. A flag the sweep variable
     does not read is an error, before any other check.
     """
     unread = [f"--{name.replace('_', '-')}" for name in _UNREAD_FLAGS[args.vs]
@@ -325,10 +322,9 @@ def _sweep_rows(args, mol, value_fn):
     if unread:
         raise ValueError(f"--vs {args.vs} does not read {', '.join(unread)}")
     if args.vs == "e":
-        _check_sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
+        xs = _sweep(args.e_min, args.e_max, args.points, "--e-min/--e-max")
         if not math.isfinite(max(abs(args.e_min), abs(args.e_max)) * 100.0):
             raise ValueError("--e-min/--e-max: a bound overflows in V/m")
-        xs = np.linspace(args.e_min, args.e_max, args.points)
         e_field, theta = xs * 100.0, _theta(args)
         x_name = "e_vcm"
         provenance = {
@@ -338,8 +334,7 @@ def _sweep_rows(args, mol, value_fn):
         }
     else:
         lo, hi = _theta_range(args)
-        _check_sweep(lo, hi, args.points, "the theta bounds")
-        xs = np.linspace(lo, hi, args.points)
+        xs = _sweep(lo, hi, args.points, "the theta bounds")
         e_vcm = 0.0 if args.e_vcm is None else float(args.e_vcm)
         e_field, theta = e_vcm * 100.0, xs
         x_name = "theta_rad"
@@ -347,47 +342,35 @@ def _sweep_rows(args, mol, value_fn):
             "vs": "theta", "theta_min_rad": lo, "theta_max_rad": hi,
             "points": args.points, "e_vcm": e_vcm,
         }
-    columns = value_fn(scale_parameters(mol, FieldConfiguration(
-        e_field=e_field, theta=theta)))
-    return x_name, np.column_stack([xs] + columns), provenance
+    provenance.update(_molecule_provenance(mol))
+    p = scale_parameters(mol, FieldConfiguration(e_field=e_field, theta=theta))
+    return x_name, xs, p, provenance
 
 
-def _cmd_b1(args) -> int:
+def _cmd_b1(args) -> tuple:
     from .crossings import b1_approx_tilde, b1_exact_tilde
 
-    mol = _molecule(args)
-
-    def locate(p) -> list:
-        exact = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
-        approx = b1_approx_tilde(p.e_tilde, p.delta_tilde, p.theta)
-        return [b_field_from_tilde(exact), b_field_from_tilde(approx)]
-
-    x_name, rows, provenance = _sweep_rows(args, mol, locate)
-    provenance.update(_molecule_provenance(mol))
+    x_name, xs, p, provenance = _sweep_fields(args, _molecule(args))
+    exact = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
+    approx = b1_approx_tilde(p.e_tilde, p.delta_tilde, p.theta)
+    rows = np.column_stack([xs, b_field_from_tilde(exact),
+                            b_field_from_tilde(approx)])
     header = [x_name, "b1_exact_tesla", "b1_approx_tesla"]
-    _emit(_csv("b1", provenance, header, rows), args.out)
-    return 0
+    return _csv("b1", provenance, header, rows), 0
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args) -> tuple:
     from .crossings import b1_exact_tilde, gap_lowest_pair
 
-    mol = _molecule(args)
-    ghz_per_unit = _GHZ_PER_UNIT[args.unit]
-
-    def measure(p) -> list:
-        bt1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
-        return [gap_lowest_pair(p.with_b_tilde(bt1)) / ghz_per_unit]
-
-    x_name, rows, provenance = _sweep_rows(args, mol, measure)
+    x_name, xs, p, provenance = _sweep_fields(args, _molecule(args))
+    bt1 = b1_exact_tilde(p.e_tilde, p.delta_tilde, p.theta)
+    gap = gap_lowest_pair(p.with_b_tilde(bt1)) / _GHZ_PER_UNIT[args.unit]
     provenance["unit"] = args.unit
-    provenance.update(_molecule_provenance(mol))
     header = [x_name, f"gap_{args.unit}"]
-    _emit(_csv("gap", provenance, header, rows), args.out)
-    return 0
+    return _csv("gap", provenance, header, np.column_stack([xs, gap])), 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple:
     header, columns = _read_data(args.infile)
     if not 1 <= args.x_col <= len(columns) or not 1 <= args.y_col <= len(columns):
         raise ValueError(f"column selection outside 1..{len(columns)}")
@@ -410,11 +393,10 @@ def _cmd_fit(args) -> int:
         f"window_max: {_fmt(result.window[1])}",
         f"points_used: {used}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple:
     from .discriminant import audit_triple
 
     mol = _molecule(args)
@@ -429,11 +411,10 @@ def _cmd_audit(args) -> int:
     if report.suspects:
         lines.append("suspects: " + ", ".join(report.suspects))
     lines.append(f"audit: {'PASS' if report.passed else 'FAIL'}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.passed else 2
+    return "\n".join(lines) + "\n", 0 if report.passed else 2
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> tuple:
     from .plotting import PlotError, render_line_plot
 
     header, columns = _read_data(args.infile)
@@ -444,11 +425,10 @@ def _cmd_plot(args) -> int:
         title=args.title if args.title is not None else "",
         x_label=args.x_label if args.x_label is not None else header[0],
         y_label=args.y_label if args.y_label is not None else "")
-    _emit(svg, args.out)
-    return 0
+    return svg, 0
 
 
-def _cmd_hamiltonian(args) -> int:
+def _cmd_hamiltonian(args) -> tuple:
     from .hamiltonian import build_hamiltonian
 
     mol = _molecule(args)
@@ -458,8 +438,7 @@ def _cmd_hamiltonian(args) -> int:
     # + 0.0 turns negative zeros into plain zeros
     h = build_hamiltonian(p) + 0.0
     row = " ".join([_NUMBER] * len(h))
-    _emit("\n".join([row] * len(h)) % tuple(h.ravel().tolist()) + "\n", args.out)
-    return 0
+    return "\n".join([row] * len(h)) % tuple(h.ravel().tolist()) + "\n", 0
 
 
 def _add_angle_flags(sp) -> None:
@@ -547,8 +526,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--inject-g6-flip", action="store_true",
                     help="corrupt the g6 octic coefficient to exercise "
                          "breach detection and localization")
-    sp.add_argument("--config", help="molecule config JSON file")
-    sp.add_argument("--out", help="output path (default stdout)")
+    _add_output_flags(sp, unit=False)
     sp.set_defaults(func=_cmd_audit)
 
     sp = subs.add_parser("plot", help="render a data file as SVG")
@@ -563,8 +541,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--b-tesla", type=float, default=0.0)
     sp.add_argument("--e-vcm", type=float, default=0.0)
     _add_angle_flags(sp)
-    sp.add_argument("--config", help="molecule config JSON file")
-    sp.add_argument("--out", help="output path (default stdout)")
+    _add_output_flags(sp, unit=False)
     sp.set_defaults(func=_cmd_hamiltonian)
 
     return parser
@@ -647,7 +624,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(text, args.out)
+        return code
     except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, ValidationError) else 1

@@ -735,6 +735,16 @@ class TestDataFileErrors:
         assert capsys.readouterr().err == (
             "error: non-numeric value in data row: 1,abc\n")
 
+    def test_undecodable_bytes_in_the_bad_rows_block(self, tmp_path, capsys):
+        # The file is decoded a block at a time: bytes that do not decode in
+        # the bad row's own block raise before that row is parsed.
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"x,y\n0,1\n1,abc\n2,\xff\n")
+        assert run(["plot", "--in", str(data)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: 'utf-8' codec can't decode byte 0xff in position 16: "
+            "invalid start byte\n"))
+
     def test_undecodable_bytes(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_bytes(b"x,y\n0,1\n2,\xff\n")
@@ -838,6 +848,53 @@ class TestOutputFile:
                    and not flag & os.O_TRUNC for flag in flags)
 
 
+class TestOutputPathParity:
+    """Every command writes the same bytes, with the same exit code, to
+    stdout and to --out; a call that fails writes no file. Commands run in
+    tests/data: the README commands with small sweeps, fit on a gap-vs-E
+    golden file, plot on a golden CSV and an audit that fails."""
+
+    @pytest.mark.parametrize("line, code", [
+        ("spectrum --theta-deg 60 --b-max 0.2 --points 21", 0),
+        ("crossings --theta-deg 60 --e-vcm 1000", 0),
+        ("b1 --vs e --e-min 0 --e-max 500 --points 11 --theta-deg 60", 0),
+        ("gap --vs theta --theta-min-deg 30 --theta-max-deg 90 --points 7 "
+         "--e-vcm 1400", 0),
+        ("fit --in gap_e_theta75.csv --model power-in-E --window-min 10 "
+         "--window-max 500", 0),
+        ("audit --samples 20", 0),
+        ("audit --samples 20 --inject-g6-flip", 2),
+        ("plot --in b1_readme.csv", 0),
+        ("hamiltonian --b-tesla 0.1 --e-vcm 1000 --theta-deg 60", 0),
+    ])
+    def test_file_holds_the_stdout_bytes(self, line, code, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        out = tmp_path / "out"
+        assert run(line.split()) == code
+        printed = capsys.readouterr()
+        assert printed.err == "" and printed.out
+        assert run(line.split() + ["--out", str(out)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == printed.out.encode()
+        if code == 2:
+            assert printed.out.endswith("\naudit: FAIL\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("spectrum --b-max -1", "sweep range must satisfy min < max"),
+        ("plot --in bad.csv", "non-numeric value in data row: 1,abc"),
+        ("hamiltonian --config missing.json",
+         "[Errno 2] No such file or directory: 'missing.json'"),
+    ])
+    def test_failed_call_writes_no_file(self, line, message, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("x,y\n0,1\n1,abc\n", encoding="utf-8")
+        assert run(line.split() + ["--out", "out"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_golden_output(name, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
@@ -860,6 +917,22 @@ class TestConfigAndErrors:
         assert run(["spectrum", "--b-max", "0.1", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 2]") and path in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # the config is read before the sweep or its flags are checked
+        ("spectrum --config missing.json --b-max -1",
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        ("b1 --vs e --config missing.json --e-min 5 --e-max 1",
+         "[Errno 2] No such file or directory: 'missing.json'"),
+        # a flag the sweep does not read, before the range check
+        ("b1 --vs e --e-vcm 3 --e-min 5 --e-max 1",
+         "--vs e does not read --e-vcm"),
+    ])
+    def test_error_precedence(self, argv, message, tmp_path, monkeypatch,
+                              capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv.split()) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["hamiltonian", "--b-tesla", "nan"],
@@ -1049,6 +1122,17 @@ class TestConfigAndErrors:
         assert "spectrum" in capsys.readouterr().out
         assert run(["hamiltonian", "-h"]) == 0
         assert "--b-tesla" in capsys.readouterr().out
+
+    def test_config_help_is_the_same_everywhere(self, capsys):
+        with_config = sorted(name for name, sp in _command_parsers().items()
+                             if "--config" in sp._option_string_actions)
+        assert with_config == ["audit", "b1", "crossings", "gap",
+                               "hamiltonian", "spectrum"]
+        for name in with_config:
+            assert run([name, "-h"]) == 0
+            assert ("--config CONFIG molecule config JSON file "
+                    "(keys delta_ghz, mu_e_debye)") in " ".join(
+                        capsys.readouterr().out.split()), name
 
     @pytest.mark.parametrize("spaced", [
         "hamiltonian --b-tesla -2e-2",

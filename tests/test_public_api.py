@@ -159,6 +159,27 @@ def test_one_file_writer():
     assert found == {("cli", "_emit"), ("cli", "_open_in_place")}
 
 
+def test_one_output_path():
+    # each command handler returns (text, exit code) and cli.run alone
+    # writes it: _emit is named only in run, and no handler prints
+    tree = ast.parse((ROOT / "src" / "ohcross" / "cli.py").read_text())
+    naming_emit = {getattr(stmt, "name", None) for stmt in tree.body
+                   for node in ast.walk(stmt)
+                   if isinstance(node, ast.Name) and node.id == "_emit"}
+    assert naming_emit == {"run"}
+    handlers = [stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+                and stmt.name.startswith("_cmd_")]
+    assert len(handlers) == 8
+    for func in handlers:
+        returns = [node.value for node in ast.walk(func) if isinstance(node, ast.Return)]
+        assert returns, func.name
+        assert all(isinstance(value, ast.Tuple) and len(value.elts) == 2
+                   for value in returns), func.name
+        assert not any(isinstance(node, (ast.Name, ast.Attribute))
+                       and ast.unparse(node) in ("sys.stdout", "print")
+                       for node in ast.walk(func)), func.name
+
+
 # The functions that read the frozen tables, by module.
 TABLE_FORMS = {"discriminant": ("g_coefficients", "_special_angle_quartics")}
 
