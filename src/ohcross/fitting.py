@@ -50,7 +50,8 @@ class FitResult:
     def __post_init__(self) -> None:
         if self.model not in FIT_MODELS:
             raise FitError(f"unknown fit model {self.model!r}")
-        if not (math.isfinite(self.exponent) and self.rms_residual >= 0.0):
+        if not (math.isfinite(self.exponent) and math.isfinite(self.rms_residual)
+                and self.rms_residual >= 0.0):
             raise FitError("fit produced a non-finite exponent or residual")
 
 
@@ -87,8 +88,11 @@ def fit_power_law(x, y, model: str, window=None) -> FitResult:
     except OverflowError:
         raise FitError(f"fit coefficient exp({coef[0]:.6g}) overflows a float") from None
     exponent = float(coef[1])
-    fit_values = coefficient * u ** exponent
-    rms = float(np.sqrt(np.mean(((ys - fit_values) / ys) ** 2)))
+    # the fit or its relative misfit can overflow; FitResult refuses the
+    # inf residual that gives
+    with np.errstate(over="ignore"):
+        fit_values = coefficient * u ** exponent
+        rms = float(np.sqrt(np.mean(((ys - fit_values) / ys) ** 2)))
     return FitResult(model=model, coefficient=coefficient, exponent=exponent,
                      rms_residual=rms,
                      window=(float(xs.min()), float(xs.max())))

@@ -12,8 +12,12 @@ tick labels as "%.6g", or with the fewest more significant digits (up to
 byte-identical output. Numbers are formatted a block at a time. The
 pixel coordinates of all series are one numpy expression, elementwise in
 the order of operations of the scalar formula, so each rounds as a
-Python float would. The shared x coordinates are formatted once, and
-each polyline's points are one %-format.
+Python float would. All polylines' points are one array pass: each
+coordinate's "%.2f" text is looked up in a table of integer parts and
+one of two-digit decimals, indexed by rint(100 c). Those are the digits
+"%.2f" prints whenever 100 c is in [0, 99999.5), not -0.0, and more than
+1e-6 from a half-integer; if any coordinate is not, every polyline takes
+the %-format instead.
 """
 
 from __future__ import annotations
@@ -37,6 +41,15 @@ DASHES = ("", "7,4", "2,3", "8,3,2,3", "5,2", "1,2", "9,2", "4,4")
 
 class PlotError(ValueError):
     """Raised for input a line plot cannot be built from."""
+
+
+# "%3d." for 0..999 and "%02d" for 0..99, one little-endian cell each.
+_UNITS = np.frombuffer(b"".join(b"%3d." % k for k in range(1000)), "<u4")
+_CENTS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), "<u2")
+# One point "x,y " with each integer part space-padded to three digits.
+_POINT = np.dtype({"names": ["xu", "xc", "comma", "yu", "yc", "sep"],
+                   "formats": ["<u4", "<u2", "u1", "<u4", "<u2", "u1"],
+                   "offsets": [0, 4, 6, 7, 11, 13], "itemsize": 14})
 
 
 def _escape(text: str) -> str:
@@ -84,6 +97,39 @@ def _tick_labels(ticks) -> list:
         if all(lo != hi for lo, hi in zip(labels, labels[1:])):
             break
     return labels
+
+
+def _points(x_px, y_px) -> list:
+    """Each row of y_px paired with x_px as polyline points text: "%.2f,%.2f"
+    per point, joined by spaces.
+
+    "%.2f" rounds the exact binary value half to even. fl(100 c) is
+    within about 1.1e-11 of the exact 100 c below 1e5, so where every
+    100 c is at least 0, not -0.0, below 99999.5 and more than 1e-6 from
+    a half-integer, rint(fl(100 c)) is the rounding "%.2f" makes, and the
+    tables give its digits. Otherwise every row takes the %-format.
+    """
+    m = np.vstack([x_px, y_px]) * 100.0
+    r = np.rint(m)
+    if not ((m < 99999.5).all() and not np.signbit(m).any()
+            and (np.abs(m - r) < 0.5 - 1e-6).all()):
+        points_fmt = " ".join(["%.2f,%%.2f"] * len(x_px)) % tuple(x_px.tolist())
+        return [points_fmt % tuple(row) for row in y_px.tolist()]
+    units, cents = np.divmod(r.astype(np.intp), 100)
+    cells = np.empty(y_px.shape, _POINT)
+    cells["xu"] = _UNITS[units[0]]
+    cells["xc"] = _CENTS[cents[0]]
+    cells["comma"] = ord(",")
+    cells["yu"] = _UNITS[units[1:]]
+    cells["yc"] = _CENTS[cents[1:]]
+    cells["sep"] = ord(" ")
+    raw = cells.view(np.uint8).reshape(*y_px.shape, 14)
+    # Drop the pad spaces and each row's last separator.
+    keep = raw != ord(" ")
+    keep[:, :-1, 13] = True
+    ends = np.cumsum(keep.sum(axis=(1, 2))).tolist()
+    text = raw[keep].tobytes().decode("ascii")
+    return [text[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def render_line_plot(x, ys, labels, title: str = "",
@@ -175,14 +221,10 @@ def render_line_plot(x, ys, labels, title: str = "",
             f'font-size="13" text-anchor="middle" '
             f'transform="rotate(-90 {cx} {cy:.2f})">{_escape(y_label)}</text>')
 
-    # Every polyline shares the x coordinates: they are formatted once and
-    # set into the points format, which then takes one series' y values.
-    points_fmt = " ".join(["%.2f,%%.2f"] * len(xs)) % tuple(px(xs).tolist())
-    for k, ys_px in enumerate(py(series).tolist()):
+    for k, points in enumerate(_points(px(xs), py(series))):
         color = PALETTE[k % len(PALETTE)]
         dash = DASHES[k % len(DASHES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        points = points_fmt % tuple(ys_px)
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash_attr} points="{points}"/>')
 

@@ -753,6 +753,15 @@ class TestDataFileErrors:
         assert err.startswith("error: 'utf-8' codec can't decode")
         assert err.count("\n") == 1
 
+    def test_fit_with_an_overflowing_residual(self, tmp_path, capsys, recwarn):
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1,1\n2,4\n3,9\n4,1e-320\n5,25\n6,36\n",
+                        encoding="utf-8")
+        assert run(["fit", "--in", str(data), "--model", "power-in-E"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: fit produced a non-finite exponent or residual\n")
+        assert not recwarn.list
+
     def test_fit_reads_float_syntax(self, tmp_path, capsys):
         # underscores, padding, full-width digits: whatever float() takes
         data = tmp_path / "d.csv"

@@ -87,6 +87,15 @@ class TestFitPowerLaw:
         with pytest.raises(FitError, match=r"fit coefficient exp\(736\.8\d*\) overflows"):
             fit_power_law(x, y, "power-in-E")
 
+    def test_overflowing_residual_raises_fit_error(self, recwarn):
+        # a 1e-320 ordinate makes its relative misfit overflow to inf
+        x = np.arange(1.0, 7.0)
+        y = x ** 2
+        y[3] = 1e-320
+        with pytest.raises(FitError, match="non-finite exponent or residual"):
+            fit_power_law(x, y, "power-in-E")
+        assert not recwarn.list
+
     def test_noise_leaves_exponent_close(self):
         rng = np.random.default_rng(5)
         x = np.linspace(2.0, 20.0, 40)
@@ -107,6 +116,9 @@ class TestFitResult:
             FitResult(model=FIT_MODELS[0], coefficient=1.0,
                       exponent=float("nan"), rms_residual=0.0,
                       window=(0.0, 1.0))
+        with pytest.raises(FitError):
+            FitResult(model=FIT_MODELS[0], coefficient=1.0, exponent=1.0,
+                      rms_residual=float("inf"), window=(0.0, 1.0))
 
 
 class TestShapeMetrics:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ohcross.plotting import PlotError, render_line_plot
+from ohcross import plotting
+from ohcross.plotting import PlotError, _points, render_line_plot
 
 
 X = [0.0, 1.0, 2.0, 3.0]
@@ -144,3 +147,62 @@ def test_six_digit_tick_labels_where_they_suffice():
     svg = render_line_plot([0.0, 0.3], [[-2.5, 7.0]], ["a"])
     assert tick_labels(svg, "middle") == ["0", "0.1", "0.2", "0.3"]
     assert tick_labels(svg, "end") == ["-2", "0", "2", "4", "6"]
+
+
+def format_points(x, ys):
+    """Each row's points text through the %-format, coordinate by coordinate."""
+    fmt = " ".join(["%.2f,%%.2f"] * len(x)) % tuple(x)
+    return [fmt % tuple(row) for row in ys]
+
+
+def check_points(x, ys):
+    got = _points(np.array(x, dtype=float), np.array(ys, dtype=float))
+    assert got == format_points(x, ys)
+    return got
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+    st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=n, max_size=n),
+    min_size=2, max_size=6)))
+def test_points_match_the_format(rows):
+    check_points(rows[0], rows[1:])
+
+
+def test_points_at_exact_ties():
+    # 100 c is exactly k + 0.5: "%.2f" rounds these half to even
+    got = check_points([12.125, 0.375, 0.125], [[2.5, 0.625, 1.875]])
+    assert got == ["12.12,2.50 0.38,0.62 0.12,1.88"]
+
+
+def test_points_near_a_rounding_boundary():
+    centre = np.array([0.005, 1.005, 2.675, 123.455, 500.005, 999.985])
+    near = [centre]
+    for _ in range(4):
+        near = [np.nextafter(near[0], -1.0)] + near + [np.nextafter(near[-1], 2000.0)]
+    rows = np.array(near).tolist()
+    check_points(rows[0], rows[1:])
+    check_points(centre.tolist(), rows)
+    # 2e-6 from the tie in 100 c: past the guard, so the tables print these
+    check_points((centre + 2e-8).tolist(), [(centre - 2e-8).tolist()])
+
+
+def test_points_at_the_top_of_the_table():
+    assert check_points([999.995, 1000.0, 999.99], [[1000.0, 999.994, 0.0]]) == [
+        "1000.00,1000.00 1000.00,999.99 999.99,0.00"]
+
+
+def test_points_keep_negative_zero():
+    assert check_points([-0.0, 1.0], [[1.0, -0.0]]) == ["-0.00,1.00 1.00,-0.00"]
+
+
+def test_one_tie_sends_every_polyline_to_the_format(monkeypatch):
+    # px(1/16) = 70 + 706/16 = 114.125 exactly, a tie at two decimals
+    x, ys, labels = [0.0, 0.0625, 1.0], [[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], ["a", "b"]
+    tied = render_line_plot(x, ys, labels)
+    plain = render_line_plot([0.0, 0.5, 1.0], ys, labels)
+    assert "points=\"70.00,506.00 114.12,275.00 776.00,44.00\"" in tied
+    # with wrong integer parts in the table only the tables' output moves
+    monkeypatch.setattr(plotting, "_UNITS", plotting._UNITS[::-1].copy())
+    assert render_line_plot(x, ys, labels) == tied
+    assert render_line_plot([0.0, 0.5, 1.0], ys, labels) != plain
