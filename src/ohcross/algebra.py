@@ -90,13 +90,22 @@ def residuals(coeffs, roots, value=None):
         return np.abs(value) / np.maximum(mag.max(axis=0), horner(mag, np.abs(roots)))
 
 
+def _raise_first(checks) -> None:
+    """The one failure rule of the run-time checks: checks are pairs (mask
+    over the points, error builder) in precedence order, and the lowest
+    failing point i raises error(i) of its first failing check."""
+    failing = np.array([mask for mask, _ in checks])
+    if failing.any():
+        i = np.flatnonzero(failing.any(axis=0))[0]
+        raise checks[np.argmax(failing[:, i])][1](i)
+
+
 def _check(values, bound: float, what: str) -> None:
     """Raise ResidualError for the first residual not within bound,
     RootOverflowError if it is not finite."""
-    for resid in values:
-        if not resid <= bound:
-            raise (ResidualError if math.isfinite(resid) else RootOverflowError)(
-                f"{what} root residual {resid:.3e} is above {bound:.1e} of its scale")
+    _raise_first([(~(values <= bound), lambda i: (
+        ResidualError if np.isfinite(values[i]) else RootOverflowError)(
+            f"{what} root residual {values[i]:.3e} is above {bound:.1e} of its scale"))])
 
 
 def _monic_rows(a):

@@ -80,10 +80,6 @@ class _Parser(argparse.ArgumentParser):
 _NUMBER = "%.12g"
 
 
-def _fmt(value) -> str:
-    return _NUMBER % value
-
-
 def _open_in_place(path, flags):
     # open()'s own flags minus O_TRUNC, with its own 0o666 mode
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
@@ -138,7 +134,7 @@ def _csv(command: str, provenance: dict, header, rows) -> str:
     lines = [f"# ohcross {command}"]
     for key in sorted(provenance):
         value = provenance[key]
-        text = _fmt(value) if isinstance(value, float) else str(value)
+        text = _NUMBER % value if isinstance(value, float) else str(value)
         lines.append(f"# {key} = {text}")
     lines.append(",".join(header))
     if len(rows):
@@ -386,11 +382,11 @@ def _cmd_fit(args) -> tuple:
     used = np.count_nonzero((lo <= xs) & (xs <= hi))
     lines = [
         f"model: {result.model}",
-        f"coefficient: {_fmt(result.coefficient)}",
-        f"exponent: {_fmt(result.exponent)}",
-        f"rms_residual: {_fmt(result.rms_residual)}",
-        f"window_min: {_fmt(result.window[0])}",
-        f"window_max: {_fmt(result.window[1])}",
+        f"coefficient: {_NUMBER % result.coefficient}",
+        f"exponent: {_NUMBER % result.exponent}",
+        f"rms_residual: {_NUMBER % result.rms_residual}",
+        f"window_min: {_NUMBER % result.window[0]}",
+        f"window_max: {_NUMBER % result.window[1]}",
         f"points_used: {used}",
     ]
     return "\n".join(lines) + "\n", 0

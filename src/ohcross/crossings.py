@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (CUBIC_RESIDUAL_REL, QUARTIC_RESIDUAL_REL, RootOverflowError,
-                      _check, horner, numeric_roots, solve_monic_cubics,
-                      solve_monic_quartics)
+                      _check, _raise_first, horner, numeric_roots,
+                      solve_monic_cubics, solve_monic_quartics)
 from .discriminant import (REL_FLOOR, _special_angle_quartics,
                            f1_quartic_coefficients, g_coefficients)
 from .hamiltonian import DH_DB_TILDE, along_b, build_hamiltonian
@@ -237,10 +237,7 @@ def _first_crossing(e_tilde, delta_tilde, theta) -> tuple:
                 f"composed first-crossing root residual {root_resid[i]:.3e} is "
                 f"above {QUARTIC_RESIDUAL_REL:.1e} of its scale")),
         )
-    failing = np.stack([mask for mask, _ in checks])
-    if failing.any():
-        i = np.flatnonzero(failing.any(axis=0))[0]
-        raise checks[np.argmax(failing[:, i])][1](i)
+    _raise_first(checks)
     return args[0].shape, fields, b1
 
 

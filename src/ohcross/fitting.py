@@ -124,14 +124,7 @@ def best_shape_exponent(theta, gaps, candidates=(1, 2, 3)) -> int:
     """Which |sin theta|^p shape fits the gap curve best.
 
     Scores each candidate exponent with shape_rms_scaled and returns the
-    winner. Ties go to the smallest exponent.
+    winner. Ties go to the earlier candidate.
     """
-    ths = np.asarray(theta, dtype=float)
-    best_p = None
-    best_score = None
-    for p in candidates:
-        score = shape_rms_scaled(gaps, np.abs(np.sin(ths)) ** p)
-        if best_score is None or score < best_score:
-            best_score = score
-            best_p = p
-    return int(best_p)
+    sin_abs = np.abs(np.sin(np.asarray(theta, dtype=float)))
+    return int(min(candidates, key=lambda p: shape_rms_scaled(gaps, sin_abs ** p)))

@@ -22,6 +22,7 @@ the %-format instead.
 
 from __future__ import annotations
 
+import html
 import math
 import sys
 
@@ -50,11 +51,6 @@ _CENTS = np.frombuffer(b"".join(b"%02d" % k for k in range(100)), "<u2")
 _POINT = np.dtype({"names": ["xu", "xc", "comma", "yu", "yc", "sep"],
                    "formats": ["<u4", "<u2", "u1", "<u4", "<u2", "u1"],
                    "offsets": [0, 4, 6, 7, 11, 13], "itemsize": 14})
-
-
-def _escape(text: str) -> str:
-    return (str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;"))
 
 
 def _nice_step(span: float) -> float:
@@ -150,7 +146,7 @@ def render_line_plot(x, ys, labels, title: str = "",
     if any(len(y) != len(xs) for y in ys):
         raise PlotError("every series must match the length of x")
     series = np.asarray(ys, dtype=float)
-    names = [str(v) for v in labels]
+    names = [html.escape(str(v), quote=False) for v in labels]
     if len(names) != len(series):
         raise PlotError("labels must match the number of series")
     if not (np.isfinite(xs).all() and np.isfinite(series).all()):
@@ -183,7 +179,8 @@ def render_line_plot(x, ys, labels, title: str = "",
     if title:
         parts.append(
             f'<text x="{WIDTH / 2:.2f}" y="24" font-family="sans-serif" '
-            f'font-size="16" text-anchor="middle">{_escape(title)}</text>')
+            f'font-size="16" text-anchor="middle">'
+            f'{html.escape(str(title), quote=False)}</text>')
 
     axis_color = "#333333"
     grid_color = "#dddddd"
@@ -213,32 +210,28 @@ def render_line_plot(x, ys, labels, title: str = "",
         parts.append(
             f'<text x="{MARGIN_LEFT + plot_w / 2:.2f}" y="{HEIGHT - 14}" '
             f'font-family="sans-serif" font-size="13" '
-            f'text-anchor="middle">{_escape(x_label)}</text>')
+            f'text-anchor="middle">{html.escape(str(x_label), quote=False)}</text>')
     if y_label:
         cx, cy = 18, MARGIN_TOP + plot_h / 2
         parts.append(
             f'<text x="{cx}" y="{cy:.2f}" font-family="sans-serif" '
             f'font-size="13" text-anchor="middle" '
-            f'transform="rotate(-90 {cx} {cy:.2f})">{_escape(y_label)}</text>')
+            f'transform="rotate(-90 {cx} {cy:.2f})">'
+            f'{html.escape(str(y_label), quote=False)}</text>')
 
-    for k, points in enumerate(_points(px(xs), py(series))):
+    legend_x = x0 + 12
+    legend = []
+    for k, (name, points) in enumerate(zip(names, _points(px(xs), py(series)))):
         color = PALETTE[k % len(PALETTE)]
         dash = DASHES[k % len(DASHES)]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5"{dash_attr} points="{points}"/>')
-
-    legend_x = x0 + 12
-    legend_y = y0 + 10
-    for k, name in enumerate(names):
-        color = PALETTE[k % len(PALETTE)]
-        dash = DASHES[k % len(DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        ly = legend_y + 16 * k
-        parts.append(f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" '
-                     f'y2="{ly}" stroke="{color}" stroke-width="1.5"{dash_attr}/>')
-        parts.append(f'<text x="{legend_x + 32}" y="{ly + 4}" '
-                     f'font-family="sans-serif" font-size="12">'
-                     f'{_escape(name)}</text>')
+        ly = y0 + 10 + 16 * k
+        legend.append(f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 26}" '
+                      f'y2="{ly}" stroke="{color}" stroke-width="1.5"{dash_attr}/>')
+        legend.append(f'<text x="{legend_x + 32}" y="{ly + 4}" '
+                      f'font-family="sans-serif" font-size="12">{name}</text>')
+    parts += legend
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (QUARTIC_RESIDUAL_REL, ResidualError, RootOverflowError,
-                      solve_monic_quartics)
+                      _raise_first, solve_monic_quartics)
 from .hamiltonian import DH_DB_TILDE
 from .model import ValidationError
 
@@ -93,20 +93,19 @@ def lambda_squared_rows(a, shift) -> np.ndarray:
     scale = np.abs(m).max(axis=1, keepdims=True)
     live = scale > 0.0
     imag = live & ~(np.abs(m.imag) <= IMAG_ROOT_REL * scale)
-    negative = live & (m.real < -NEGATIVE_ROOT_REL * scale)
-    off_residual = ~(resid <= QUARTIC_RESIDUAL_REL)
-    failing = np.flatnonzero(off_residual | (imag | negative).any(axis=1))
-    if failing.size:
-        i = failing[0]
-        if not np.isfinite(resid[i]):
-            raise RootOverflowError("lambda^2 quartic overflows in double precision")
-        if off_residual[i]:
-            raise ResidualError(f"lambda^2 root residual {resid[i]:.3e} is above "
-                                f"{QUARTIC_RESIDUAL_REL:.1e} of its scale")
-        j = int(np.argmax(imag[i] | negative[i]))
-        what = "has a non-real part" if imag[i, j] else "is negative"
-        raise HermiticityViolationError(
-            f"lambda^2 root {complex(m[i, j])} {what} beyond tolerance")
+    off_sign = imag | (live & (m.real < -NEGATIVE_ROOT_REL * scale))
+    j = np.argmax(off_sign, axis=1)
+    _raise_first((
+        (~np.isfinite(resid), lambda i: RootOverflowError(
+            "lambda^2 quartic overflows in double precision")),
+        (~(resid <= QUARTIC_RESIDUAL_REL), lambda i: ResidualError(
+            f"lambda^2 root residual {resid[i]:.3e} is above "
+            f"{QUARTIC_RESIDUAL_REL:.1e} of its scale")),
+        (off_sign.any(axis=1), lambda i: HermiticityViolationError(
+            f"lambda^2 root {complex(m[i, j[i]])} "
+            f"{'has a non-real part' if imag[i, j[i]] else 'is negative'} "
+            "beyond tolerance")),
+    ))
     return np.sort(np.maximum(m.real, 0.0), axis=1)
 
 

@@ -436,6 +436,16 @@ class TestFit:
         assert err.startswith("error: fit coefficient exp(736.8")
         assert err.count("\n") == 1
 
+    def test_column_flags_pick_the_columns(self, cube_csv, tmp_path, capsys):
+        assert run(["fit", "--in", str(cube_csv), "--model", "power-in-E"]) == 0
+        defaults = capsys.readouterr().out
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("".join(",".join(line.split(",")[::-1]) + "\n"
+                                   for line in cube_csv.read_text().splitlines()))
+        assert run(["fit", "--in", str(swapped), "--model", "power-in-E",
+                    "--x-col", "2", "--y-col", "1"]) == 0
+        assert capsys.readouterr().out == defaults
+
     def test_bad_column(self, cube_csv, capsys):
         assert run(["fit", "--in", str(cube_csv), "--model", "power-in-E",
                     "--y-col", "9"]) == 1
@@ -503,6 +513,22 @@ class TestPlot:
         assert svg.count("<polyline") == 2
         assert ">y1<" in svg and ">y2<" in svg
 
+    def test_axis_labels(self, tmp_path, capsys):
+        # the flags' text is escaped; without them the x label is the
+        # header's first cell and there is no y label
+        data = tmp_path / "d.csv"
+        data.write_text("b_tesla,y1\n0,1\n1,2\n")
+        assert run(["plot", "--in", str(data), "--x-label", "a<b",
+                    "--y-label", "c&d"]) == 0
+        svg = capsys.readouterr().out
+        assert 'text-anchor="middle">a&lt;b</text>' in svg
+        assert 'transform="rotate(-90 18 275.00)">c&amp;d</text>' in svg
+        assert "b_tesla" not in svg
+        assert run(["plot", "--in", str(data)]) == 0
+        svg = capsys.readouterr().out
+        assert 'text-anchor="middle">b_tesla</text>' in svg
+        assert "rotate(-90" not in svg
+
     def test_plot_skips_comment_lines(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("# ohcross gap\n# seed = 1\nx,y\n0,1\n1,3\n2,5\n")
@@ -547,12 +573,12 @@ class TestTextEquivalences:
 
     def test_number_format_matches_format_on_special_values(self):
         for v in SPECIAL_NUMBERS:
-            assert cli._fmt(v) == format(float(v), ".12g"), v
+            assert cli._NUMBER % v == format(float(v), ".12g"), v
         rows = [[v, "s%s"] for v in SPECIAL_NUMBERS]
         assert cli._csv("t", {}, ["v", "s"], rows).splitlines()[2:] == [
             f"{format(float(v), '.12g')},s%s" for v in SPECIAL_NUMBERS]
         with pytest.raises(OverflowError):
-            cli._fmt(10 ** 400)
+            cli._NUMBER % 10 ** 400
 
     def test_block_of_rows_matches_cell_by_cell(self):
         table = _random_floats(9 * 201, 12).reshape(201, 9)

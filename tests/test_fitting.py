@@ -163,6 +163,14 @@ class TestBestShapeExponent:
         gaps = np.abs(np.sin(theta))
         assert best_shape_exponent(theta, gaps, candidates=(1, 1)) == 1
 
+    def test_tie_goes_to_the_earlier_candidate(self):
+        # |sin theta| is only 0 or 1 here, so every exponent gives the same
+        # model values and the same score
+        theta = np.array([0.0, math.pi / 2.0, 0.0, math.pi / 2.0, math.pi / 2.0])
+        gaps = np.array([0.1, 1.0, 0.2, 0.9, 1.1])
+        assert best_shape_exponent(theta, gaps, candidates=(3, 1)) == 3
+        assert best_shape_exponent(theta, gaps, candidates=(1, 3)) == 1
+
     def test_custom_candidates(self):
         theta = np.linspace(0.3, 1.2, 10)
         gaps = np.abs(np.sin(theta)) ** 4

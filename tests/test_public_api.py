@@ -224,6 +224,27 @@ def test_no_array_type_dispatch_outside_cli():
     assert found <= {"cli"}
 
 
+# The run-time checks that share algebra._raise_first's failure rule.
+FAILURE_RULE_SITES = {("algebra", "_check"), ("spectrum", "lambda_squared_rows"),
+                      ("crossings", "_first_crossing")}
+
+
+def test_one_failure_rule():
+    # each batched check site hands its (mask, error builder) table to
+    # algebra._raise_first and has no raise of its own
+    calling = set()
+    for path in sorted((ROOT / "src" / "ohcross").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(func))
+            if any(isinstance(node, ast.Call) and ast.unparse(node.func) == "_raise_first"
+                   for node in nodes):
+                calling.add((path.stem, func.name))
+                assert not any(isinstance(node, ast.Raise) for node in nodes), func.name
+    assert calling == FAILURE_RULE_SITES
+
+
 # Public closed forms that no package code calls: the tests check each.
 CHECKED_CLOSED_FORMS = {"resolvent_analysis", "critical_field_tilde",
                         "eval_f2_tilde", "f2_magnitude_tilde"}

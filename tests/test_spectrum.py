@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ohcross.algebra import ResidualError
+from ohcross import spectrum
+from ohcross.algebra import ResidualError, RootOverflowError
 from ohcross.hamiltonian import along_b, build_hamiltonian
 from ohcross.model import (FieldConfiguration, MoleculeParameters,
-                           ScaledParameters, b_tilde_from_field,
-                           scale_parameters)
+                           ScaledParameters, ValidationError,
+                           b_tilde_from_field, scale_parameters)
 from ohcross.spectrum import (HermiticityViolationError, analytic_spectrum,
                               lambda_squared_rows,
                               numeric_level_derivatives, numeric_levels,
@@ -138,6 +139,78 @@ class TestClosedFormRoots:
         ms = lambda_squared_rows([[576.0, -820.0, 273.0, -30.0]], 0.0)[0]
         for got, want in zip(ms, (1.0, 4.0, 9.0, 16.0)):
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def fake_quartic(monkeypatch, rows):
+    """Make lambda_squared_rows see these (roots, residual) rows in place of
+    the closed-form quartic's; returns as many placeholder coefficient rows."""
+    roots = np.array([r for r, _ in rows], dtype=complex)
+    resid = np.array([e for _, e in rows], dtype=float)
+    monkeypatch.setattr(spectrum, "solve_monic_quartics",
+                        lambda a: (roots.copy(), resid.copy()))
+    return np.zeros((len(rows), 4))
+
+
+# Rows of (roots, residual) at a tenth and at ten times each tolerance of
+# lambda_squared_rows, with a zero shift: the largest |m| is 10 in each.
+GOOD_ROW = ([1.0, 4.0, 9.0, 10.0], 1e-12)
+RESIDUAL_ROWS = (([1.0, 4.0, 9.0, 10.0], 1e-9), ([1.0, 4.0, 9.0, 10.0], 1e-7))
+IMAG_ROWS = (([1.0, 4.0, 10.0 + 1e-6j, 10.0 - 1e-6j], 1e-12),
+             ([1.0, 4.0, 10.0 + 1e-4j, 10.0 - 1e-4j], 1e-12))
+NEGATIVE_ROWS = (([-1e-6, 4.0, 9.0, 10.0], 1e-12), ([-1e-4, 4.0, 9.0, 10.0], 1e-12))
+OVERFLOW_ROW = ([1.0, 4.0, 9.0, 10.0], math.nan)
+
+
+class TestLambdaSquaredTrips:
+    """Each check of lambda_squared_rows trips ten times above its tolerance
+    and passes ten times below it."""
+
+    @pytest.mark.parametrize("rows, levels, error, message", [
+        (RESIDUAL_ROWS, [1.0, 4.0, 9.0, 10.0], ResidualError,
+         "lambda^2 root residual 1.000e-07 is above 1.0e-08 of its scale"),
+        (IMAG_ROWS, [1.0, 4.0, 10.0, 10.0], HermiticityViolationError,
+         "lambda^2 root (10+0.0001j) has a non-real part beyond tolerance"),
+        (NEGATIVE_ROWS, [0.0, 4.0, 9.0, 10.0], HermiticityViolationError,
+         "lambda^2 root (-0.0001+0j) is negative beyond tolerance"),
+    ])
+    def test_trips_from_both_sides(self, monkeypatch, rows, levels, error, message):
+        below, above = rows
+        passed = lambda_squared_rows(fake_quartic(monkeypatch, [below]), 0.0)
+        assert passed.tolist() == [levels]
+        with pytest.raises(error) as err:
+            lambda_squared_rows(fake_quartic(monkeypatch, [above]), 0.0)
+        assert (type(err.value), str(err.value)) == (error, message)
+
+    def test_overflow(self, monkeypatch):
+        a = fake_quartic(monkeypatch, [OVERFLOW_ROW])
+        with pytest.raises(RootOverflowError,
+                           match=r"^lambda\^2 quartic overflows in double precision$"):
+            lambda_squared_rows(a, 0.0)
+
+    def test_non_real_part_is_named_before_a_negative_one(self, monkeypatch):
+        # at one root failing both tests the reality check names it; across
+        # roots the first failing root is named
+        a = fake_quartic(monkeypatch, [([-1.0 + 1.0j, -1.0 - 1.0j, 9.0, 10.0], 1e-12)])
+        with pytest.raises(HermiticityViolationError, match="has a non-real part"):
+            lambda_squared_rows(a, 0.0)
+        a = fake_quartic(monkeypatch, [([-1.0, 9.0 + 1.0j, 9.0 - 1.0j, 10.0], 1e-12)])
+        with pytest.raises(HermiticityViolationError, match=r"\(-1\+0j\) is negative"):
+            lambda_squared_rows(a, 0.0)
+
+    def test_lowest_failing_row_raises_as_alone(self, monkeypatch):
+        faults = [RESIDUAL_ROWS[1], IMAG_ROWS[1], NEGATIVE_ROWS[1], OVERFLOW_ROW]
+        alone = []
+        for row in faults:
+            with pytest.raises(ValidationError) as err:
+                lambda_squared_rows(fake_quartic(monkeypatch, [row]), 0.0)
+            alone.append((type(err.value), str(err.value)))
+        for first in range(len(faults)):
+            # the faults after a passing row, the lowest fault first
+            order = faults[first:] + faults[:first]
+            a = fake_quartic(monkeypatch, [GOOD_ROW, IMAG_ROWS[0]] + order)
+            with pytest.raises(ValidationError) as err:
+                lambda_squared_rows(a, 0.0)
+            assert (type(err.value), str(err.value)) == alone[first]
 
 
 class TestAnalyticSpectrum:
